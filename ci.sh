@@ -50,6 +50,25 @@ dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc \
   "#(x,y). (R(x) & E(x,y))" -e cover --jobs 2 \
   --trace /tmp/ci_trace.json --stats --metrics
 dune exec bin/foc_cli.exe -- trace-check /tmp/ci_trace.json
+# Worker domains record ball counters straight into the engine's registry:
+# the --stats line must show the same nonzero lookups (computed + cache
+# hits) at jobs 1 and jobs 2 on every back-end with a parallel sweep.
+lookups() {
+  dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc \
+    "#(x,y,z). (R(x) & dist(x,y) <= 1 & dist(y,z) <= 1)" -e "$1" \
+    --jobs "$2" --stats 2>&1 \
+    | tr ' ' '\n' \
+    | awk -F= '$1 == "ball.computed" || $1 == "ball.cache_hits" { n += $2 }
+               END { print n + 0 }'
+}
+for e in direct cover hanf; do
+  l1=$(lookups "$e" 1)
+  l2=$(lookups "$e" 2)
+  [ "$l1" -gt 0 ] && [ "$l1" = "$l2" ] || {
+    echo "ci: $e ball lookups differ across jobs: jobs1=$l1 jobs2=$l2"
+    exit 1
+  }
+done
 # CLI batch round-trip: session answers must match per-sentence checks
 printf 'exists x. (#(y). E(x,y)) >= 1\n#(x,y). (E(x,y) & R(x)) >= 5\n' \
   > /tmp/ci_batch.txt

@@ -21,10 +21,9 @@ let classes ?(max_ball = 48) ?(jobs = 1) a ~r =
           Array.init n (ball_key ~max_ball ~scratch a g ~r))
     else begin
       Structure.prepare a;
-      fst
-        (Foc_par.tabulate_ctx ~jobs ~label:"hanf.keys"
-           ~make_ctx:Ball_type.scratch n
-           (fun scratch v -> ball_key ~max_ball ~scratch a g ~r v))
+      Foc_par.tabulate_ctx ~jobs ~label:"hanf.keys"
+        ~make_ctx:Ball_type.scratch n
+        (fun scratch v -> ball_key ~max_ball ~scratch a g ~r v)
     end
   in
   (* hash-cons each key string once; the grouping below then works on

@@ -123,16 +123,24 @@ let rec take k = function
   | x :: rest when k > 0 -> x :: take (k - 1) rest
   | _ -> []
 
+(* The plan rings are shared by every domain that runs the baseline
+   (session batches fall back on pool workers), so they change under a
+   lock; the counters above shard per domain and need none. *)
+let ring_lock = Mutex.create ()
+
+let with_rings f =
+  Mutex.lock ring_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock ring_lock) (fun () -> f !cur)
+
 let note_plan_order order =
-  let s = !cur in
-  s.orders <- order :: take 63 s.orders
+  with_rings (fun s -> s.orders <- order :: take 63 s.orders)
 
 (* the structured record behind the server's [explain] op: the executed
    join order with each step's predicted vs actual rows *)
 let note_plan_exec ~order ~steps ~replanned =
-  let s = !cur in
-  s.pseq <- s.pseq + 1;
-  s.plans <- { pseq = s.pseq; order; steps; replanned } :: take 63 s.plans
+  with_rings (fun s ->
+      s.pseq <- s.pseq + 1;
+      s.plans <- { pseq = s.pseq; order; steps; replanned } :: take 63 s.plans)
 
 (* read side *)
 
@@ -158,11 +166,12 @@ let enum_rows () = M.Counter.value !cur.enum_rows
 let enum_delay_quantile q = M.Histogram.quantile !cur.enum_delay q
 let enum_ttfr_quantile q = M.Histogram.quantile !cur.enum_ttfr q
 let err_max_x100 () = M.Gauge.value !cur.err_max_x100
-let plan_orders () = List.rev !cur.orders
-let plan_seq () = !cur.pseq
+let plan_orders () = with_rings (fun s -> List.rev s.orders)
+let plan_seq () = with_rings (fun s -> s.pseq)
 
 let plans_since seq =
-  List.rev (List.filter (fun (p : plan_record) -> p.pseq > seq) !cur.plans)
+  with_rings (fun s ->
+      List.rev (List.filter (fun (p : plan_record) -> p.pseq > seq) s.plans))
 
 let registry () = !cur.registry
 let peak_table_bytes () = M.Gauge.value !cur.peak_table_bytes

@@ -7,9 +7,12 @@
     conjunctive context is compiled into anti-joins and {e never} into a
     full [n^k] complement).
 
-    The registry is owned by the calling domain (the baseline engine is
-    sequential); {!reset} swaps in a fresh registry so a benchmark or test
-    can measure a single run without interference. *)
+    Any domain may record: session batches run baseline fallbacks on
+    {!Foc_par} workers. The registry shards per domain like every
+    {!Foc_obs.Metrics} registry, so readers see the sum over domains, and
+    the plan rings are appended under a lock. {!reset} swaps in a fresh
+    registry so a benchmark or test can measure a single run without
+    interference; call it while no evaluation is running. *)
 
 (** Drop all counters (fresh registry). *)
 val reset : unit -> unit

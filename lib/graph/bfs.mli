@@ -73,10 +73,6 @@ val mem : searcher -> int -> bool
     run; {!infinity} if outside the ball. *)
 val dist_of : searcher -> int -> int
 
-(** Lifetime count of vertices visited across all runs — the engine's
-    BFS-work counter. *)
-val total_visited : searcher -> int
-
 (** [ball_sorted s ~centres ~radius] — {!run} followed by extraction of the
     ball as a fresh sorted array (the only allocation of the query). *)
 val ball_sorted : searcher -> centres:int list -> radius:int -> int array

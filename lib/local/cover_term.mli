@@ -29,26 +29,22 @@ val required_cover_radius : Clterm.t -> int
     [jobs = 1].
 
     [cache_bytes] bounds each cluster context's ball cache (see
-    {!Pattern_count.make_ctx}). [stats_sink], when given, is called (on the
-    calling domain, after each parallel sweep joins) with the summed
-    {!Pattern_count.snapshot} of the sweep's cluster contexts — once per
-    basic leaf evaluated. *)
+    {!Pattern_count.make_ctx}); the cluster contexts record their ball
+    counters into the {!Foc_obs.Metrics.current} registry. *)
 val eval_unary :
   ?jobs:int ->
   ?cache_bytes:int ->
-  ?stats_sink:(Pattern_count.snapshot -> unit) ->
   Pred.collection ->
   Foc_data.Structure.t ->
   Foc_graph.Cover.t ->
   Clterm.t ->
   int array
 
-(** [eval_ground preds a cover t] — ground cl-terms only. [jobs],
-    [cache_bytes], [stats_sink] as in {!eval_unary}. *)
+(** [eval_ground preds a cover t] — ground cl-terms only. [jobs] and
+    [cache_bytes] as in {!eval_unary}. *)
 val eval_ground :
   ?jobs:int ->
   ?cache_bytes:int ->
-  ?stats_sink:(Pattern_count.snapshot -> unit) ->
   Pred.collection ->
   Foc_data.Structure.t ->
   Foc_graph.Cover.t ->

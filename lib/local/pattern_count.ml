@@ -54,70 +54,31 @@ type cache = {
   mutable bytes_used : int;
 }
 
-type stats = {
-  mutable computed : int;  (* balls computed (BFS runs) *)
-  mutable hits : int;
-  mutable evictions : int;
-  mutable peak_entries : int;
-  mutable peak_bytes : int;
-  mutable merged_bfs_visited : int;
-      (* BFS vertices from merged clone contexts; the live searcher's own
-         counter is added in [snapshot] *)
+(* The calling domain's shards of the ball counters in a registry,
+   resolved once per context (when it is made or cloned) so the sweep
+   records with plain int stores. *)
+module Counter = Foc_obs.Metrics.Counter
+module Gauge = Foc_obs.Metrics.Gauge
+
+type meters = {
+  computed : Counter.local;  (* balls computed (BFS runs) *)
+  hits : Counter.local;
+  evictions : Counter.local;
+  bfs_visited : Counter.local;
+  peak_entries : Gauge.local;
+  peak_bytes : Gauge.local;
 }
 
-let fresh_stats () =
+let meters reg =
+  let c name = Counter.local (Foc_obs.Metrics.counter reg name)
+  and g name = Gauge.local (Foc_obs.Metrics.gauge reg name) in
   {
-    computed = 0;
-    hits = 0;
-    evictions = 0;
-    peak_entries = 0;
-    peak_bytes = 0;
-    merged_bfs_visited = 0;
-  }
-
-type snapshot = {
-  balls_computed : int;
-  cache_hits : int;
-  cache_evictions : int;
-  cache_peak_entries : int;
-  cache_peak_bytes : int;
-  bfs_visited : int;
-}
-
-let empty_snapshot =
-  {
-    balls_computed = 0;
-    cache_hits = 0;
-    cache_evictions = 0;
-    cache_peak_entries = 0;
-    cache_peak_bytes = 0;
-    bfs_visited = 0;
-  }
-
-(* Counter delta between two snapshots of one long-lived context: counters
-   subtract, peaks pass through as [now]'s values (the consumer folds them
-   with max anyway). This is how a persistent session context reports
-   per-evaluation statistics without double counting. *)
-let diff_snapshot now before =
-  {
-    balls_computed = now.balls_computed - before.balls_computed;
-    cache_hits = now.cache_hits - before.cache_hits;
-    cache_evictions = now.cache_evictions - before.cache_evictions;
-    cache_peak_entries = now.cache_peak_entries;
-    cache_peak_bytes = now.cache_peak_bytes;
-    bfs_visited = now.bfs_visited - before.bfs_visited;
-  }
-
-(* counters add; peaks combine as max (each context's residency was
-   separate in time or in a separate domain) *)
-let add_snapshot a b =
-  {
-    balls_computed = a.balls_computed + b.balls_computed;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_evictions = a.cache_evictions + b.cache_evictions;
-    cache_peak_entries = max a.cache_peak_entries b.cache_peak_entries;
-    cache_peak_bytes = max a.cache_peak_bytes b.cache_peak_bytes;
-    bfs_visited = a.bfs_visited + b.bfs_visited;
+    computed = c "ball.computed";
+    hits = c "ball.cache_hits";
+    evictions = c "ball.cache_evictions";
+    bfs_visited = c "bfs.visited";
+    peak_entries = g "ball.cache_peak_entries";
+    peak_bytes = g "ball.cache_peak_bytes";
   }
 
 let default_cache_bytes = 64 * 1024 * 1024
@@ -131,11 +92,13 @@ type ctx = {
   mutable searcher : Foc_graph.Bfs.searcher option;  (* lazy: forces gaifman *)
   seen : int array;  (* epoch-stamped candidate-dedup scratch *)
   mutable seen_epoch : int;
-  st : stats;
+  reg : Foc_obs.Metrics.t;  (* the registry in scope at [make_ctx] *)
+  m : meters;
 }
 
 let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
   if r < 0 then invalid_arg "Pattern_count.make_ctx: negative radius";
+  let reg = Foc_obs.Metrics.current () in
   {
     preds;
     structure;
@@ -151,30 +114,14 @@ let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
     searcher = None;
     seen = Array.make (max (Foc_data.Structure.order structure) 1) 0;
     seen_epoch = 0;
-    st = fresh_stats ();
+    reg;
+    m = meters reg;
   }
 
 let order ctx = Foc_data.Structure.order ctx.structure
-let balls_computed ctx = ctx.st.computed
-
-let snapshot ctx =
-  let live =
-    match ctx.searcher with
-    | Some s -> Foc_graph.Bfs.total_visited s
-    | None -> 0
-  in
-  {
-    balls_computed = ctx.st.computed;
-    cache_hits = ctx.st.hits;
-    cache_evictions = ctx.st.evictions;
-    cache_peak_entries = ctx.st.peak_entries;
-    cache_peak_bytes = ctx.st.peak_bytes;
-    bfs_visited = ctx.st.merged_bfs_visited + live;
-  }
-
 (* A fresh ball cache and BFS arena over the same structure — one per worker
-   domain, so parallel sweeps never share mutable state. Counter merges at
-   join keep the statistics meaningful. *)
+   domain, so parallel sweeps never share mutable state. The clone records
+   into the same registry through its own domain's shards. *)
 let clone_ctx ctx =
   {
     ctx with
@@ -188,7 +135,7 @@ let clone_ctx ctx =
     searcher = None;
     seen = Array.make (Array.length ctx.seen) 0;
     seen_epoch = 0;
-    st = fresh_stats ();
+    m = meters ctx.reg;
   }
 
 let cache_resident_bytes ctx = ctx.cache.bytes_used
@@ -200,18 +147,12 @@ let cache_resident_bytes ctx = ctx.cache.bytes_used
    (graph preserved) nothing need be dropped, and for edge updates only
    centres within the 2r+1 threshold of the touched elements are affected
    (exactly the invalidation radius of {!Foc_nd.Incremental}). The BFS
-   searcher is rebuilt lazily against the new graph; statistics carry
-   over (the live searcher's visit counter is folded in first, keeping
-   snapshots monotone). Returns the rebound context and the number of
-   balls dropped. The old context must not be used afterwards. *)
+   searcher is rebuilt lazily against the new graph. Returns the rebound
+   context and the number of balls dropped. The old context must not be
+   used afterwards. *)
 let rebind_ctx ctx structure ~drop =
   if Foc_data.Structure.order structure <> order ctx then
     invalid_arg "Pattern_count.rebind_ctx: order changed";
-  (match ctx.searcher with
-  | Some s ->
-      ctx.st.merged_bfs_visited <-
-        ctx.st.merged_bfs_visited + Foc_graph.Bfs.total_visited s
-  | None -> ());
   let c = ctx.cache in
   let tbl = Hashtbl.create (max 16 (Hashtbl.length c.tbl)) in
   let fifo = Queue.create () in
@@ -236,19 +177,6 @@ let rebind_ctx ctx structure ~drop =
       searcher = None;
     },
     !dropped )
-
-let merge_ctx_stats ~into clones =
-  List.iter
-    (fun c ->
-      let s = snapshot c in
-      into.st.computed <- into.st.computed + s.balls_computed;
-      into.st.hits <- into.st.hits + s.cache_hits;
-      into.st.evictions <- into.st.evictions + s.cache_evictions;
-      into.st.peak_entries <- max into.st.peak_entries s.cache_peak_entries;
-      into.st.peak_bytes <- max into.st.peak_bytes s.cache_peak_bytes;
-      into.st.merged_bfs_visited <-
-        into.st.merged_bfs_visited + s.bfs_visited)
-    clones
 
 let searcher ctx =
   match ctx.searcher with
@@ -276,14 +204,14 @@ let cache_evict ctx =
         | Some e ->
             Hashtbl.remove c.tbl key;
             c.bytes_used <- c.bytes_used - e.bytes;
-            ctx.st.evictions <- ctx.st.evictions + 1)
+            Counter.bump ctx.m.evictions 1)
   done
 
 let ball_of ctx v =
   match Hashtbl.find_opt ctx.cache.tbl v with
   | Some e ->
       e.referenced <- true;
-      ctx.st.hits <- ctx.st.hits + 1;
+      Counter.bump ctx.m.hits 1;
       e.ball
   | None ->
       let s = searcher ctx in
@@ -305,14 +233,14 @@ let ball_of ctx v =
           Sorted a
         end
       in
-      ctx.st.computed <- ctx.st.computed + 1;
+      Counter.bump ctx.m.computed 1;
+      Counter.bump ctx.m.bfs_visited count;
       let bytes = ball_bytes b in
       Hashtbl.replace ctx.cache.tbl v { ball = b; bytes; referenced = false };
       Queue.add v ctx.cache.fifo;
       ctx.cache.bytes_used <- ctx.cache.bytes_used + bytes;
-      ctx.st.peak_entries <-
-        max ctx.st.peak_entries (Hashtbl.length ctx.cache.tbl);
-      ctx.st.peak_bytes <- max ctx.st.peak_bytes ctx.cache.bytes_used;
+      Gauge.raise_to ctx.m.peak_entries (Hashtbl.length ctx.cache.tbl);
+      Gauge.raise_to ctx.m.peak_bytes ctx.cache.bytes_used;
       cache_evict ctx;
       b
 
@@ -492,16 +420,12 @@ let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
     Array.init n (fun a -> count_at ~plan ctx ~pattern ~vars ~body a)
   else begin
     (* the anchors are independent; the plan is immutable and shared, the
-       ball caches are per-domain clones merged at join *)
+       ball caches are per-domain clones *)
     Foc_data.Structure.prepare ctx.structure;
-    let out, clones =
-      Foc_par.tabulate_ctx ~jobs ~label:"sweep.anchors"
-        ~make_ctx:(fun () -> clone_ctx ctx)
-        n
-        (fun c a -> count_at ~plan c ~pattern ~vars ~body a)
-    in
-    merge_ctx_stats ~into:ctx clones;
-    out
+    Foc_par.tabulate_ctx ~jobs ~label:"sweep.anchors"
+      ~make_ctx:(fun () -> clone_ctx ctx)
+      n
+      (fun c a -> count_at ~plan c ~pattern ~vars ~body a)
   end
 
 let ground ?(jobs = 1) ctx ~pattern ~vars ~body =
@@ -522,14 +446,10 @@ let ground ?(jobs = 1) ctx ~pattern ~vars ~body =
     end
     else begin
       Foc_data.Structure.prepare ctx.structure;
-      let total, clones =
-        Foc_par.map_reduce_ctx ~jobs ~label:"sweep.anchors"
-          ~make_ctx:(fun () -> clone_ctx ctx)
-          ~n
-          ~map:(fun c a -> count_at ~plan c ~pattern ~vars ~body a)
-          ~reduce:( + ) 0
-      in
-      merge_ctx_stats ~into:ctx clones;
-      total
+      Foc_par.map_reduce_ctx ~jobs ~label:"sweep.anchors"
+        ~make_ctx:(fun () -> clone_ctx ctx)
+        ~n
+        ~map:(fun c a -> count_at ~plan c ~pattern ~vars ~body a)
+        ~reduce:( + ) 0
     end
   end

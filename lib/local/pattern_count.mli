@@ -28,37 +28,15 @@ type ctx
 (** [make_ctx ?cache_bytes preds a ~r] — [cache_bytes] bounds the memory
     retained by cached balls (approximate heap bytes; default 64 MiB).
     Values [<= 0] degenerate to a one-entry cache: the most recently
-    computed ball is always retained, everything else is evicted. *)
+    computed ball is always retained, everything else is evicted.
+
+    The context records its ball counters ([ball.computed],
+    [ball.cache_hits], [ball.cache_evictions], [bfs.visited]; peak gauges
+    [ball.cache_peak_entries], [ball.cache_peak_bytes]) into the
+    {!Foc_obs.Metrics.current} registry of the calling domain, resolved
+    once here; use a context on the domain that made it. *)
 val make_ctx :
   ?cache_bytes:int -> Pred.collection -> Foc_data.Structure.t -> r:int -> ctx
-
-(** Cache/statistics: number of ball computations performed. *)
-val balls_computed : ctx -> int
-
-(** Aggregated observability counters for one context (including everything
-    merged from per-domain clones). *)
-type snapshot = {
-  balls_computed : int;  (** BFS ball computations (cache misses) *)
-  cache_hits : int;
-  cache_evictions : int;
-  cache_peak_entries : int;  (** max balls resident at once *)
-  cache_peak_bytes : int;  (** max approximate bytes resident at once *)
-  bfs_visited : int;  (** total vertices visited by ball BFS runs *)
-}
-
-val snapshot : ctx -> snapshot
-
-val empty_snapshot : snapshot
-
-(** [add_snapshot a b] — counters add, peaks combine as [max] (the two
-    contexts' residencies were separate in time or in separate domains). *)
-val add_snapshot : snapshot -> snapshot -> snapshot
-
-(** [diff_snapshot now before] — the per-evaluation delta of a long-lived
-    context: counters subtract, peaks pass through as [now]'s values.
-    Lets a persistent (session) context report each evaluation's work
-    without double counting. *)
-val diff_snapshot : snapshot -> snapshot -> snapshot
 
 (** Approximate bytes currently retained by the ball cache. *)
 val cache_resident_bytes : ctx -> int
@@ -95,8 +73,8 @@ val make_plan :
     connected and non-empty; [free body ⊆ vars].
 
     [jobs > 1] sweeps the anchors on that many domains ({!Foc_par}); each
-    domain uses a private ball-cache/arena clone of [ctx] (merged into
-    [ctx]'s statistics at join) and the result is bit-identical to
+    domain uses a private ball-cache/arena clone of [ctx] that records
+    into [ctx]'s registry, and the result is bit-identical to
     [jobs = 1]. *)
 val per_anchor :
   ?jobs:int ->

@@ -124,6 +124,10 @@ let create ?(config = default_config) () =
   | None -> ());
   { cfg = config; m = make_handles (); fresh = 0; art = None; rctx = None }
 
+let fork t =
+  { t with cfg = { t.cfg with trace_file = None }; fresh = 0; art = None;
+    rctx = None }
+
 (* The planning context handed to every baseline fallback. Statistics
    resolve through the [art_stats] hook when a session installed one;
    otherwise a two-entry physical-identity memo amortises one
@@ -187,20 +191,6 @@ let fallback t what =
   Foc_obs.Log.info (fun () -> "engine: fallback to baseline: " ^ what);
   Foc_obs.Metrics.Counter.inc t.m.fallbacks
 
-(* Ball-cache observability: every back-end evaluation folds its contexts'
-   counters into the engine registry here, on the calling domain, after any
-   parallel sweep has joined — the registry is never touched concurrently.
-   Counters add across evaluations; peaks are maxima of per-evaluation
-   residency (the caches do not persist between calls). *)
-let absorb t (s : Pattern_count.snapshot) =
-  let open Foc_obs.Metrics in
-  Counter.add t.m.balls_computed s.balls_computed;
-  Counter.add t.m.ball_cache_hits s.cache_hits;
-  Counter.add t.m.ball_cache_evictions s.cache_evictions;
-  Gauge.set_max t.m.ball_cache_peak_entries s.cache_peak_entries;
-  Gauge.set_max t.m.ball_cache_peak_bytes s.cache_peak_bytes;
-  Counter.add t.m.bfs_visited s.bfs_visited
-
 let cache_bytes t = t.cfg.ball_cache_mb * 1024 * 1024
 
 (* Basic-term sweep: span + duration histogram. The clock is read only when
@@ -249,7 +239,8 @@ let make_cover t a ~rc =
   cover
 
 let make_pattern_ctx t a ~r =
-  Pattern_count.make_ctx ~cache_bytes:(cache_bytes t) t.cfg.preds a ~r
+  Foc_obs.Metrics.with_current t.m.registry (fun () ->
+      Pattern_count.make_ctx ~cache_bytes:(cache_bytes t) t.cfg.preds a ~r)
 
 let cover_for t a ~rc =
   match t.art with
@@ -304,21 +295,16 @@ let default_artifacts t =
     art_stats = None;
   }
 
+(* Every public entry point also puts the engine's registry in scope, so
+   the ball contexts and the splitter recursion below record into it
+   directly — on worker domains too, since {!Foc_par} tasks inherit it. *)
 let with_artifacts t f =
-  match t.art with
-  | Some _ -> f () (* a session (or an enclosing entry point) provides them *)
-  | None ->
-      t.art <- Some (default_artifacts t);
-      Fun.protect ~finally:(fun () -> t.art <- None) f
-
-(* Direct sweeps run on a context that may be long-lived (per-call memo or
-   session cache), so the engine absorbs the per-evaluation *delta* of its
-   counters — a fresh context degenerates to the full snapshot. *)
-let with_ctx_delta t ctx f =
-  let before = Pattern_count.snapshot ctx in
-  let v = f ctx in
-  absorb t (Pattern_count.diff_snapshot (Pattern_count.snapshot ctx) before);
-  v
+  Foc_obs.Metrics.with_current t.m.registry (fun () ->
+      match t.art with
+      | Some _ -> f () (* a session or an enclosing entry point provides them *)
+      | None ->
+          t.art <- Some (default_artifacts t);
+          Fun.protect ~finally:(fun () -> t.art <- None) f)
 
 let eval_cl_ground t a cl =
   count_cl t cl;
@@ -326,25 +312,20 @@ let eval_cl_ground t a cl =
   match t.cfg.backend with
   | Direct ->
       sweep t (fun () ->
-          with_ctx_delta t
-            (ctx_for t a ~r:(cl_radius cl))
-            (fun ctx -> Clterm.eval_ground ~jobs ctx cl))
+          Clterm.eval_ground ~jobs (ctx_for t a ~r:(cl_radius cl)) cl)
   | Cover ->
       let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in
       sweep t (fun () ->
           Cover_term.eval_ground ~jobs ~cache_bytes:(cache_bytes t)
-            ~stats_sink:(absorb t) t.cfg.preds a cover cl)
+            t.cfg.preds a cover cl)
   | Splitter { max_rounds; small } ->
       (* the removal recursion mutates shared state; it stays sequential *)
       sweep t (fun () ->
-          Splitter_backend.eval_ground
-            ~stats_removals:(Foc_obs.Metrics.Counter.add t.m.removals)
-            t.cfg.preds a ~max_rounds ~small cl)
+          Splitter_backend.eval_ground t.cfg.preds a ~max_rounds ~small cl)
   | Hanf ->
       sweep t (fun () ->
           Hanf_backend.eval_ground ~jobs ~cache_bytes:(cache_bytes t)
-            ?classes_for:(hanf_classes_for t a) ~stats_sink:(absorb t)
-            t.cfg.preds a cl)
+            ?classes_for:(hanf_classes_for t a) t.cfg.preds a cl)
 
 let eval_cl_unary t a cl =
   count_cl t cl;
@@ -352,24 +333,19 @@ let eval_cl_unary t a cl =
   match t.cfg.backend with
   | Direct ->
       sweep t (fun () ->
-          with_ctx_delta t
-            (ctx_for t a ~r:(cl_radius cl))
-            (fun ctx -> Clterm.eval_unary ~jobs ctx cl))
+          Clterm.eval_unary ~jobs (ctx_for t a ~r:(cl_radius cl)) cl)
   | Cover ->
       let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in
       sweep t (fun () ->
           Cover_term.eval_unary ~jobs ~cache_bytes:(cache_bytes t)
-            ~stats_sink:(absorb t) t.cfg.preds a cover cl)
+            t.cfg.preds a cover cl)
   | Splitter { max_rounds; small } ->
       sweep t (fun () ->
-          Splitter_backend.eval_unary
-            ~stats_removals:(Foc_obs.Metrics.Counter.add t.m.removals)
-            t.cfg.preds a ~max_rounds ~small cl)
+          Splitter_backend.eval_unary t.cfg.preds a ~max_rounds ~small cl)
   | Hanf ->
       sweep t (fun () ->
           Hanf_backend.eval_unary ~jobs ~cache_bytes:(cache_bytes t)
-            ?classes_for:(hanf_classes_for t a) ~stats_sink:(absorb t)
-            t.cfg.preds a cl)
+            ?classes_for:(hanf_classes_for t a) t.cfg.preds a cl)
 
 (* ---------------- stratification (Theorem 6.10) ---------------- *)
 
@@ -874,20 +850,3 @@ let run_sentence t comp =
       let v = go comp.root in
       maybe_export t;
       v)
-
-(* fold another engine's counters into this one — how a session merges the
-   per-domain worker engines of a parallel batch after the join *)
-let add_stats t (s : stats) =
-  let open Foc_obs.Metrics in
-  Counter.add t.m.materialised s.materialised;
-  Counter.add t.m.clterms_built s.clterms_built;
-  Counter.add t.m.basic_terms s.basic_terms;
-  Counter.add t.m.fallbacks s.fallbacks;
-  Counter.add t.m.covers_built s.covers_built;
-  Counter.add t.m.removals s.removals;
-  Counter.add t.m.balls_computed s.balls_computed;
-  Counter.add t.m.ball_cache_hits s.ball_cache_hits;
-  Counter.add t.m.ball_cache_evictions s.ball_cache_evictions;
-  Gauge.set_max t.m.ball_cache_peak_entries s.ball_cache_peak_entries;
-  Gauge.set_max t.m.ball_cache_peak_bytes s.ball_cache_peak_bytes;
-  Counter.add t.m.bfs_visited s.bfs_visited

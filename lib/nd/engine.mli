@@ -82,11 +82,11 @@ val default_config : config
     [jobs = Foc_par.default_jobs ()], [ball_cache_mb = 64], no trace
     file. *)
 
-(** A point-in-time snapshot of the engine's counters. Since the
-    observability layer this is a {e view}: the counters live in the
-    engine's {!Foc_obs.Metrics} registry (see {!metrics}) and [stats]
-    builds a fresh record on each call — mutating the returned record has
-    no effect on the engine. *)
+(** A point-in-time view of the engine's counters: they live in the
+    engine's {!Foc_obs.Metrics} registry (see {!metrics}), and [stats]
+    reads them into a fresh record on each call, summed over every domain
+    that recorded (pool workers included). Mutating the returned record
+    has no effect on the engine. *)
 type stats = {
   mutable materialised : int;  (** fresh relations created (Theorem 6.10) *)
   mutable clterms_built : int;
@@ -113,11 +113,12 @@ val create : ?config:config -> unit -> t
 val stats : t -> stats
 val config : t -> config
 
-val add_stats : t -> stats -> unit
-(** Fold another engine's counter snapshot into this engine's registry
-    (counters add, peak gauges combine as max) — used by
-    {!Foc_serve.Session} to merge per-domain worker engines after a
-    parallel batch joins. *)
+val fork : t -> t
+(** A sibling engine for another domain: the same configuration (minus
+    the trace file, which the original exports) and the same metrics
+    registry, with its own artifact hooks and planner state. Its counters
+    land in the original's {!stats} with no merge step — this is how
+    {!Foc_serve.Session} runs worker engines in a parallel batch. *)
 
 (** {1 Artifact injection}
 
@@ -138,8 +139,9 @@ type artifacts = {
   art_ctx :
     (Foc_data.Structure.t -> r:int -> Foc_local.Pattern_count.ctx) option;
       (** a context for Direct sweeps over the given structure at the given
-          radius; may be long-lived — the engine absorbs per-evaluation
-          statistic deltas *)
+          radius; may be long-lived. It records into the registry that
+          was in scope when it was made ({!make_pattern_ctx} uses this
+          engine's) *)
   art_hanf :
     (Foc_data.Structure.t -> tr:int -> (string * int list) list) option;
       (** must return [Foc_bd.Hanf.classes a ~r:tr] *)
@@ -160,10 +162,14 @@ val make_cover : t -> Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t
 
 val make_pattern_ctx :
   t -> Foc_data.Structure.t -> r:int -> Foc_local.Pattern_count.ctx
-(** Fresh Direct-sweep context with this engine's ball-cache budget. *)
+(** Fresh Direct-sweep context with this engine's ball-cache budget,
+    recording into this engine's {!metrics}. *)
 
 val metrics : t -> Foc_obs.Metrics.t
-(** The engine's metrics registry. Counter glossary:
+(** The engine's metrics registry, put in scope
+    ({!Foc_obs.Metrics.with_current}) by every entry point so ball
+    contexts, cluster sweeps and the splitter recursion record into it
+    directly, on {!Foc_par} workers too. Counter glossary:
     [engine.materialised], [engine.clterms_built], [engine.basic_terms],
     [engine.fallbacks], [engine.covers_built], [engine.removals],
     [ball.computed], [ball.cache_hits], [ball.cache_evictions],

@@ -5,17 +5,9 @@ let type_radius (b : Clterm.basic) =
   let k = Foc_graph.Pattern.k b.Clterm.pattern in
   max 1 (k * ((2 * b.Clterm.radius) + 1))
 
-let basic_vector ?(jobs = 1) ?cache_bytes ?classes_for ?stats_sink preds a
+let basic_vector ?(jobs = 1) ?cache_bytes ?classes_for preds a
     (b : Clterm.basic) =
   let k = Foc_graph.Pattern.k b.Clterm.pattern in
-  let deliver snaps =
-    match stats_sink with
-    | None -> ()
-    | Some sink ->
-        sink
-          (List.fold_left Pattern_count.add_snapshot
-             Pattern_count.empty_snapshot snaps)
-  in
   (* the class partition either comes from the caller (a session layer
      caching Hanf keyings per radius) or is computed here; Hanf.classes is
      deterministic and identical for every jobs setting, so the two routes
@@ -50,7 +42,6 @@ let basic_vector ?(jobs = 1) ?cache_bytes ?classes_for ?stats_sink preds a
             in
             List.iter (fun v -> out.(v) <- value) members)
       (classes ~jobs:1);
-    deliver [ Pattern_count.snapshot ctx ];
     out
   end
   else begin
@@ -59,7 +50,7 @@ let basic_vector ?(jobs = 1) ?cache_bytes ?classes_for ?stats_sink preds a
        evaluation plan, hoisted out of the per-class calls) *)
     Structure.prepare a;
     let cls = Array.of_list (classes ~jobs) in
-    let values, ctxs =
+    let values =
       Foc_par.tabulate_ctx ~jobs ~label:"sweep.types"
         ~make_ctx:(fun () ->
           let ctx =
@@ -78,7 +69,6 @@ let basic_vector ?(jobs = 1) ?cache_bytes ?classes_for ?stats_sink preds a
               Pattern_count.at ~plan ctx ~pattern:b.Clterm.pattern
                 ~vars:b.Clterm.vars ~body:b.Clterm.body ~anchor:rep)
     in
-    deliver (List.map (fun (ctx, _) -> Pattern_count.snapshot ctx) ctxs);
     let out = Array.make (Structure.order a) 0 in
     Array.iteri
       (fun i (_, members) -> List.iter (fun v -> out.(v) <- values.(i)) members)
@@ -86,11 +76,11 @@ let basic_vector ?(jobs = 1) ?cache_bytes ?classes_for ?stats_sink preds a
     out
   end
 
-let rec eval_unary ?jobs ?cache_bytes ?classes_for ?stats_sink preds a = function
+let rec eval_unary ?jobs ?cache_bytes ?classes_for preds a = function
   | Clterm.Const i -> Array.make (Structure.order a) i
-  | Clterm.Unary b -> basic_vector ?jobs ?cache_bytes ?classes_for ?stats_sink preds a b
+  | Clterm.Unary b -> basic_vector ?jobs ?cache_bytes ?classes_for preds a b
   | Clterm.Ground b ->
-      let per = basic_vector ?jobs ?cache_bytes ?classes_for ?stats_sink preds a b in
+      let per = basic_vector ?jobs ?cache_bytes ?classes_for preds a b in
       let total =
         if Foc_graph.Pattern.k b.Clterm.pattern = 0 then
           if Structure.order a > 0 && per.(0) > 0 then 1 else 0
@@ -99,14 +89,14 @@ let rec eval_unary ?jobs ?cache_bytes ?classes_for ?stats_sink preds a = functio
       Array.make (Structure.order a) total
   | Clterm.Add (s, t) ->
       Array.map2 ( + )
-        (eval_unary ?jobs ?cache_bytes ?classes_for ?stats_sink preds a s)
-        (eval_unary ?jobs ?cache_bytes ?classes_for ?stats_sink preds a t)
+        (eval_unary ?jobs ?cache_bytes ?classes_for preds a s)
+        (eval_unary ?jobs ?cache_bytes ?classes_for preds a t)
   | Clterm.Mul (s, t) ->
       Array.map2 ( * )
-        (eval_unary ?jobs ?cache_bytes ?classes_for ?stats_sink preds a s)
-        (eval_unary ?jobs ?cache_bytes ?classes_for ?stats_sink preds a t)
+        (eval_unary ?jobs ?cache_bytes ?classes_for preds a s)
+        (eval_unary ?jobs ?cache_bytes ?classes_for preds a t)
 
-let rec eval_ground ?jobs ?cache_bytes ?classes_for ?stats_sink preds a = function
+let rec eval_ground ?jobs ?cache_bytes ?classes_for preds a = function
   | Clterm.Const i -> i
   | Clterm.Unary _ -> invalid_arg "Hanf_backend.eval_ground: unary leaf"
   | Clterm.Ground b ->
@@ -118,10 +108,10 @@ let rec eval_ground ?jobs ?cache_bytes ?classes_for ?stats_sink preds a = functi
         else 0
       else
         Array.fold_left ( + ) 0
-          (basic_vector ?jobs ?cache_bytes ?classes_for ?stats_sink preds a b)
+          (basic_vector ?jobs ?cache_bytes ?classes_for preds a b)
   | Clterm.Add (s, t) ->
-      eval_ground ?jobs ?cache_bytes ?classes_for ?stats_sink preds a s
-      + eval_ground ?jobs ?cache_bytes ?classes_for ?stats_sink preds a t
+      eval_ground ?jobs ?cache_bytes ?classes_for preds a s
+      + eval_ground ?jobs ?cache_bytes ?classes_for preds a t
   | Clterm.Mul (s, t) ->
-      eval_ground ?jobs ?cache_bytes ?classes_for ?stats_sink preds a s
-      * eval_ground ?jobs ?cache_bytes ?classes_for ?stats_sink preds a t
+      eval_ground ?jobs ?cache_bytes ?classes_for preds a s
+      * eval_ground ?jobs ?cache_bytes ?classes_for preds a t

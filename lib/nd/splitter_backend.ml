@@ -43,8 +43,8 @@ let const_tbl wanted v =
    #(tl vars).θ at each wanted element. Re-enters the full pipeline
    (locality certification + Lemma 6.4 decomposition) on the current
    structure, as the paper's recursion does. *)
-let rec count_vector ~removed_counter preds a ~rounds ~small ~vars theta
-    wanted : (int, int) Hashtbl.t =
+let rec count_vector preds a ~rounds ~small ~vars theta wanted :
+    (int, int) Hashtbl.t =
   let n = Structure.order a in
   if n <= small || rounds <= 0 || n < 2 then
     tbl_of_direct preds a vars theta wanted
@@ -62,11 +62,10 @@ let rec count_vector ~removed_counter preds a ~rounds ~small ~vars theta
     in
     match localized with
     | None -> tbl_of_direct preds a vars theta wanted
-    | Some (_r, cl) ->
-        eval_cl_at ~removed_counter preds a ~rounds ~small cl wanted
+    | Some (_r, cl) -> eval_cl_at preds a ~rounds ~small cl wanted
   end
 
-and count_ground ~removed_counter preds a ~rounds ~small ~vars theta =
+and count_ground preds a ~rounds ~small ~vars theta =
   match vars with
   | [] ->
       if Structure.order a = 0 then 0
@@ -74,31 +73,26 @@ and count_ground ~removed_counter preds a ~rounds ~small ~vars theta =
       else 0
   | _ ->
       let everyone = List.init (Structure.order a) (fun i -> i) in
-      let tbl =
-        count_vector ~removed_counter preds a ~rounds ~small ~vars theta
-          everyone
-      in
+      let tbl = count_vector preds a ~rounds ~small ~vars theta everyone in
       Hashtbl.fold (fun _ v acc -> acc + v) tbl 0
 
-and eval_cl_at ~removed_counter preds a ~rounds ~small cl wanted =
+and eval_cl_at preds a ~rounds ~small cl wanted =
   match cl with
   | Clterm.Const i -> const_tbl wanted i
   | Clterm.Ground b ->
-      let total = eval_basic_ground ~removed_counter preds a ~rounds ~small b in
+      let total = eval_basic_ground preds a ~rounds ~small b in
       const_tbl wanted total
-  | Clterm.Unary b ->
-      eval_basic_unary ~removed_counter preds a ~rounds ~small b wanted
+  | Clterm.Unary b -> eval_basic_unary preds a ~rounds ~small b wanted
   | Clterm.Add (s, t) ->
       combine ( + )
-        (eval_cl_at ~removed_counter preds a ~rounds ~small s wanted)
-        (eval_cl_at ~removed_counter preds a ~rounds ~small t wanted)
+        (eval_cl_at preds a ~rounds ~small s wanted)
+        (eval_cl_at preds a ~rounds ~small t wanted)
   | Clterm.Mul (s, t) ->
       combine ( * )
-        (eval_cl_at ~removed_counter preds a ~rounds ~small s wanted)
-        (eval_cl_at ~removed_counter preds a ~rounds ~small t wanted)
+        (eval_cl_at preds a ~rounds ~small s wanted)
+        (eval_cl_at preds a ~rounds ~small t wanted)
 
-and eval_basic_ground ~removed_counter preds a ~rounds ~small
-    (b : Clterm.basic) =
+and eval_basic_ground preds a ~rounds ~small (b : Clterm.basic) =
   if Foc_graph.Pattern.k b.Clterm.pattern = 0 then begin
     if Structure.order a = 0 then 0
     else if Local_eval.holds preds a Var.Map.empty b.Clterm.body then 1
@@ -106,17 +100,14 @@ and eval_basic_ground ~removed_counter preds a ~rounds ~small
   end
   else begin
     let everyone = List.init (Structure.order a) (fun i -> i) in
-    let tbl =
-      eval_basic_unary ~removed_counter preds a ~rounds ~small b everyone
-    in
+    let tbl = eval_basic_unary preds a ~rounds ~small b everyone in
     Hashtbl.fold (fun _ v acc -> acc + v) tbl 0
   end
 
 (* The heart of Section 8.2, step 5: sweep the clusters of a neighbourhood
    cover; in each cluster play one splitter round — remove the chosen
    vertex via the Removal Lemma and recurse on the kernels over B_X *_r d. *)
-and eval_basic_unary ~removed_counter preds a ~rounds ~small
-    (b : Clterm.basic) wanted =
+and eval_basic_unary preds a ~rounds ~small (b : Clterm.basic) wanted =
   let theta =
     Ast.and_
       (Dist_formula.delta
@@ -153,8 +144,7 @@ and eval_basic_unary ~removed_counter preds a ~rounds ~small
         Array.iteri (fun nw od -> Hashtbl.replace new_of_old od nw) old_of_new;
         let local_wanted = List.map (Hashtbl.find new_of_old) elems in
         let values =
-          in_cluster ~removed_counter preds sub ~rounds ~small ~vars theta
-            local_wanted
+          in_cluster preds sub ~rounds ~small ~vars theta local_wanted
         in
         List.iter2
           (fun e le -> Hashtbl.replace out e (Hashtbl.find values le))
@@ -163,8 +153,7 @@ and eval_basic_unary ~removed_counter preds a ~rounds ~small
     out
   end
 
-and in_cluster ~removed_counter preds sub ~rounds ~small ~vars theta
-    local_wanted =
+and in_cluster preds sub ~rounds ~small ~vars theta local_wanted =
   let n = Structure.order sub in
   if n <= small || rounds <= 0 || n < 2 then
     tbl_of_direct preds sub vars theta local_wanted
@@ -175,7 +164,7 @@ and in_cluster ~removed_counter preds sub ~rounds ~small ~vars theta
     | exception Removal.Unsupported _ ->
         tbl_of_direct preds sub vars theta local_wanted
     | `At_removed gparts, `Elsewhere uparts ->
-        removed_counter 1;
+        Foc_obs.Metrics.(Counter.inc (counter (current ()) "engine.removals"));
         Foc_obs.span ~name:"splitter.recurse" (fun () ->
         let sub' = Foc_data.Removal_op.apply sub ~r:r_rm ~d in
         let out = Hashtbl.create (List.length local_wanted) in
@@ -189,8 +178,8 @@ and in_cluster ~removed_counter preds sub ~rounds ~small ~vars theta
           List.iter
             (fun (vars', theta') ->
               let vals =
-                count_vector ~removed_counter preds sub'
-                  ~rounds:(rounds - 1) ~small ~vars:vars' theta' renamed
+                count_vector preds sub' ~rounds:(rounds - 1) ~small
+                  ~vars:vars' theta' renamed
               in
               Hashtbl.iter
                 (fun e' v ->
@@ -205,8 +194,8 @@ and in_cluster ~removed_counter preds sub ~rounds ~small ~vars theta
           let v =
             Foc_util.Combi.sum
               (fun (vars', theta') ->
-                count_ground ~removed_counter preds sub' ~rounds:(rounds - 1)
-                  ~small ~vars:vars' theta')
+                count_ground preds sub' ~rounds:(rounds - 1) ~small
+                  ~vars:vars' theta')
               gparts
           in
           Hashtbl.replace out d v
@@ -216,44 +205,34 @@ and in_cluster ~removed_counter preds sub ~rounds ~small ~vars theta
 
 (* ---------------- public polynomial evaluation ---------------- *)
 
-let rec eval_vector ~removed_counter preds a ~max_rounds ~small = function
+let rec eval_unary preds a ~max_rounds ~small = function
   | Clterm.Const i -> Array.make (Structure.order a) i
   | Clterm.Unary b ->
       let wanted = List.init (Structure.order a) (fun i -> i) in
       let tbl =
-        eval_basic_unary ~removed_counter preds a ~rounds:max_rounds ~small b
-          wanted
+        eval_basic_unary preds a ~rounds:max_rounds ~small b wanted
       in
       Array.init (Structure.order a) (fun e -> Hashtbl.find tbl e)
   | Clterm.Ground b ->
       Array.make (Structure.order a)
-        (eval_basic_ground ~removed_counter preds a ~rounds:max_rounds ~small
-           b)
+        (eval_basic_ground preds a ~rounds:max_rounds ~small b)
   | Clterm.Add (s, t) ->
       Array.map2 ( + )
-        (eval_vector ~removed_counter preds a ~max_rounds ~small s)
-        (eval_vector ~removed_counter preds a ~max_rounds ~small t)
+        (eval_unary preds a ~max_rounds ~small s)
+        (eval_unary preds a ~max_rounds ~small t)
   | Clterm.Mul (s, t) ->
       Array.map2 ( * )
-        (eval_vector ~removed_counter preds a ~max_rounds ~small s)
-        (eval_vector ~removed_counter preds a ~max_rounds ~small t)
+        (eval_unary preds a ~max_rounds ~small s)
+        (eval_unary preds a ~max_rounds ~small t)
 
-let rec eval_ground_poly ~removed_counter preds a ~max_rounds ~small =
-  function
+let rec eval_ground preds a ~max_rounds ~small = function
   | Clterm.Const i -> i
   | Clterm.Unary _ -> invalid_arg "Splitter_backend.eval_ground: unary leaf"
-  | Clterm.Ground b ->
-      eval_basic_ground ~removed_counter preds a ~rounds:max_rounds ~small b
+  | Clterm.Ground b -> eval_basic_ground preds a ~rounds:max_rounds ~small b
   | Clterm.Add (s, t) ->
-      eval_ground_poly ~removed_counter preds a ~max_rounds ~small s
-      + eval_ground_poly ~removed_counter preds a ~max_rounds ~small t
+      eval_ground preds a ~max_rounds ~small s
+      + eval_ground preds a ~max_rounds ~small t
   | Clterm.Mul (s, t) ->
-      eval_ground_poly ~removed_counter preds a ~max_rounds ~small s
-      * eval_ground_poly ~removed_counter preds a ~max_rounds ~small t
+      eval_ground preds a ~max_rounds ~small s
+      * eval_ground preds a ~max_rounds ~small t
 
-let eval_ground ~stats_removals preds a ~max_rounds ~small t =
-  eval_ground_poly ~removed_counter:stats_removals preds a ~max_rounds ~small
-    t
-
-let eval_unary ~stats_removals preds a ~max_rounds ~small t =
-  eval_vector ~removed_counter:stats_removals preds a ~max_rounds ~small t

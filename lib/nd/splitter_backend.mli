@@ -21,11 +21,10 @@
 
 open Foc_logic
 
-(** [eval_ground ~stats_removals preds a ~max_rounds ~small t] — ground
-    cl-terms. [stats_removals] is called with the number of removal steps
-    performed. *)
+(** [eval_ground preds a ~max_rounds ~small t] — ground cl-terms. Each
+    removal step increments [engine.removals] in the
+    {!Foc_obs.Metrics.current} registry. *)
 val eval_ground :
-  stats_removals:(int -> unit) ->
   Pred.collection ->
   Foc_data.Structure.t ->
   max_rounds:int ->
@@ -33,10 +32,8 @@ val eval_ground :
   Foc_local.Clterm.t ->
   int
 
-(** [eval_unary ~stats_removals preds a ~max_rounds ~small t] — per-element
-    values. *)
+(** [eval_unary preds a ~max_rounds ~small t] — per-element values. *)
 val eval_unary :
-  stats_removals:(int -> unit) ->
   Pred.collection ->
   Foc_data.Structure.t ->
   max_rounds:int ->

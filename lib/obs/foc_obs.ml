@@ -8,7 +8,8 @@
      changes an evaluation result (bit-identity on vs off is a test);
    - per-domain buffers: spans recorded inside pool workers go to the
      worker's own buffer (no locks on the record path) and are merged
-     deterministically when the trace is read, after the parallel joins. *)
+     deterministically when the trace is read, after the parallel joins;
+     metrics keep one shard per domain the same way. *)
 
 module Clock = struct
   let now_ns () = Int64.to_int (Monotonic_clock.now ())
@@ -78,22 +79,69 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Metrics = struct
-  module Counter = struct
-    type t = { mutable v : int }
+  (* Domain shards. Every metric keeps one cell per domain and a domain
+     writes only its own cell, so recording is a plain int store with no
+     atomics or locks. Readers fold over the cells (sums for counters and
+     histograms, the max for gauges), so a read taken after a parallel
+     join sees every worker's updates, the same way [Trace] merges its
+     per-domain buffers. A domain's slot is handed out on its first
+     record and never recycled: the only domains here are the caller's
+     and the {!Foc_par} pool, which lives until exit. *)
+  let next_slot = Atomic.make 0
+  let slot_key =
+    Domain.DLS.new_key (fun () -> Atomic.fetch_and_add next_slot 1)
 
-    let make () = { v = 0 }
-    let inc c = c.v <- c.v + 1
-    let add c n = c.v <- c.v + n
-    let value c = c.v
+  (* the cell array is republished through an atomic when a new domain
+     grows it, so a reader on another domain sees initialised cells *)
+  type 'a shards = { cells : 'a array Atomic.t; fresh : unit -> 'a }
+
+  let grow_lock = Mutex.create ()
+  let shards fresh = { cells = Atomic.make [||]; fresh }
+
+  let local sh =
+    let s = Domain.DLS.get slot_key in
+    let cells = Atomic.get sh.cells in
+    if s < Array.length cells then Array.unsafe_get cells s
+    else begin
+      Mutex.lock grow_lock;
+      let cells = Atomic.get sh.cells in
+      let n = Array.length cells in
+      if s >= n then
+        Atomic.set sh.cells
+          (Array.init (s + 1) (fun i ->
+               if i < n then cells.(i) else sh.fresh ()));
+      Mutex.unlock grow_lock;
+      (Atomic.get sh.cells).(s)
+    end
+
+  let fold f init sh = Array.fold_left f init (Atomic.get sh.cells)
+
+  type cell = { mutable v : int }
+
+  let cell () = { v = 0 }
+
+  module Counter = struct
+    type local = cell
+    type t = cell shards
+
+    let make () = shards cell
+    let local = local
+    let bump x n = x.v <- x.v + n
+    let add c n = bump (local c) n
+    let inc c = add c 1
+    let value c = fold (fun acc x -> acc + x.v) 0 c
   end
 
   module Gauge = struct
-    type t = { mutable v : int }
+    type local = cell
+    type t = cell shards
 
-    let make () = { v = 0 }
-    let set g n = g.v <- n
-    let set_max g n = if n > g.v then g.v <- n
-    let value g = g.v
+    let make () = shards cell
+    let local = local
+    let raise_to x n = if n > x.v then x.v <- n
+    let set g n = (local g).v <- n
+    let set_max g n = raise_to (local g) n
+    let value g = fold (fun acc x -> max acc x.v) 0 g
   end
 
   module Histogram = struct
@@ -101,9 +149,11 @@ module Metrics = struct
        1..63 holds the values of bit-length i, i.e. 2^(i-1) <= v < 2^i.
        [observe] is two array/int stores — cheap enough for per-ball and
        per-update call sites. *)
-    type t = { buckets : int array; mutable count : int; mutable sum : int }
+    type local = { buckets : int array; mutable count : int; mutable sum : int }
+    type t = local shards
 
-    let make () = { buckets = Array.make 64 0; count = 0; sum = 0 }
+    let fresh () = { buckets = Array.make 64 0; count = 0; sum = 0 }
+    let make () = shards fresh
 
     let bucket_of v =
       if v <= 0 then 0
@@ -121,18 +171,30 @@ module Metrics = struct
       if i = 0 then 0 else if i >= 63 then max_int else (1 lsl i) - 1
 
     let observe h v =
+      let x = local h in
       let i = bucket_of v in
-      h.buckets.(i) <- h.buckets.(i) + 1;
-      h.count <- h.count + 1;
-      h.sum <- h.sum + v
+      x.buckets.(i) <- x.buckets.(i) + 1;
+      x.count <- x.count + 1;
+      x.sum <- x.sum + v
 
-    let count h = h.count
-    let sum h = h.sum
+    (* every shard summed into one fresh cell *)
+    let merged h =
+      fold
+        (fun m x ->
+          Array.iteri (fun i k -> m.buckets.(i) <- m.buckets.(i) + k) x.buckets;
+          m.count <- m.count + x.count;
+          m.sum <- m.sum + x.sum;
+          m)
+        (fresh ()) h
+
+    let count h = fold (fun acc x -> acc + x.count) 0 h
+    let sum h = fold (fun acc x -> acc + x.sum) 0 h
 
     let nonzero_buckets h =
+      let m = merged h in
       let out = ref [] in
       for i = 63 downto 0 do
-        if h.buckets.(i) > 0 then out := (bucket_upper i, h.buckets.(i)) :: !out
+        if m.buckets.(i) > 0 then out := (bucket_upper i, m.buckets.(i)) :: !out
       done;
       !out
 
@@ -151,6 +213,7 @@ module Metrics = struct
        [q >= 1] the (clamped) upper bound of the last; a rank landing on a
        bucket edge interpolates to that edge. Empty histogram: 0. *)
     let quantile h q =
+      let h = merged h in
       if h.count = 0 then 0.
       else begin
         let q = Float.max 0. (Float.min 1. q) in
@@ -177,48 +240,67 @@ module Metrics = struct
     | MGauge of Gauge.t
     | MHistogram of Histogram.t
 
-  type t = { tbl : (string, metric) Hashtbl.t }
+  (* the name table is shared by every domain that registers a metric;
+     the lock guards it, never the record path *)
+  type t = { tbl : (string, metric) Hashtbl.t; lock : Mutex.t }
 
-  let create () = { tbl = Hashtbl.create 32 }
+  let create () = { tbl = Hashtbl.create 32; lock = Mutex.create () }
+
+  let register kind t name make unwrap =
+    Mutex.lock t.lock;
+    let m =
+      match Hashtbl.find_opt t.tbl name with
+      | Some m -> m
+      | None ->
+          let m = make () in
+          Hashtbl.replace t.tbl name m;
+          m
+    in
+    Mutex.unlock t.lock;
+    match unwrap m with
+    | Some x -> x
+    | None ->
+        invalid_arg (Printf.sprintf "Metrics.%s: name in use: %s" kind name)
 
   let counter t name =
-    match Hashtbl.find_opt t.tbl name with
-    | Some (MCounter c) -> c
-    | Some _ -> invalid_arg ("Metrics.counter: name in use: " ^ name)
-    | None ->
-        let c = Counter.make () in
-        Hashtbl.replace t.tbl name (MCounter c);
-        c
+    register "counter" t name
+      (fun () -> MCounter (Counter.make ()))
+      (function MCounter c -> Some c | _ -> None)
 
   let gauge t name =
-    match Hashtbl.find_opt t.tbl name with
-    | Some (MGauge g) -> g
-    | Some _ -> invalid_arg ("Metrics.gauge: name in use: " ^ name)
-    | None ->
-        let g = Gauge.make () in
-        Hashtbl.replace t.tbl name (MGauge g);
-        g
+    register "gauge" t name
+      (fun () -> MGauge (Gauge.make ()))
+      (function MGauge g -> Some g | _ -> None)
 
   let histogram t name =
-    match Hashtbl.find_opt t.tbl name with
-    | Some (MHistogram h) -> h
-    | Some _ -> invalid_arg ("Metrics.histogram: name in use: " ^ name)
-    | None ->
-        let h = Histogram.make () in
-        Hashtbl.replace t.tbl name (MHistogram h);
-        h
+    register "histogram" t name
+      (fun () -> MHistogram (Histogram.make ()))
+      (function MHistogram h -> Some h | _ -> None)
 
-  let sorted_names t =
-    List.sort String.compare
-      (Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [])
+  (* the registry in scope: per domain, inherited by {!Foc_par} tasks *)
+  let default = create ()
+  let current_key = Domain.DLS.new_key (fun () -> ref default)
+  let current () = !(Domain.DLS.get current_key)
+
+  let with_current t f =
+    let r = Domain.DLS.get current_key in
+    let saved = !r in
+    r := t;
+    Fun.protect ~finally:(fun () -> r := saved) f
+
+  let sorted t =
+    Mutex.lock t.lock;
+    let l = Hashtbl.fold (fun k m acc -> (k, m) :: acc) t.tbl [] in
+    Mutex.unlock t.lock;
+    List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
   (* one flat field list: counters/gauges as [name=v], histograms as
      [name.count=…] and [name.sum=…] — what the single `# stats:` line
      prints, so a newly registered metric can never drift out of it *)
   let scalar_fields t =
     List.concat_map
-      (fun name ->
-        match Hashtbl.find t.tbl name with
+      (fun (name, m) ->
+        match m with
         | MCounter c -> [ (name, Logfmt.Int (Counter.value c)) ]
         | MGauge g -> [ (name, Logfmt.Int (Gauge.value g)) ]
         | MHistogram h ->
@@ -226,15 +308,15 @@ module Metrics = struct
               (name ^ ".count", Logfmt.Int (Histogram.count h));
               (name ^ ".sum", Logfmt.Int (Histogram.sum h));
             ])
-      (sorted_names t)
+      (sorted t)
 
   let line t = Logfmt.line (scalar_fields t)
 
   (* one line per metric, histograms with their nonzero buckets *)
   let report t =
     List.map
-      (fun name ->
-        match Hashtbl.find t.tbl name with
+      (fun (name, m) ->
+        match m with
         | MCounter c ->
             Logfmt.line
               [ ("counter", Logfmt.Str name);
@@ -254,7 +336,8 @@ module Metrics = struct
                         else Printf.sprintf "le%d" ub),
                        Logfmt.Int k))
                     (Histogram.nonzero_buckets h)))
-      (sorted_names t)
+      (sorted t)
+
 
   (* Prometheus text exposition. Metric names are sanitised ([a-zA-Z0-9_])
      and prefixed [foc_]; histograms emit cumulative [_bucket{le="..."}]
@@ -275,11 +358,11 @@ module Metrics = struct
     List.iter
       (fun t ->
         List.iter
-          (fun name ->
+          (fun (name, m) ->
             let pn = prom_name name in
             if not (Hashtbl.mem seen pn) then begin
               Hashtbl.replace seen pn ();
-              match Hashtbl.find t.tbl name with
+              match m with
               | MCounter c ->
                   Printf.bprintf buf "# TYPE %s counter\n%s %d\n" pn pn
                     (Counter.value c)
@@ -301,7 +384,7 @@ module Metrics = struct
                   Printf.bprintf buf "%s_sum %d\n" pn (Histogram.sum h);
                   Printf.bprintf buf "%s_count %d\n" pn (Histogram.count h)
             end)
-          (sorted_names t))
+          (sorted t))
       ts;
     Buffer.contents buf
 end
@@ -843,6 +926,8 @@ module Json = struct
 
   exception Fail of string
 
+  let max_depth = 256
+
   let parse s =
     let n = String.length s in
     let pos = ref 0 in
@@ -933,11 +1018,14 @@ module Json = struct
       | Some f -> f
       | None -> fail "bad number"
     in
-    let rec parse_value () =
+    (* [depth] counts the arrays and objects open around this value; past
+       [max_depth] the input is rejected instead of recursing further *)
+    let rec parse_value depth =
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
       | Some '"' -> Str (parse_string ())
+      | Some ('{' | '[') when depth >= max_depth -> fail "nesting too deep"
       | Some '{' ->
           advance ();
           skip_ws ();
@@ -951,7 +1039,7 @@ module Json = struct
               let k = parse_string () in
               skip_ws ();
               expect ':';
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -973,7 +1061,7 @@ module Json = struct
           end
           else begin
             let rec elements acc =
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -992,7 +1080,7 @@ module Json = struct
       | Some _ -> Num (parse_number ())
     in
     match
-      let v = parse_value () in
+      let v = parse_value 0 in
       skip_ws ();
       if !pos <> n then fail "trailing garbage";
       v

@@ -9,7 +9,8 @@
     - {b deterministic}: spans recorded inside {!Foc_par} worker domains
       land in per-domain buffers (lock-free on the record path) and are
       merged into a single total order that depends only on the recorded
-      timestamps/names, read after the parallel joins. *)
+      timestamps/names, read after the parallel joins. Metrics shard per
+      domain the same way and are summed when read. *)
 
 module Clock : sig
   val now_ns : unit -> int
@@ -41,22 +42,49 @@ module Log : sig
 end
 
 module Metrics : sig
+  (** Domain-safe metrics. Each metric keeps one shard per domain; a
+      domain records into its own shard with plain int stores, and reads
+      merge the shards (counters and histograms sum, gauges take the
+      max). A read after a {!Foc_par} join therefore sees every worker's
+      updates, with no merge code at the call site. *)
+
   module Counter : sig
     type t
 
     val inc : t -> unit
     val add : t -> int -> unit
+
     val value : t -> int
+    (** Sum over all domains' shards. *)
+
+    type local
+    (** The calling domain's shard, for hot paths: resolve it once with
+        {!local} and update it with {!bump}, a plain int store. Only the
+        resolving domain may bump it. *)
+
+    val local : t -> local
+    val bump : local -> int -> unit
   end
 
   module Gauge : sig
     type t
 
     val set : t -> int -> unit
+    (** Set the calling domain's shard. Reads take the max over shards,
+        so a gauge that goes down must always be set from one domain. *)
+
     val set_max : t -> int -> unit
     (** Retain the maximum of all [set_max] calls (peak tracking). *)
 
     val value : t -> int
+    (** Max over all domains' shards (non-negative values; 0 when unset). *)
+
+    type local
+    (** The calling domain's shard, as {!Counter.local}. *)
+
+    val local : t -> local
+    val raise_to : local -> int -> unit
+    (** [set_max] on a resolved shard. *)
   end
 
   module Histogram : sig
@@ -87,9 +115,8 @@ module Metrics : sig
   end
 
   type t
-  (** A registry: a named collection of metrics. Not domain-safe; each
-      engine owns one and mutates it from the calling domain only (worker
-      counters travel via snapshots, as before). *)
+  (** A registry: a named collection of metrics. Any domain may register
+      and record; registration takes a lock, recording does not. *)
 
   val create : unit -> t
 
@@ -98,6 +125,15 @@ module Metrics : sig
   val histogram : t -> string -> Histogram.t
   (** Get-or-create by name. Raise [Invalid_argument] if the name is
       already registered with a different metric kind. *)
+
+  val current : unit -> t
+  (** The registry in scope on the calling domain: the innermost
+      {!with_current}, else a process-wide default. {!Foc_par} tasks
+      inherit the submitter's. Layers below the engine (ball contexts,
+      the splitter recursion) record here. *)
+
+  val with_current : t -> (unit -> 'a) -> 'a
+  (** Run [f] with [t] in scope on this domain (restored on exit). *)
 
   val line : t -> string
   (** All metrics as one logfmt line, keys sorted; histograms contribute
@@ -267,6 +303,12 @@ module Json : sig
     | List of t list
     | Obj of (string * t) list
 
+  val max_depth : int
+  (** Deepest nesting of arrays and objects {!parse} accepts (256). *)
+
   val parse : string -> (t, string) result
+  (** Parse one JSON value. Input nested deeper than {!max_depth} is an
+      [Error], so hostile input cannot exhaust the stack. *)
+
   val member : string -> t -> t option
 end

@@ -139,14 +139,17 @@ let register_exit_hook () =
 let run_batch ~jobs nc (task : int -> int -> unit) =
   register_exit_hook ();
   ensure_workers (jobs - 1);
-  (* backtrace recording is per-domain: carry the submitter's setting into
-     every executor, or a failure landing on a worker spawned before
-     [Printexc.record_backtrace true] would capture an empty trace *)
+  (* backtrace recording and the metrics registry in scope are
+     per-domain: carry the submitter's into every executor, or a failure
+     landing on a worker spawned before [Printexc.record_backtrace true]
+     would capture an empty trace, and worker counters would miss the
+     submitter's registry *)
   let bt_on = Printexc.backtrace_status () in
+  let registry = Foc_obs.Metrics.current () in
   let task slot c =
     if Printexc.backtrace_status () <> bt_on then
       Printexc.record_backtrace bt_on;
-    task slot c
+    Foc_obs.Metrics.with_current registry (fun () -> task slot c)
   in
   Mutex.lock pool.mutex;
   pool.in_batch <- true;
@@ -231,10 +234,10 @@ let parallel_for ~jobs ?chunks ?label n f =
   end
 
 let tabulate_ctx ~jobs ?chunks ?label ~make_ctx n f =
-  if n <= 0 then ([||], [])
+  if n <= 0 then [||]
   else if sequential_only ~jobs n then begin
     let ctx = make_ctx () in
-    (with_label label (fun () -> Array.init n (f ctx)), [ ctx ])
+    with_label label (fun () -> Array.init n (f ctx))
   end
   else begin
     let slots = Array.make jobs None in
@@ -264,18 +267,17 @@ let tabulate_ctx ~jobs ?chunks ?label ~make_ctx n f =
                 out.(i) <- f ctx i
               done))
     end;
-    (out, List.filter_map Fun.id (Array.to_list slots))
+    out
   end
 
 let tabulate ~jobs ?chunks ?label n f =
-  fst
-    (tabulate_ctx ~jobs ?chunks ?label
-       ~make_ctx:(fun () -> ())
-       n
-       (fun () i -> f i))
+  tabulate_ctx ~jobs ?chunks ?label
+    ~make_ctx:(fun () -> ())
+    n
+    (fun () i -> f i)
 
 let map_reduce_ctx ~jobs ?chunks ?label ~make_ctx ~n ~map ~reduce init =
-  if n <= 0 then (init, [])
+  if n <= 0 then init
   else if sequential_only ~jobs n then begin
     let ctx = make_ctx () in
     let acc = ref init in
@@ -283,7 +285,7 @@ let map_reduce_ctx ~jobs ?chunks ?label ~make_ctx ~n ~map ~reduce init =
         for i = 0 to n - 1 do
           acc := reduce !acc (map ctx i)
         done);
-    (!acc, [ ctx ])
+    !acc
   end
   else begin
     let nc =
@@ -310,19 +312,14 @@ let map_reduce_ctx ~jobs ?chunks ?label ~make_ctx ~n ~map ~reduce init =
               acc := reduce !acc (map ctx i)
             done;
             partials.(c) <- Some !acc));
-    let total =
-      Array.fold_left
-        (fun acc p ->
-          match p with Some v -> reduce acc v | None -> assert false)
-        init partials
-    in
-    (total, List.filter_map Fun.id (Array.to_list slots))
+    Array.fold_left
+      (fun acc p -> match p with Some v -> reduce acc v | None -> assert false)
+      init partials
   end
 
 let map_reduce ~jobs ?chunks ?label ~n ~map ~reduce init =
-  fst
-    (map_reduce_ctx ~jobs ?chunks ?label
-       ~make_ctx:(fun () -> ())
-       ~n
-       ~map:(fun () i -> map i)
-       ~reduce init)
+  map_reduce_ctx ~jobs ?chunks ?label
+    ~make_ctx:(fun () -> ())
+    ~n
+    ~map:(fun () i -> map i)
+    ~reduce init

@@ -24,8 +24,9 @@
     concurrently in several domains; it must not mutate state shared
     between iterations. Per-domain mutable state (caches, counters) goes
     through the [make_ctx] variants: each worker domain lazily creates its
-    own context, and the contexts are returned in deterministic slot order
-    for merging at join. *)
+    own context. Counters need no merging: every task runs with the
+    submitter's {!Foc_obs.Metrics.current} registry in scope, and the
+    registry shards per domain. *)
 
 (** Number of executors to use by default: the [FOC_JOBS] environment
     variable when set to a positive integer, otherwise
@@ -59,9 +60,8 @@ val tabulate :
 (** [tabulate_ctx ~jobs ~make_ctx n f] is
     [Array.init n (f ctx)] where each executor uses its own lazily-created
     context [make_ctx ()] — the hook for per-domain mutable caches (e.g.
-    {!Foc_local.Pattern_count} ball tables). Returns the contexts that
-    were actually created, in executor-slot order, so per-domain
-    statistics can be merged deterministically at join. *)
+    {!Foc_local.Pattern_count} ball tables). At most one context is made
+    per executor. *)
 val tabulate_ctx :
   jobs:int ->
   ?chunks:int ->
@@ -69,7 +69,7 @@ val tabulate_ctx :
   make_ctx:(unit -> 'c) ->
   int ->
   ('c -> int -> 'a) ->
-  'a array * 'c list
+  'a array
 
 (** [map_reduce ~jobs ~n ~map ~reduce init] is
     [fold_left (fun acc i -> reduce acc (map i)) init (0..n-1)] with the
@@ -97,7 +97,7 @@ val map_reduce_ctx :
   map:('c -> int -> 'a) ->
   reduce:('a -> 'a -> 'a) ->
   'a ->
-  'a * 'c list
+  'a
 
 (** Number of worker domains currently alive in the pool (diagnostic). *)
 val pool_size : unit -> int

@@ -291,30 +291,19 @@ let enumerate t ?limit ?after q =
 
 type worker = {
   weng : Engine.t;
-  w_cover_hits : int ref;
-  w_ctx_hits : int ref;
-  w_hanf_hits : int ref;
   mutable w_ctxs : (Structure.t * (int, Pattern_count.ctx) Hashtbl.t) list;
 }
 
 (* Frozen read-only views for worker domains: covers and Hanf partitions
    are immutable once built, so workers share them directly; ball
    contexts are mutable (cache table, BFS scratch) and stay per-worker.
-   Workers never insert into the session cache and never touch the
-   session's counters — hits are tallied in plain per-worker refs and
-   merged on the calling domain after the join. *)
+   Workers never insert into the session cache. Their engines are forks
+   of the session engine, so they record into its registry, and they
+   count cache hits on the session's own counters; both shard per
+   domain, so nothing is merged after the join. *)
 let make_worker t gids sids covers hanfs () =
-  let cfg = { (Engine.config t.eng) with Engine.trace_file = None } in
-  let weng = Engine.create ~config:cfg () in
-  let w =
-    {
-      weng;
-      w_cover_hits = ref 0;
-      w_ctx_hits = ref 0;
-      w_hanf_hits = ref 0;
-      w_ctxs = [];
-    }
-  in
+  let weng = Engine.fork t.eng in
+  let w = { weng; w_ctxs = [] } in
   Engine.set_artifacts weng
     (Some
        {
@@ -327,7 +316,7 @@ let make_worker t gids sids covers hanfs () =
              in
              match frozen with
              | Some c ->
-                 incr w.w_cover_hits;
+                 Counter.inc t.cover_hits;
                  c
              | None -> Engine.make_cover weng a ~rc);
          art_ctx =
@@ -343,7 +332,7 @@ let make_worker t gids sids covers hanfs () =
                in
                match Hashtbl.find_opt tbl r with
                | Some ctx ->
-                   incr w.w_ctx_hits;
+                   Counter.inc t.ctx_hits;
                    ctx
                | None ->
                    let ctx = Engine.make_pattern_ctx weng a ~r in
@@ -359,7 +348,7 @@ let make_worker t gids sids covers hanfs () =
                in
                match frozen with
                | Some cls ->
-                   incr w.w_hanf_hits;
+                   Counter.inc t.hanf_hits;
                    cls
                | None -> Foc_bd.Hanf.classes ~jobs:1 a ~r:tr);
          (* statistics are mutable (count tables, summaries rebuilt on
@@ -399,18 +388,11 @@ let run_batch ?jobs t phis =
               | _ -> (cov, hf))
         in
         let gids = t.graph_ids and sids = t.struct_ids in
-        let results, workers =
+        let results =
           Foc_par.tabulate_ctx ~jobs:n_jobs ~label:"session.batch"
             ~make_ctx:(make_worker t gids sids covers hanfs) n
             (fun w i -> Engine.run_sentence w.weng arr.(i).comp)
         in
-        List.iter
-          (fun w ->
-            Engine.add_stats t.eng (Engine.stats w.weng);
-            Counter.add t.cover_hits !(w.w_cover_hits);
-            Counter.add t.ctx_hits !(w.w_ctx_hits);
-            Counter.add t.hanf_hits !(w.w_hanf_hits))
-          workers;
         Array.to_list results
       end)
 

@@ -70,8 +70,9 @@ val run_batch : ?jobs:int -> t -> Foc_logic.Ast.formula list -> result list
     partitions (ball contexts are per-worker; the session's mutable caches
     are never shared across domains). [jobs] defaults to the engine
     config's [jobs]. Results are bit-identical for every [jobs] and equal
-    to evaluating each sentence on a fresh engine. Worker engine counters
-    are merged into the session engine after the join. *)
+    to evaluating each sentence on a fresh engine. Worker engines are
+    {!Foc_nd.Engine.fork}s of the session engine, so their counters land
+    in {!metrics} directly. *)
 
 exception Expired
 (** Raised by an {!enumerate} cursor's [next] after a write bumped the

@@ -782,13 +782,34 @@ let handle_line t cid budget line =
                 (id, resp, if meta.Protocol.timing then tim else None))
       end)
 
+(* Longest request line a connection may send. Past it the server answers
+   an error and closes the connection, so no client can make it buffer an
+   unbounded line. *)
+let max_line_bytes = 1 lsl 20
+
+exception Line_too_long
+
+(* [input_line] bounded by [max_line_bytes] *)
+let read_request ic =
+  let b = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Buffer.contents b
+    | c ->
+        if Buffer.length b >= max_line_bytes then raise Line_too_long;
+        Buffer.add_char b c;
+        go ()
+    | exception End_of_file when Buffer.length b > 0 -> Buffer.contents b
+  in
+  go ()
+
 let conn_loop t cid fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let budget = ref t.cfg.client_budget in
   (try
      while true do
-       let line = String.trim (input_line ic) in
+       let line = String.trim (read_request ic) in
        if line <> "" then begin
          let id, resp, timing = handle_line t cid budget line in
          send_line oc (Protocol.response_line ?id ?timing resp)
@@ -796,6 +817,13 @@ let conn_loop t cid fd =
      done
    with
   | End_of_file -> ()
+  | Line_too_long -> (
+      locked t (fun () -> t.rejected <- t.rejected + 1);
+      let msg =
+        Printf.sprintf "request line longer than %d bytes" max_line_bytes
+      in
+      try send_line oc (Protocol.response_line (Protocol.Error msg))
+      with Unix.Unix_error _ | Sys_error _ -> ())
   | Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) | Sys_error _ ->
       (* client went away mid-request or mid-response *)
       locked t (fun () -> t.disconnects <- t.disconnects + 1));

@@ -20,7 +20,9 @@
     [overloaded] error instead of queuing without limit. Each connection
     additionally has a request budget ([client_budget]); once spent,
     further requests are rejected (the connection stays open — [ping] is
-    always answered inline and free).
+    always answered inline and free). A request line longer than 1 MiB
+    is answered with an error and its connection closed; JSON nested
+    deeper than {!Foc_obs.Json.max_depth} is an ordinary parse error.
 
     {b Streaming cursors.} A [query] request opens a
     {!Foc_serve.Session.enumerate} cursor and answers with the first

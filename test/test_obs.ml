@@ -128,6 +128,30 @@ let test_registry () =
   Alcotest.(check int) "report has one line per metric" 3
     (List.length (report r))
 
+(* Pool tasks record into the submitter's registry in scope, each domain
+   into its own shard: reads after the join lose no update. *)
+let test_registry_domains () =
+  let open Foc.Obs.Metrics in
+  let r = create () in
+  let per = 20_000 in
+  with_current r (fun () ->
+      Foc.Par.parallel_for ~jobs:4 ~chunks:8 8 (fun i ->
+          let reg = current () in
+          let c = counter reg "x.count" in
+          for _ = 1 to per do
+            Counter.inc c
+          done;
+          Gauge.set_max (gauge reg "x.peak") i;
+          Histogram.observe (histogram reg "x.ns") i));
+  Alcotest.(check bool) "scope restored" true (current () != r);
+  Alcotest.(check int) "no lost increments" (8 * per)
+    (Counter.value (counter r "x.count"));
+  Alcotest.(check int) "gauge is the max over shards" 7
+    (Gauge.value (gauge r "x.peak"));
+  Alcotest.(check (pair int int))
+    "histogram count and sum" (8, 28)
+    (Histogram.count (histogram r "x.ns"), Histogram.sum (histogram r "x.ns"))
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -492,6 +516,8 @@ let () =
           Alcotest.test_case "histogram quantiles" `Quick
             test_histogram_quantiles;
           Alcotest.test_case "metrics registry" `Quick test_registry;
+          Alcotest.test_case "registry shards per domain" `Quick
+            test_registry_domains;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus;
           Alcotest.test_case "json parser" `Quick test_json_parser;
         ] );

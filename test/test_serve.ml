@@ -402,6 +402,41 @@ let prop_key_interning =
       && Foc.Ast.Key.id k1 = Foc.Ast.Key.id k2
       && Foc.Ast.Key.interned tbl = 1)
 
+(* Width-5 sentences exceed the decomposition width, so every one runs on
+   the relational baseline, and a parallel batch runs them on pool workers
+   that all record into the process-wide Eval_obs registry. With adaptive
+   re-planning off every worker plans alike, so the counters at jobs 4
+   must equal the sequential ones: no update may be lost to a race. *)
+let test_baseline_counters_jobs_invariant () =
+  let a = structure 60 11 in
+  let sentences =
+    List.concat_map
+      (fun extra ->
+        List.map
+          (fun k ->
+            Foc.parse_formula
+              (Printf.sprintf
+                 "#(v,w,x,y,z). (E(v,w) & E(w,x) & E(x,y) & E(y,z)%s) >= %d"
+                 extra k))
+          [ 1; 50; 400 ])
+      [ ""; " & R(v)"; " & B(z)"; " & G(x)" ]
+  in
+  let run jobs =
+    let config =
+      { (config Foc.Engine.Direct 1) with Foc.Engine.adaptive = false }
+    in
+    let s = Foc.Session.create ~config a in
+    Foc.Eval_obs.reset ();
+    let answers = Foc.Session.run_batch ~jobs s sentences in
+    ( answers,
+      Foc.Eval_obs.[ joins (); tables_built (); rows_built () ] )
+  in
+  let answers1, counts1 = run 1 in
+  let answers4, counts4 = run 4 in
+  Alcotest.(check (list bool)) "answers" answers1 answers4;
+  Alcotest.(check bool) "baseline ran" true (List.hd counts1 > 0);
+  Alcotest.(check (list int)) "joins, tables, rows" counts1 counts4
+
 let () =
   Alcotest.run "session layer"
     [
@@ -429,6 +464,8 @@ let () =
         [
           Alcotest.test_case "worker spans reach the merged trace" `Quick
             test_worker_spans;
+          Alcotest.test_case "baseline counters are jobs-invariant" `Quick
+            test_baseline_counters_jobs_invariant;
         ] );
       ( "budget cache",
         [

@@ -295,6 +295,44 @@ let test_malformed_survives () =
       | r -> Alcotest.fail (P.response_line r));
       Foc.Server_client.close c)
 
+(* Hostile lines: nesting past the JSON depth limit is a quick parse error
+   on a live connection, and a line past the length bound is answered with
+   an error before its connection closes. The daemon keeps serving. *)
+let test_hostile_lines () =
+  with_server (fun srv _ ->
+      let expect_error c what =
+        match P.parse_response (Foc.Server_client.recv_raw c) with
+        | Ok (_, P.Error e) -> e
+        | Ok (_, r) ->
+            Alcotest.fail
+              (what ^ ": expected an error, got " ^ P.response_line r)
+        | Error e -> Alcotest.fail e
+      in
+      let c = connect srv in
+      let t0 = Unix.gettimeofday () in
+      Foc.Server_client.send_raw c (String.make 1_000_000 '[');
+      ignore (expect_error c "deep nesting");
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "nesting rejected quickly (%.3fs)" dt)
+        true (dt < 1.);
+      Alcotest.(check bool)
+        "connection still answers ping" true
+        (Foc.Server_client.rpc c P.Ping = P.Pong);
+      Foc.Server_client.close c;
+      let c = connect srv in
+      Foc.Server_client.send_raw c (String.make ((1 lsl 20) + 1) '[');
+      let e = expect_error c "over-long line" in
+      Alcotest.(check bool)
+        ("names the bound: " ^ e) true
+        (String.starts_with ~prefix:"request line longer than" e);
+      Foc.Server_client.close c;
+      let c = connect srv in
+      Alcotest.(check bool)
+        "daemon still answers ping" true
+        (Foc.Server_client.rpc c P.Ping = P.Pong);
+      Foc.Server_client.close c)
+
 (* ---------------- request-scoped observability ---------------- *)
 
 let contains hay needle =
@@ -898,6 +936,8 @@ let () =
           Alcotest.test_case "basic ops + versions" `Quick test_basic_ops;
           Alcotest.test_case "malformed input survives" `Quick
             test_malformed_survives;
+          Alcotest.test_case "hostile lines rejected" `Quick
+            test_hostile_lines;
           Alcotest.test_case "concurrent clients agree" `Quick
             test_concurrent_agree;
         ] );

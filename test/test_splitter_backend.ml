@@ -28,12 +28,13 @@ let decompose vars src =
   | Some cl -> cl
   | None -> Alcotest.fail "decomposition failed"
 
+(* removal steps land in the metrics registry in scope; with an engine's
+   registry in scope they are read back through [Engine.stats] *)
 let check_agree name a cl ~max_rounds ~small =
-  let removed = ref 0 in
+  let e = Engine.create ~config:(splitter_cfg ~max_rounds ~small) () in
   let got =
-    Splitter_backend.eval_unary
-      ~stats_removals:(fun k -> removed := !removed + k)
-      preds a ~max_rounds ~small cl
+    Foc.Obs.Metrics.with_current (Engine.metrics e) (fun () ->
+        Splitter_backend.eval_unary preds a ~max_rounds ~small cl)
   in
   let ctx =
     let rec radius = function
@@ -47,7 +48,7 @@ let check_agree name a cl ~max_rounds ~small =
   in
   let expected = Foc_local.Clterm.eval_unary ctx cl in
   Alcotest.(check (array int)) name expected got;
-  !removed
+  (Engine.stats e).removals
 
 let test_agree_star () =
   (* a star forces the hub removal immediately: the textbook case *)
@@ -105,9 +106,7 @@ let prop_splitter_agrees =
       let a = coloured seed (Foc_graph.Gen.random_bounded_degree rng n 3) in
       let cl = decompose [ "x"; "y" ] "E(x,y) & B(y)" in
       let got =
-        Splitter_backend.eval_unary
-          ~stats_removals:(fun _ -> ())
-          preds a ~max_rounds:2 ~small:6 cl
+        Splitter_backend.eval_unary preds a ~max_rounds:2 ~small:6 cl
       in
       let ctx = Foc_local.Pattern_count.make_ctx preds a ~r:1 in
       got = Foc_local.Clterm.eval_unary ctx cl)
