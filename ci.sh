@@ -44,6 +44,19 @@ dune exec bench/main.exe -- --only E18 --smoke
 # output-heavy star workload — the agreement and performance gate for
 # constant-delay enumeration.
 dune exec bench/main.exe -- --only E19 --smoke
+# Structure.induced is a slice of the incidence indexes, so its cost must
+# grow with the cover weight (Σ|X|, linear on bounded degree), not with
+# #clusters x size: a traced sweep-cold run times it over every kernel
+# cluster of a radius-2 cover at n=1000 and n=4000 and fits the log-log
+# slope (data.induced_slope); the gate fails above 1.3.
+python3 focbench/run.py --workload sweep-cold --seed 1 --seconds 5 --trace 1 \
+  > /tmp/ci_sweep_cold.txt
+induced_slope=$(tail -1 /tmp/ci_sweep_cold.txt | python3 -c \
+  'import json, sys; print(json.load(sys.stdin)["metrics"]["data.induced_slope"]["value"])')
+python3 -c "import sys; sys.exit(0 if $induced_slope <= 1.3 else 1)" || {
+  echo "ci: data.induced_slope $induced_slope > 1.3"
+  exit 1
+}
 dune exec bin/foc_cli.exe -- gen -n 300 --class random-tree --colours \
   -o /tmp/ci_tree.foc
 dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc \

@@ -4,9 +4,7 @@ module Signature = Foc_data.Signature
 let extract a ~centre ~r =
   let ball = Structure.ball a ~centres:[ centre ] ~radius:r in
   let sub, old_of_new = Structure.induced a ball in
-  let new_centre = ref (-1) in
-  Array.iteri (fun nw od -> if od = centre then new_centre := nw) old_of_new;
-  (sub, !new_centre)
+  (sub, Structure.new_of_old old_of_new centre)
 
 (* ------------------------------------------------------------------ *)
 (* Colour refinement. An element's signature is its current colour plus,
@@ -83,18 +81,12 @@ let serialize ?scratch a order_of =
   Buffer.add_string buf (Printf.sprintf "n=%d;" (Structure.order a));
   List.iter
     (fun (name, _) ->
-      let tuples =
-        Foc_data.Tuple.Set.fold
-          (fun tup acc -> Array.map (fun v -> order_of.(v)) tup :: acc)
-          (Structure.rel a name) []
-        |> List.sort compare
-      in
       Buffer.add_string buf (name ^ "{");
-      List.iter
+      Foc_data.Tuple.Set.iter
         (fun t ->
           Array.iter (fun x -> Buffer.add_string buf (string_of_int x ^ ",")) t;
           Buffer.add_char buf '|')
-        tuples;
+        (Foc_data.Tuple.Set.map (fun v -> order_of.(v)) (Structure.rel a name));
       Buffer.add_string buf "};")
     (Signature.to_list (Structure.signature a));
   Buffer.contents buf

@@ -1,72 +1,122 @@
 module M = Map.Make (String)
+module TS = Tuple.Set
+
+(* One relation: its packed rows plus the lazily built CSR incidence index
+   — for element v, the indices of the rows containing v (each row once,
+   ascending) are [ids.(off.(v)) .. ids.(off.(v+1) - 1)]. The index depends
+   only on the rows and the order, so structures that share a relation
+   (updates of another symbol, expansions, reducts) share its index too. *)
+type incidence = { off : int array; ids : int array }
+type rel = { rows : TS.t; mutable inc : incidence option }
 
 type t = {
   sign : Signature.t;
   order : int;
-  rels : Tuple.Set.t M.t;
+  rels : rel M.t; (* every symbol of [sign] *)
   mutable gaifman : Foc_graph.Graph.t option;
-  mutable indexes : (string * int, (int, int array list) Hashtbl.t) Hashtbl.t;
 }
 
-let check_tuple order arity name tup =
+let fresh rows = { rows; inc = None }
+
+let check_tuple arity name tup =
   if Array.length tup <> arity then
     invalid_arg
       (Printf.sprintf "Structure: tuple of arity %d for %s/%d"
-         (Array.length tup) name arity);
-  Array.iter
-    (fun x ->
-      if x < 0 || x >= order then
-        invalid_arg ("Structure: element out of universe in relation " ^ name))
-    tup
+         (Array.length tup) name arity)
+
+let check_rows order name (s : TS.t) =
+  for i = 0 to (s.nrows * s.width) - 1 do
+    let x = s.data.(i) in
+    if x < 0 || x >= order then
+      invalid_arg ("Structure: element out of universe in relation " ^ name)
+  done
+
+let core_of_list arity name tuples =
+  List.iter (check_tuple arity name) tuples;
+  TS.of_list arity tuples
+
+let of_rels sign ~order rels =
+  if order < 0 then invalid_arg "Structure.create: negative order";
+  let empty =
+    List.fold_left
+      (fun m (name, arity) -> M.add name (TS.empty arity) m)
+      M.empty (Signature.to_list sign)
+  in
+  let add m (name, (s : TS.t)) =
+    match M.find_opt name m with
+    | None -> invalid_arg ("Structure.create: unknown symbol " ^ name)
+    | Some old ->
+        if s.width <> old.TS.width then
+          invalid_arg
+            (Printf.sprintf "Structure: rows of arity %d for %s/%d" s.width
+               name old.TS.width);
+        check_rows order name s;
+        M.add name (if TS.is_empty old then s else TS.union old s) m
+  in
+  let rels = M.map fresh (List.fold_left add empty rels) in
+  { sign; order; rels; gaifman = None }
 
 let create sign ~order rels =
-  if order < 0 then invalid_arg "Structure.create: negative order";
-  let add_rel m (name, tuples) =
-    let arity =
-      match Signature.arity_opt sign name with
-      | Some a -> a
-      | None -> invalid_arg ("Structure.create: unknown symbol " ^ name)
-    in
-    List.iter (check_tuple order arity name) tuples;
-    let existing = Option.value ~default:Tuple.Set.empty (M.find_opt name m) in
-    M.add name (Tuple.Set.add_seq (List.to_seq tuples) existing) m
-  in
-  let rels = List.fold_left add_rel M.empty rels in
-  { sign; order; rels; gaifman = None; indexes = Hashtbl.create 8 }
+  of_rels sign ~order
+    (List.map
+       (fun (name, tuples) ->
+         match Signature.arity_opt sign name with
+         | Some arity -> (name, core_of_list arity name tuples)
+         | None -> invalid_arg ("Structure.create: unknown symbol " ^ name))
+       rels)
 
 let signature a = a.sign
 let order a = a.order
 
-let rel a name =
-  if not (Signature.mem a.sign name) then
-    invalid_arg ("Structure.rel: unknown symbol " ^ name);
-  Option.value ~default:Tuple.Set.empty (M.find_opt name a.rels)
+let find a name =
+  match M.find_opt name a.rels with
+  | Some r -> r
+  | None -> invalid_arg ("Structure.rel: unknown symbol " ^ name)
 
-let size a =
-  a.order + M.fold (fun _ s acc -> acc + Tuple.Set.cardinal s) a.rels 0
+let rel a name = (find a name).rows
+let size a = M.fold (fun _ r acc -> acc + TS.cardinal r.rows) a.rels a.order
+let mem a name tup = TS.mem tup (rel a name)
 
-let mem a name tup = Tuple.Set.mem tup (rel a name)
+(* count-then-fill: a row is listed under each of its distinct entries *)
+let build_incidence order ({ TS.width = w; nrows; data = d } : TS.t) =
+  let each f =
+    for r = 0 to nrows - 1 do
+      for i = 0 to w - 1 do
+        let v = d.((r * w) + i) in
+        let rec first j = j = i || (d.((r * w) + j) <> v && first (j + 1)) in
+        if first 0 then f r v
+      done
+    done
+  in
+  let off = Array.make (order + 1) 0 in
+  each (fun _ v -> off.(v + 1) <- off.(v + 1) + 1);
+  for v = 0 to order - 1 do
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  let fill = Array.sub off 0 (max 1 order) and ids = Array.make off.(order) 0 in
+  each (fun r v ->
+      ids.(fill.(v)) <- r;
+      fill.(v) <- fill.(v) + 1);
+  { off; ids }
 
-let position_index a name pos =
-  let key = (name, pos) in
-  match Hashtbl.find_opt a.indexes key with
-  | Some idx -> idx
+let incidence a r =
+  match r.inc with
+  | Some inc -> inc
   | None ->
-      let idx = Hashtbl.create 64 in
-      Tuple.Set.iter
-        (fun tup ->
-          let v = tup.(pos) in
-          Hashtbl.replace idx v
-            (tup :: Option.value ~default:[] (Hashtbl.find_opt idx v)))
-        (rel a name);
-      Hashtbl.replace a.indexes key idx;
-      idx
+      let inc = build_incidence a.order r.rows in
+      r.inc <- Some inc;
+      inc
 
-let tuples_with a name ~pos ~value =
-  let arity = Signature.arity a.sign name in
-  if pos < 0 || pos >= arity then
+let tuples_with a name ~pos ~value f =
+  let r = find a name in
+  if pos < 0 || pos >= r.rows.width then
     invalid_arg "Structure.tuples_with: position out of range";
-  Option.value ~default:[] (Hashtbl.find_opt (position_index a name pos) value)
+  if value >= 0 && value < a.order then begin
+    let { off; ids } = incidence a r in
+    for p = off.(value) to off.(value + 1) - 1 do
+      if TS.cell r.rows ids.(p) pos = value then f ids.(p)
+    done
+  end
 
 (* Tuples of arity <= 1 contribute no Gaifman edges (the edge emitter below
    needs two distinct positions), so updates touching only unary/0-ary
@@ -76,52 +126,40 @@ let tuples_with a name ~pos ~value =
    database updates (see Foc_serve.Session). *)
 let keep_gaifman a arity = if arity <= 1 then a.gaifman else None
 
-let add_tuples a name tuples =
-  let arity = Signature.arity a.sign name in
-  List.iter (check_tuple a.order arity name) tuples;
-  let existing = Option.value ~default:Tuple.Set.empty (M.find_opt name a.rels) in
+(* one linear merge of the relation with the (checked, sorted) tuples *)
+let update op a name tuples =
+  let old = (find a name).rows in
+  let s = core_of_list old.width name tuples in
+  check_rows a.order name s;
   {
     a with
-    rels = M.add name (Tuple.Set.add_seq (List.to_seq tuples) existing) a.rels;
-    gaifman = keep_gaifman a arity;
-    indexes = Hashtbl.create 8;
+    rels = M.add name (fresh (op old s)) a.rels;
+    gaifman = keep_gaifman a old.width;
   }
 
-let remove_tuples a name tuples =
-  let arity = Signature.arity a.sign name in
-  List.iter (check_tuple a.order arity name) tuples;
-  let existing = Option.value ~default:Tuple.Set.empty (M.find_opt name a.rels) in
-  let pruned =
-    List.fold_left (fun s t -> Tuple.Set.remove t s) existing tuples
-  in
-  {
-    a with
-    rels = M.add name pruned a.rels;
-    gaifman = keep_gaifman a arity;
-    indexes = Hashtbl.create 8;
-  }
+let add_tuples = update TS.union
+let remove_tuples = update TS.diff
 
 let gaifman a =
   match a.gaifman with
   | Some g -> g
   | None ->
-      (* CSR count-then-fill: the tuple sets are iterated twice (once to
-         count half-edges, once to place them) and no intermediate edge
-         list is ever built — on large databases the old (u,v) list plus
-         its sort dominated construction time and memory. *)
+      (* CSR count-then-fill: the rows are scanned twice (once to count
+         half-edges, once to place them) by index, with no intermediate
+         edge list *)
       let g =
         Foc_graph.Graph.build a.order (fun emit ->
             M.iter
-              (fun _ tuples ->
-                Tuple.Set.iter
-                  (fun tup ->
-                    let k = Array.length tup in
-                    for i = 0 to k - 1 do
-                      for j = i + 1 to k - 1 do
-                        if tup.(i) <> tup.(j) then emit tup.(i) tup.(j)
-                      done
-                    done)
-                  tuples)
+              (fun _ { rows = { TS.width = k; nrows; data }; _ } ->
+                for r = 0 to nrows - 1 do
+                  let b = r * k in
+                  for i = 0 to k - 1 do
+                    for j = i + 1 to k - 1 do
+                      if data.(b + i) <> data.(b + j) then
+                        emit data.(b + i) data.(b + j)
+                    done
+                  done
+                done)
               a.rels)
       in
       a.gaifman <- Some g;
@@ -141,72 +179,88 @@ let set_gaifman a g =
     invalid_arg "Structure.set_gaifman: order mismatch";
   a.gaifman <- Some g
 
-(* Force every lazily-built cache (Gaifman graph, position indexes) so the
-   structure can be read concurrently from several domains: after [prepare],
-   [gaifman] and [tuples_with] only perform read-only lookups. *)
+(* Force every lazily-built cache (Gaifman graph, incidence indexes) so the
+   structure can be read concurrently from several domains: after
+   [prepare], [gaifman], [tuples_with] and [induced] only read. *)
 let prepare a =
   ignore (gaifman a);
-  List.iter
-    (fun (name, arity) ->
-      for pos = 0 to arity - 1 do
-        ignore (position_index a name pos)
-      done)
-    (Signature.to_list a.sign)
+  M.iter (fun _ r -> ignore (incidence a r)) a.rels
 
 let dist a u v = Foc_graph.Bfs.dist (gaifman a) u v
 let dist_le a u v r = Foc_graph.Bfs.dist_le (gaifman a) u v r
 let ball a ~centres ~radius = Foc_graph.Bfs.ball (gaifman a) ~centres ~radius
 
+let new_of_old old_of_new v =
+  let l = ref 0 and h = ref (Array.length old_of_new) in
+  while !l < !h do
+    let mid = (!l + !h) / 2 in
+    if old_of_new.(mid) < v then l := mid + 1 else h := mid
+  done;
+  if !l < Array.length old_of_new && old_of_new.(!l) = v then !l else -1
+
+(* whether the row at [b] is kept when member [v] visits it: every entry
+   is a member and none is below [v], so a row is kept once, at its
+   smallest entry *)
+let rec kept_at old_of_new v data b i =
+  i < 0
+  || data.(b + i) >= v
+     && new_of_old old_of_new data.(b + i) >= 0
+     && kept_at old_of_new v data b (i - 1)
+
+(* A[X] as a slice of the incidence indexes: each member's incident rows
+   are visited, a row is kept at its smallest entry when every entry is a
+   member, and the kept rows — in original row order, which the
+   monotone renumbering preserves — are translated by binary search.
+   O(Σ_{v∈X} deg v · arity · log |X|); nothing is sized by [order a]. *)
 let induced a vs =
-  let vs = List.sort_uniq Int.compare vs in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= a.order then
-        invalid_arg "Structure.induced: element out of range")
-    vs;
   let old_of_new = Array.of_list vs in
-  let new_of_old = Array.make a.order (-1) in
-  Array.iteri (fun i v -> new_of_old.(v) <- i) old_of_new;
-  let translate tup =
-    let ok = Array.for_all (fun x -> new_of_old.(x) >= 0) tup in
-    if ok then Some (Array.map (fun x -> new_of_old.(x)) tup) else None
+  Foc_util.Int_sort.sort old_of_new;
+  let m = Array.length old_of_new in
+  let m = Foc_util.Int_sort.dedup_sorted_range old_of_new ~pos:0 ~len:m in
+  let old_of_new = Array.sub old_of_new 0 m in
+  if m > 0 && (old_of_new.(0) < 0 || old_of_new.(m - 1) >= a.order) then
+    invalid_arg "Structure.induced: element out of range";
+  let slice r =
+    let ({ TS.width = w; data; _ } as s) = r.rows in
+    if w = 0 then fresh s
+    else begin
+      let { off; ids } = incidence a r in
+      let cap = Array.fold_left (fun c v -> c + off.(v + 1) - off.(v)) 0 old_of_new in
+      let kept = Array.make cap 0 and n = ref 0 in
+      Array.iter
+        (fun v ->
+          for p = off.(v) to off.(v + 1) - 1 do
+            if kept_at old_of_new v data (ids.(p) * w) (w - 1) then begin
+              kept.(!n) <- ids.(p);
+              incr n
+            end
+          done)
+        old_of_new;
+      let n = !n in
+      Foc_util.Int_sort.sort_range kept ~pos:0 ~len:n;
+      let out = Array.make (n * w) 0 in
+      for j = 0 to n - 1 do
+        for i = 0 to w - 1 do
+          out.((j * w) + i) <- new_of_old old_of_new data.((kept.(j) * w) + i)
+        done
+      done;
+      fresh (TS.of_sorted w out n)
+    end
   in
-  let rels =
-    M.map
-      (fun tuples ->
-        Tuple.Set.fold
-          (fun tup acc ->
-            match translate tup with
-            | Some t -> Tuple.Set.add t acc
-            | None -> acc)
-          tuples Tuple.Set.empty)
-      a.rels
-  in
-  ( {
-      sign = a.sign;
-      order = Array.length old_of_new;
-      rels;
-      gaifman = None;
-      indexes = Hashtbl.create 8;
-    },
+  ( { sign = a.sign; order = m; rels = M.map slice a.rels; gaifman = None },
     old_of_new )
 
 let disjoint_union a b =
   if not (Signature.equal a.sign b.sign) then
     invalid_arg "Structure.disjoint_union: signatures differ";
   let shift = a.order in
-  let shifted =
-    M.map
-      (fun tuples ->
-        Tuple.Set.map (fun tup -> Array.map (fun x -> x + shift) tup) tuples)
-      b.rels
-  in
   let rels =
-    M.union
-      (fun _ s1 s2 -> Some (Tuple.Set.union s1 s2))
-      a.rels shifted
+    M.mapi
+      (fun name r ->
+        fresh (TS.union r.rows (TS.map (fun x -> x + shift) (rel b name))))
+      a.rels
   in
-  { sign = a.sign; order = a.order + b.order; rels; gaifman = None; indexes = Hashtbl.create 8 }
+  { sign = a.sign; order = a.order + b.order; rels; gaifman = None }
 
 let expand a extra =
   let sign =
@@ -215,25 +269,20 @@ let expand a extra =
   let rels =
     List.fold_left
       (fun m (n, ar, tuples) ->
-        List.iter (check_tuple a.order ar n) tuples;
-        let existing = Option.value ~default:Tuple.Set.empty (M.find_opt n m) in
-        M.add n (Tuple.Set.add_seq (List.to_seq tuples) existing) m)
+        let s = core_of_list ar n tuples in
+        check_rows a.order n s;
+        let old = match M.find_opt n m with Some r -> r.rows | None -> TS.empty ar in
+        M.add n (fresh (TS.union old s)) m)
       a.rels extra
   in
   let max_arity = List.fold_left (fun m (_, ar, _) -> max m ar) 0 extra in
-  {
-    sign;
-    order = a.order;
-    rels;
-    gaifman = keep_gaifman a max_arity;
-    indexes = Hashtbl.create 8;
-  }
+  { sign; order = a.order; rels; gaifman = keep_gaifman a max_arity }
 
 let reduct a sign =
   if not (Signature.subset sign a.sign) then
     invalid_arg "Structure.reduct: not a subsignature";
   let rels = M.filter (fun n _ -> Signature.mem sign n) a.rels in
-  { sign; order = a.order; rels; gaifman = None; indexes = Hashtbl.create 8 }
+  { sign; order = a.order; rels; gaifman = None }
 
 let of_graph g =
   let es = Foc_graph.Graph.edges g in
@@ -245,9 +294,7 @@ let of_graph g =
 let equal a b =
   a.order = b.order
   && Signature.equal a.sign b.sign
-  && M.equal Tuple.Set.equal
-       (M.filter (fun _ s -> not (Tuple.Set.is_empty s)) a.rels)
-       (M.filter (fun _ s -> not (Tuple.Set.is_empty s)) b.rels)
+  && M.equal (fun r1 r2 -> TS.equal r1.rows r2.rows) a.rels b.rels
 
 (* Cheap isomorphism invariants, checked before the factorial permutation
    search: per-relation cardinalities, and for each relation/position the
@@ -256,16 +303,18 @@ let equal a b =
    trivially non-isomorphic pairs never reach the n! search. *)
 let occurrence_profile a name pos =
   let counts = Array.make a.order 0 in
-  Tuple.Set.iter
-    (fun tup -> counts.(tup.(pos)) <- counts.(tup.(pos)) + 1)
-    (rel a name);
+  let s = rel a name in
+  for r = 0 to s.nrows - 1 do
+    let v = TS.cell s r pos in
+    counts.(v) <- counts.(v) + 1
+  done;
   Array.sort Int.compare counts;
   counts
 
 let isomorphism_plausible a b =
   Signature.to_list a.sign
   |> List.for_all (fun (name, arity) ->
-         Tuple.Set.cardinal (rel a name) = Tuple.Set.cardinal (rel b name)
+         TS.cardinal (rel a name) = TS.cardinal (rel b name)
          &&
          let ok = ref true in
          for pos = 0 to arity - 1 do
@@ -294,11 +343,7 @@ let isomorphic a b =
   let applies () =
     Signature.to_list a.sign
     |> List.for_all (fun (name, _) ->
-           let image =
-             Tuple.Set.map (fun t -> Array.map (fun x -> perm.(x)) t)
-               (rel a name)
-           in
-           Tuple.Set.equal image (rel b name))
+           TS.equal (TS.map (fun x -> perm.(x)) (rel a name)) (rel b name))
   in
   let rec permute i =
     if i = n then applies ()
@@ -326,11 +371,12 @@ let pp ppf a =
   Format.fprintf ppf "@[<v>structure order=%d sig=%a" a.order Signature.pp
     a.sign;
   M.iter
-    (fun name tuples ->
-      Format.fprintf ppf "@,  %s = {%a}" name
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           Tuple.pp)
-        (Tuple.Set.elements tuples))
+    (fun name r ->
+      if not (TS.is_empty r.rows) then
+        Format.fprintf ppf "@,  %s = {%a}" name
+          (Format.pp_print_list
+             ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+             Tuple.pp)
+          (TS.elements r.rows))
     a.rels;
   Format.fprintf ppf "@]"

@@ -1,9 +1,11 @@
 (** Finite relational σ-structures (Section 2 of the paper) — the databases
     being queried.
 
-    The universe is always [0 .. order-1]; relations are sets of tuples of
-    the right arity. Structures are immutable; the Gaifman graph is computed
-    on demand and cached. *)
+    The universe is always [0 .. order-1]. Each relation is one packed
+    core ({!Tuple.Set}: sorted, deduplicated flat rows of the symbol's
+    arity) plus a CSR incidence index listing, for every element, the rows
+    that contain it. Structures are immutable; the Gaifman graph and the
+    incidence indexes are computed on demand and cached. *)
 
 type t
 
@@ -15,6 +17,10 @@ type t
     relevant. *)
 val create : Signature.t -> order:int -> (string * int array list) list -> t
 
+(** [of_rels sign ~order rels] is {!create} over packed cores (adopted,
+    not copied), with widths and universe bounds checked in O(size). *)
+val of_rels : Signature.t -> order:int -> (string * Tuple.Set.t) list -> t
+
 val signature : t -> Signature.t
 
 (** |A|: number of elements. *)
@@ -23,21 +29,25 @@ val order : t -> int
 (** ‖A‖ = |A| + Σ_R |R^A| (the paper's size measure). *)
 val size : t -> int
 
-(** [rel a name] is the tuple set of [name]; raises [Invalid_argument] for a
+(** [rel a name] is the packed core of [name] — read it by row index
+    ({!Tuple.Set.cell}) on hot paths. Raises [Invalid_argument] for a
     symbol outside the signature. *)
 val rel : t -> string -> Tuple.Set.t
 
-(** [mem a name tup] — tuple membership. *)
+(** [mem a name tup] — tuple membership, by binary search. *)
 val mem : t -> string -> int array -> bool
 
-(** [tuples_with a name ~pos ~value] — the tuples of relation [name] whose
-    [pos]-th entry (0-based) is [value]. Backed by a lazily built hash
-    index, so repeated lookups are O(answer); this is what makes guarded
+(** [tuples_with a name ~pos ~value f] calls [f i] for the index [i]
+    (into [rel a name]) of every row whose [pos]-th entry (0-based) is
+    [value], in ascending order. Reads the relation's incidence index, so
+    a lookup costs O(rows containing [value]); this is what makes guarded
     quantification over relational atoms run in time proportional to the
     matching tuples rather than to neighbourhood balls. *)
-val tuples_with : t -> string -> pos:int -> value:int -> int array list
+val tuples_with : t -> string -> pos:int -> value:int -> (int -> unit) -> unit
 
-(** [add_tuples a name tups] is [a] with the tuples added (functional).
+(** [add_tuples a name tups] is [a] with the tuples added (functional):
+    one linear merge into the relation's core, whose incidence index is
+    rebuilt on demand; the other relations and their indexes are shared.
     Updates touching only relations of arity ≤ 1 preserve the memoised
     Gaifman graph {e physically} (unary/0-ary tuples contribute no edges),
     so graph-keyed artifacts remain valid across such updates; the same
@@ -58,8 +68,8 @@ val gaifman : t -> Foc_graph.Graph.t
     [Invalid_argument] otherwise). *)
 val set_gaifman : t -> Foc_graph.Graph.t -> unit
 
-(** Force every lazily-built cache (the Gaifman graph and all position
-    indexes). Afterwards the structure is safe to read concurrently from
+(** Force every lazily-built cache (the Gaifman graph and every incidence
+    index). Afterwards the structure is safe to read concurrently from
     several domains — required before handing [t] to parallel sweeps
     ({!Foc_par}), since the lazy caches are not thread-safe. *)
 val prepare : t -> unit
@@ -74,8 +84,15 @@ val dist_le : t -> int -> int -> int -> bool
 val ball : t -> centres:int list -> radius:int -> int list
 
 (** [induced a vs] is A[vs] (tuples entirely inside [vs]), with elements
-    renumbered in sorted order, plus the [old_of_new] injection. *)
+    renumbered in sorted order, plus the sorted [old_of_new] injection. A
+    slice of the incidence indexes: O(Σ_{v∈vs} deg v · arity · log |vs|),
+    independent of [order a]. *)
 val induced : t -> int list -> t * int array
+
+(** [new_of_old old_of_new v] — the new id of old element [v] under the
+    sorted [old_of_new] of {!induced} (binary search), or [-1] when [v] is
+    not a member. *)
+val new_of_old : int array -> int -> int
 
 (** [disjoint_union a b] shifts [b]'s elements by [order a]; signatures must
     be equal. *)

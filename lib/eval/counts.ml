@@ -40,15 +40,7 @@ let of_sorted_groups ~vars:vs ~multiplier keys counts =
   (* binary search for the k-int key starting at [key.(ofs)] among the
      lexicographically sorted group keys; absent keys count 0 *)
   let lookup key ofs =
-    let cmp gi =
-      let rec go j =
-        if j = k then 0
-        else
-          let c = Int.compare keys.((gi * k) + j) key.(ofs + j) in
-          if c <> 0 then c else go (j + 1)
-      in
-      go 0
-    in
+    let cmp gi = Foc_data.Tuple.Set.cmp2 keys (gi * k) key ofs k in
     let rec go lo hi =
       if lo >= hi then 0
       else

@@ -60,52 +60,28 @@ let make ?limit ~producer ~next:gen ~close () =
   in
   { producer; next; close }
 
-let rows_equal a b =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i = Array.length a || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+module TS = Foc_data.Tuple.Set
 
-let lex_gt a b =
-  (* a > b lexicographically; equal lengths *)
-  let rec go i =
-    i < Array.length a && (a.(i) > b.(i) || (a.(i) = b.(i) && go (i + 1)))
-  in
-  go 0
+let lex_gt a b = Foc_data.Tuple.compare a b > 0
 
 (* ---- fallback producer: stream a materialised table ---- *)
 
 let of_table ?limit ?after ~values tbl =
-  let k = Array.length (Table.vars tbl) in
-  let nrows = Table.cardinal tbl in
+  let core = Table.core tbl in
   let start =
     match after with
     | None -> 0
     | Some key ->
-        if Array.length key <> k then invalid_arg "Enum.of_table: after arity";
-        if k = 0 then nrows (* the empty tuple has no successor *)
-        else begin
-          let i = Table.lower_bound tbl key in
-          if i < nrows then begin
-            let scratch = Array.make k 0 in
-            Table.blit_row tbl i scratch;
-            if rows_equal scratch key then i + 1 else i
-          end
-          else i
-        end
+        if Array.length key <> core.width then
+          invalid_arg "Enum.of_table: after arity";
+        (* resume strictly after [key] *)
+        TS.lower_bound core key + if TS.mem key core then 1 else 0
   in
   let r = ref start in
-  let scratch = Array.make (max 1 k) 0 in
   let gen () =
-    if !r >= nrows then None
+    if !r >= core.nrows then None
     else begin
-      let tup =
-        if k = 0 then [||]
-        else begin
-          Table.blit_row tbl !r scratch;
-          Array.sub scratch 0 k
-        end
-      in
+      let tup = TS.row core !r in
       incr r;
       Some (tup, values tup)
     end
@@ -123,7 +99,7 @@ let of_table ?limit ?after ~values tbl =
    over the whole domain, matching [Table.extend_full] semantics. *)
 
 type walker_conjunct = {
-  tbl : Table.t;
+  core : TS.t;
   ranges : (int * int) array; (* length = #cols + 1 *)
 }
 
@@ -160,7 +136,7 @@ let walk ?limit ?after ~values ~n ~head conjuncts =
             let pos = Array.map head_pos target in
             let c =
               {
-                tbl;
+                core = Table.core tbl;
                 ranges = Array.make (Array.length target + 1) (0, Table.cardinal tbl);
               }
             in
@@ -192,9 +168,9 @@ let walk ?limit ?after ~values ~n ~head conjuncts =
                   | None -> None
                   | Some w ->
                       let lo, hi = c.ranges.(ci) in
-                      let r = Table.seek_col c.tbl ~lo ~hi ~col:ci w in
+                      let r = TS.seek_col c.core ~lo ~hi ~col:ci w in
                       if r >= hi then None
-                      else Some (max w (Table.cell c.tbl r ci)))
+                      else Some (max w (TS.cell c.core r ci)))
                 (Some v) cs
             in
             match v' with
@@ -203,8 +179,8 @@ let walk ?limit ?after ~values ~n ~head conjuncts =
                 List.iter
                   (fun (c, ci) ->
                     let lo, hi = c.ranges.(ci) in
-                    let l = Table.seek_col c.tbl ~lo ~hi ~col:ci v in
-                    let h = Table.seek_col c.tbl ~lo:l ~hi ~col:ci (v + 1) in
+                    let l = TS.seek_col c.core ~lo ~hi ~col:ci v in
+                    let h = TS.seek_col c.core ~lo:l ~hi ~col:ci (v + 1) in
                     c.ranges.(ci + 1) <- (l, h))
                   cs;
                 Some v

@@ -86,14 +86,14 @@ let all_elements_table a x =
 
 (* the n-row identity table {(v, v)} over two distinct columns *)
 let eq_table n x y =
-  let b = Table.Builder.create ~hint:n 2 in
+  let b = TS.Builder.create ~hint:n 2 in
   let row = Array.make 2 0 in
   for v = 0 to n - 1 do
     row.(0) <- v;
     row.(1) <- v;
-    Table.Builder.add b row
+    TS.Builder.add b row
   done;
-  Table.Builder.build_sorted b [| x; y |]
+  Table.of_core [| x; y |] (TS.Builder.build_sorted b)
 
 (* Relation atoms may repeat variables, e.g. E(x,x): keep the tuples that
    are constant on the repeated positions and project to the distinct
@@ -113,22 +113,27 @@ let rel_table a name xs =
   let distinct = Array.map (fun p -> xs.(p)) positions in
   let kd = Array.length positions in
   let tuples = Foc_data.Structure.rel a name in
-  let b = Table.Builder.create ~hint:(TS.cardinal tuples) kd in
-  let scratch = Array.make (max 1 kd) 0 in
-  TS.iter
-    (fun tup ->
+  if kd = k then Table.of_core distinct tuples
+  else begin
+    (* a qualifying row's first difference from another lies at a kept
+       position (a repeat equals its earlier occurrence), so the filtered
+       rows stay sorted and distinct *)
+    let b = TS.Builder.create ~hint:tuples.nrows kd in
+    let scratch = Array.make kd 0 in
+    for r = 0 to tuples.nrows - 1 do
       let ok = ref true in
       for i = 0 to k - 1 do
-        if tup.(i) <> tup.(rep.(i)) then ok := false
+        if TS.cell tuples r i <> TS.cell tuples r rep.(i) then ok := false
       done;
       if !ok then begin
         for i = 0 to kd - 1 do
-          scratch.(i) <- tup.(positions.(i))
+          scratch.(i) <- TS.cell tuples r positions.(i)
         done;
-        Table.Builder.add b scratch
-      end)
-    tuples;
-  Table.Builder.build b distinct
+        TS.Builder.add b scratch
+      end
+    done;
+    Table.of_core distinct (TS.Builder.build_sorted b)
+  end
 
 (* one arena BFS per centre instead of a fresh hash table each *)
 let dist_table a x y d =
@@ -137,17 +142,17 @@ let dist_table a x y d =
   else begin
     let g = Foc_data.Structure.gaifman a in
     let s = Foc_graph.Bfs.searcher g in
-    let b = Table.Builder.create ~hint:n 2 in
+    let b = TS.Builder.create ~hint:n 2 in
     let row = Array.make 2 0 in
     for u = 0 to n - 1 do
       let cnt = Foc_graph.Bfs.run s ~centres:[ u ] ~radius:d in
       row.(0) <- u;
       for i = 0 to cnt - 1 do
         row.(1) <- Foc_graph.Bfs.visited s i;
-        Table.Builder.add b row
+        TS.Builder.add b row
       done
     done;
-    Table.Builder.build b [| x; y |]
+    Table.of_core [| x; y |] (TS.Builder.build b)
   end
 
 let rec ft ~plan ~pctx preds a (phi : Ast.formula) =
@@ -213,13 +218,13 @@ let rec ft ~plan ~pctx preds a (phi : Ast.formula) =
         Array.of_list (List.map (fun c -> Counts.row c vars) counts)
       in
       let values = Array.make (Array.length readers) 0 in
-      let b = Table.Builder.create (Array.length vars) in
+      let b = TS.Builder.create (Array.length vars) in
       Foc_util.Combi.iter_tuples n (Array.length vars) (fun tup ->
           for i = 0 to Array.length readers - 1 do
             values.(i) <- readers.(i) tup
           done;
-          if Pred.holds preds p values then Table.Builder.add b tup);
-      Table.Builder.build_sorted b vars
+          if Pred.holds preds p values then TS.Builder.add b tup);
+      Table.of_core vars (TS.Builder.build_sorted b)
 
 (* Evaluate a flattened conjunction: materialise the positive conjuncts,
    join them greedily by estimated output size, and eagerly settle Eq

@@ -1,101 +1,23 @@
 open Foc_logic
 module TS = Foc_data.Tuple.Set
 
-(* Columnar row store: rows live in one flat [int array], [width] ints per
-   row, sorted lexicographically and deduplicated. Every kernel below
-   preserves (or restores) that invariant, so membership is binary search,
-   union/diff are linear merges, and equality is one array sweep. *)
+(* Column names over the packed relation core (Foc_data.Tuple.Set); every
+   kernel below preserves (or restores) its sorted, deduplicated rows. *)
 
-type t = {
-  vars : Var.t array;
-  width : int;
-  nrows : int;
-  data : int array; (* row-major; logical length nrows*width *)
-}
+type t = { vars : Var.t array; core : TS.t }
 
 let vars t = t.vars
-let cardinal t = t.nrows
-let is_empty t = t.nrows = 0
+let cardinal t = t.core.nrows
+let is_empty t = t.core.nrows = 0
 
-(* ---- row primitives ---- *)
-
-(* compare row at [bi] of [a] with row at [bj] of [b] (strided offsets) *)
-let cmp2 (a : int array) bi (b : int array) bj width =
-  let rec go k =
-    if k = width then 0
-    else
-      let c = Int.compare a.(bi + k) b.(bj + k) in
-      if c <> 0 then c else go (k + 1)
-  in
-  go 0
-
-let is_sorted_distinct data width nrows =
-  let r = ref 1 in
-  let ok = ref true in
-  while !ok && !r < nrows do
-    if cmp2 data ((!r - 1) * width) data (!r * width) width >= 0 then
-      ok := false;
-    incr r
-  done;
-  !ok
-
-let noted vars width nrows data =
-  Eval_obs.note_table ~rows:nrows ~words:(nrows * width);
-  { vars; width; nrows; data }
+(* every table built at run time passes here, so each is counted once *)
+let of_core vars (core : TS.t) =
+  Eval_obs.note_table ~rows:core.nrows ~words:(core.nrows * core.width);
+  { vars; core }
 
 (* rows already sorted+distinct by construction *)
-let of_sorted vars data nrows = noted vars (Array.length vars) nrows data
-
-(* [of_dense vars data nrows] takes ownership of [data] (logical size
-   [nrows * width], possibly over-allocated), sorts and deduplicates. *)
-let of_dense vars data nrows =
-  let width = Array.length vars in
-  if width = 0 then of_sorted vars [||] (min nrows 1)
-  else if is_sorted_distinct data width nrows then of_sorted vars data nrows
-  else begin
-    let idx = Array.init nrows (fun i -> i) in
-    Array.sort (fun i j -> cmp2 data (i * width) data (j * width) width) idx;
-    let out = Array.make (nrows * width) 0 in
-    let m = ref 0 in
-    for r = 0 to nrows - 1 do
-      let src = idx.(r) * width in
-      if !m = 0 || cmp2 out ((!m - 1) * width) data src width <> 0 then begin
-        Array.blit data src out (!m * width) width;
-        incr m
-      end
-    done;
-    of_sorted vars out !m
-  end
-
-(* ---- growable row buffer ---- *)
-
-module Builder = struct
-  type b = { width : int; mutable data : int array; mutable rows : int }
-
-  let create ?(hint = 16) width =
-    { width; data = Array.make (max 1 (hint * width)) 0; rows = 0 }
-
-  let ensure b =
-    let need = (b.rows + 1) * b.width in
-    if need > Array.length b.data then begin
-      let data = Array.make (max need (2 * Array.length b.data)) 0 in
-      Array.blit b.data 0 data 0 (b.rows * b.width);
-      b.data <- data
-    end
-
-  (* copy [width] ints of [row] starting at [ofs] *)
-  let add_sub b row ofs =
-    if b.width > 0 then begin
-      ensure b;
-      Array.blit row ofs b.data (b.rows * b.width) b.width
-    end;
-    b.rows <- b.rows + 1
-
-  let add b row = add_sub b row 0
-  let rows b = b.rows
-  let build b vars = of_dense vars b.data b.rows
-  let build_sorted b vars = of_sorted vars b.data b.rows
-end
+let of_sorted vars data nrows = of_core vars (TS.of_sorted (Array.length vars) data nrows)
+let of_dense vars data nrows = of_core vars (TS.of_dense (Array.length vars) data nrows)
 
 (* ---- constructors ---- *)
 
@@ -107,25 +29,13 @@ let validate_vars vars =
 let of_rows vars row_list =
   validate_vars vars;
   let k = Array.length vars in
-  let b = Builder.create ~hint:(max 1 (List.length row_list)) k in
   List.iter
-    (fun r ->
-      if Array.length r <> k then invalid_arg "Table.create: row arity";
-      Builder.add b r)
+    (fun r -> if Array.length r <> k then invalid_arg "Table.create: row arity")
     row_list;
-  Builder.build b vars
+  of_core vars (TS.of_list k row_list)
 
-let create vars rows = of_rows vars (TS.elements rows)
-
-let rows t =
-  let acc = ref TS.empty in
-  for r = 0 to t.nrows - 1 do
-    acc := TS.add (Array.sub t.data (r * t.width) t.width) !acc
-  done;
-  !acc
-
-let unit = { vars = [||]; width = 0; nrows = 1; data = [||] }
-let zero = { vars = [||]; width = 0; nrows = 0; data = [||] }
+let unit = { vars = [||]; core = TS.of_sorted 0 [||] 1 }
+let zero = { vars = [||]; core = TS.empty 0 }
 let empty_like vars = of_sorted vars [||] 0
 
 let full n vars =
@@ -155,9 +65,9 @@ let has_column t x = Array.exists (Var.equal x) t.vars
    a planner {!Foc_stats.Summary} for an intermediate table *)
 let column_counts t x =
   let j = column_index t x in
-  let tbl = Hashtbl.create (min 1024 (t.nrows + 1)) in
-  for r = 0 to t.nrows - 1 do
-    let v = t.data.((r * t.width) + j) in
+  let tbl = Hashtbl.create (min 1024 (t.core.nrows + 1)) in
+  for r = 0 to t.core.nrows - 1 do
+    let v = t.core.data.((r * t.core.width) + j) in
     Hashtbl.replace tbl v
       (1 + Option.value ~default:0 (Hashtbl.find_opt tbl v))
   done;
@@ -166,59 +76,24 @@ let column_counts t x =
 
 (* ---- iteration ---- *)
 
-let iter t f =
-  if t.width = 0 then begin
-    if t.nrows = 1 then f [||]
-  end
-  else begin
-    let scratch = Array.make t.width 0 in
-    for r = 0 to t.nrows - 1 do
-      Array.blit t.data (r * t.width) scratch 0 t.width;
-      f scratch
-    done
-  end
-
-(* ---- cursor kernels (streaming enumeration) ---- *)
-
-let blit_row t r dst = Array.blit t.data (r * t.width) dst 0 t.width
-let cell t r c = t.data.((r * t.width) + c)
-
-(* first row in [lo,hi) whose column [col] value is >= v. Callers maintain
-   the invariant that all rows of the range agree on columns < col, so the
-   column is non-decreasing over the range and binary search applies. *)
-let seek_col t ~lo ~hi ~col v =
-  let l = ref lo and h = ref hi in
-  while !l < !h do
-    let mid = (!l + !h) / 2 in
-    if t.data.((mid * t.width) + col) < v then l := mid + 1 else h := mid
-  done;
-  !l
-
-(* first row whose full row is lexicographically >= key *)
-let lower_bound t key =
-  let l = ref 0 and h = ref t.nrows in
-  while !l < !h do
-    let mid = (!l + !h) / 2 in
-    if cmp2 t.data (mid * t.width) key 0 t.width < 0 then l := mid + 1
-    else h := mid
-  done;
-  !l
+let core t = t.core
+let iter t f = TS.iter f t.core
 
 (* ---- projection / alignment ---- *)
 
 let project t target =
   let idx = Array.map (fun x -> column_index t x) target in
   let k = Array.length target in
-  if k = 0 then if t.nrows = 0 then empty_like target else of_sorted target [||] 1
+  if k = 0 then if t.core.nrows = 0 then empty_like target else of_sorted target [||] 1
   else begin
-    let out = Array.make (max 1 (t.nrows * k)) 0 in
-    for r = 0 to t.nrows - 1 do
-      let src = r * t.width and dst = r * k in
+    let out = Array.make (max 1 (t.core.nrows * k)) 0 in
+    for r = 0 to t.core.nrows - 1 do
+      let src = r * t.core.width and dst = r * k in
       for i = 0 to k - 1 do
-        out.(dst + i) <- t.data.(src + idx.(i))
+        out.(dst + i) <- t.core.data.(src + idx.(i))
       done
     done;
-    of_dense target out t.nrows
+    of_dense target out t.core.nrows
   end
 
 let align t target =
@@ -231,24 +106,17 @@ let align t target =
 (* ---- filters (order-preserving, no re-sort needed) ---- *)
 
 let filter_rows t keep =
-  let b = Builder.create ~hint:(max 1 t.nrows) t.width in
-  if t.width = 0 then begin
-    if t.nrows = 1 && keep 0 then Builder.add b [||]
-  end
-  else
-    for r = 0 to t.nrows - 1 do
-      if keep r then Builder.add_sub b t.data (r * t.width)
-    done;
-  Builder.build_sorted b t.vars
+  let b = TS.Builder.create ~hint:(max 1 t.core.nrows) t.core.width in
+  for r = 0 to t.core.nrows - 1 do
+    if keep r then TS.Builder.add_sub b t.core.data (r * t.core.width)
+  done;
+  of_core t.vars (TS.Builder.build_sorted b)
 
 let filter t f =
-  if t.width = 0 then filter_rows t (fun _ -> f [||])
-  else begin
-    let scratch = Array.make t.width 0 in
-    filter_rows t (fun r ->
-        Array.blit t.data (r * t.width) scratch 0 t.width;
-        f scratch)
-  end
+  let scratch = Array.make t.core.width 0 in
+  filter_rows t (fun r ->
+      Array.blit t.core.data (r * t.core.width) scratch 0 t.core.width;
+      f scratch)
 
 (* keep the rows whose column [x] equals column [y] *)
 let select_eq t x y =
@@ -256,20 +124,20 @@ let select_eq t x y =
   if ix = iy then t
   else
     filter_rows t (fun r ->
-        t.data.(r * t.width + ix) = t.data.(r * t.width + iy))
+        t.core.data.(r * t.core.width + ix) = t.core.data.(r * t.core.width + iy))
 
 (* append a column [dst] duplicating [src]; comparing two rows first differs
    on an original column, so sortedness and distinctness are preserved *)
 let duplicate_column t ~src ~dst =
   if has_column t dst then invalid_arg "Table.duplicate_column: column exists";
   let is = column_index t src in
-  let k = t.width + 1 in
-  let out = Array.make (max 1 (t.nrows * k)) 0 in
-  for r = 0 to t.nrows - 1 do
-    Array.blit t.data (r * t.width) out (r * k) t.width;
-    out.((r * k) + t.width) <- t.data.((r * t.width) + is)
+  let k = t.core.width + 1 in
+  let out = Array.make (max 1 (t.core.nrows * k)) 0 in
+  for r = 0 to t.core.nrows - 1 do
+    Array.blit t.core.data (r * t.core.width) out (r * k) t.core.width;
+    out.((r * k) + t.core.width) <- t.core.data.((r * t.core.width) + is)
   done;
-  of_sorted (Array.append t.vars [| dst |]) out t.nrows
+  of_sorted (Array.append t.vars [| dst |]) out t.core.nrows
 
 (* ---- key packing ----
 
@@ -288,9 +156,9 @@ let packable base k =
 
 let max_on_columns t cols =
   let m = ref 0 in
-  for r = 0 to t.nrows - 1 do
-    let base = r * t.width in
-    Array.iter (fun c -> if t.data.(base + c) > !m then m := t.data.(base + c)) cols
+  for r = 0 to t.core.nrows - 1 do
+    let base = r * t.core.width in
+    Array.iter (fun c -> if t.core.data.(base + c) > !m then m := t.core.data.(base + c)) cols
   done;
   !m
 
@@ -332,11 +200,11 @@ type index = {
 let build_index build (bcols : int array) (pcols : int array) pdata_max =
   let k = Array.length bcols in
   let base = 1 + max (max_on_columns build bcols) pdata_max in
-  let next = Array.make (max 1 build.nrows) (-1) in
+  let next = Array.make (max 1 build.core.nrows) (-1) in
   if packable base k then begin
-    let tbl = Hashtbl.create (max 16 (2 * build.nrows)) in
-    for r = 0 to build.nrows - 1 do
-      let key = pack_key build.data (r * build.width) bcols base in
+    let tbl = Hashtbl.create (max 16 (2 * build.core.nrows)) in
+    for r = 0 to build.core.nrows - 1 do
+      let key = pack_key build.core.data (r * build.core.width) bcols base in
       (match Hashtbl.find_opt tbl key with
       | Some h -> next.(r) <- h
       | None -> ());
@@ -350,12 +218,12 @@ let build_index build (bcols : int array) (pcols : int array) pdata_max =
   end
   else begin
     (* boxed fallback: key is a fresh int array per build row (rare) *)
-    let tbl = Hashtbl.create (max 16 (2 * build.nrows)) in
+    let tbl = Hashtbl.create (max 16 (2 * build.core.nrows)) in
     let extract data ofs (cols : int array) =
       Array.map (fun c -> data.(ofs + c)) cols
     in
-    for r = 0 to build.nrows - 1 do
-      let key = extract build.data (r * build.width) bcols in
+    for r = 0 to build.core.nrows - 1 do
+      let key = extract build.core.data (r * build.core.width) bcols in
       (match Hashtbl.find_opt tbl key with
       | Some h -> next.(r) <- h
       | None -> ());
@@ -374,11 +242,11 @@ let build_index build (bcols : int array) (pcols : int array) pdata_max =
 let membership_filter ~keep t1 t2 =
   let c1, c2 = shared_columns t1 t2 in
   if Array.length c1 = 0 then
-    if (t2.nrows > 0) = keep then t1 else empty_like t1.vars
-  else if t2.nrows = 0 then if keep then empty_like t1.vars else t1
+    if (t2.core.nrows > 0) = keep then t1 else empty_like t1.vars
+  else if t2.core.nrows = 0 then if keep then empty_like t1.vars else t1
   else begin
     let idx = build_index t2 c2 c1 (max_on_columns t1 c1) in
-    filter_rows t1 (fun r -> idx.find t1.data (r * t1.width) >= 0 = keep)
+    filter_rows t1 (fun r -> idx.find t1.core.data (r * t1.core.width) >= 0 = keep)
   end
 
 let semijoin t1 t2 =
@@ -392,41 +260,41 @@ let antijoin t1 t2 =
 let join t1 t2 =
   let fresh2 = fresh_columns t1 t2 in
   let out_vars = Array.append t1.vars (Array.map (fun j -> t2.vars.(j)) fresh2) in
-  if t1.nrows = 0 || t2.nrows = 0 then empty_like out_vars
+  if t1.core.nrows = 0 || t2.core.nrows = 0 then empty_like out_vars
   else if Array.length fresh2 = 0 then
     (* no fresh columns: the join is a semijoin filter on t1 *)
     { (semijoin t1 t2) with vars = out_vars }
   else begin
     let c1, c2 = shared_columns t1 t2 in
     let kf = Array.length fresh2 in
-    let width_out = t1.width + kf in
-    let b = Builder.create ~hint:(max t1.nrows t2.nrows) width_out in
+    let width_out = t1.core.width + kf in
+    let b = TS.Builder.create ~hint:(max t1.core.nrows t2.core.nrows) width_out in
     let scratch = Array.make (max 1 width_out) 0 in
     let emit r1 r2 =
-      Array.blit t1.data (r1 * t1.width) scratch 0 t1.width;
+      Array.blit t1.core.data (r1 * t1.core.width) scratch 0 t1.core.width;
       for i = 0 to kf - 1 do
-        scratch.(t1.width + i) <- t2.data.((r2 * t2.width) + fresh2.(i))
+        scratch.(t1.core.width + i) <- t2.core.data.((r2 * t2.core.width) + fresh2.(i))
       done;
-      Builder.add b scratch
+      TS.Builder.add b scratch
     in
     if Array.length c1 = 0 then begin
       (* cross product; r1-major emission keeps the output sorted *)
-      Eval_obs.note_join ~build:(min t1.nrows t2.nrows)
-        ~probe:(max t1.nrows t2.nrows);
-      for r1 = 0 to t1.nrows - 1 do
-        for r2 = 0 to t2.nrows - 1 do
+      Eval_obs.note_join ~build:(min t1.core.nrows t2.core.nrows)
+        ~probe:(max t1.core.nrows t2.core.nrows);
+      for r1 = 0 to t1.core.nrows - 1 do
+        for r2 = 0 to t2.core.nrows - 1 do
           emit r1 r2
         done
       done;
-      Builder.build_sorted b out_vars
+      of_core out_vars (TS.Builder.build_sorted b)
     end
     else begin
       (* hash join, building on the smaller side *)
-      if t1.nrows <= t2.nrows then begin
-        Eval_obs.note_join ~build:t1.nrows ~probe:t2.nrows;
+      if t1.core.nrows <= t2.core.nrows then begin
+        Eval_obs.note_join ~build:t1.core.nrows ~probe:t2.core.nrows;
         let idx = build_index t1 c1 c2 (max_on_columns t2 c2) in
-        for r2 = 0 to t2.nrows - 1 do
-          let h = ref (idx.find t2.data (r2 * t2.width)) in
+        for r2 = 0 to t2.core.nrows - 1 do
+          let h = ref (idx.find t2.core.data (r2 * t2.core.width)) in
           while !h >= 0 do
             emit !h r2;
             h := idx.next.(!h)
@@ -434,10 +302,10 @@ let join t1 t2 =
         done
       end
       else begin
-        Eval_obs.note_join ~build:t2.nrows ~probe:t1.nrows;
+        Eval_obs.note_join ~build:t2.core.nrows ~probe:t1.core.nrows;
         let idx = build_index t2 c2 c1 (max_on_columns t1 c1) in
-        for r1 = 0 to t1.nrows - 1 do
-          let h = ref (idx.find t1.data (r1 * t1.width)) in
+        for r1 = 0 to t1.core.nrows - 1 do
+          let h = ref (idx.find t1.core.data (r1 * t1.core.width)) in
           while !h >= 0 do
             emit r1 !h;
             h := idx.next.(!h)
@@ -445,7 +313,7 @@ let join t1 t2 =
         done
       end;
       (* distinct inputs give distinct outputs; order needs restoring *)
-      Builder.build b out_vars
+      of_core out_vars (TS.Builder.build b)
     end
   end
 
@@ -461,33 +329,33 @@ let extend_full t n extra =
   else begin
     let rec pow acc i = if i = 0 then acc else pow (acc * n) (i - 1) in
     let reps = pow 1 k in
-    let width_out = t.width + k in
-    let out = Array.make (max 1 (t.nrows * reps * width_out)) 0 in
+    let width_out = t.core.width + k in
+    let out = Array.make (max 1 (t.core.nrows * reps * width_out)) 0 in
     let r = ref 0 in
-    for r1 = 0 to t.nrows - 1 do
+    for r1 = 0 to t.core.nrows - 1 do
       Foc_util.Combi.iter_tuples n k (fun tup ->
-          Array.blit t.data (r1 * t.width) out (!r * width_out) t.width;
-          Array.blit tup 0 out ((!r * width_out) + t.width) k;
+          Array.blit t.core.data (r1 * t.core.width) out (!r * width_out) t.core.width;
+          Array.blit tup 0 out ((!r * width_out) + t.core.width) k;
           incr r)
     done;
     (* appended columns cycle fastest: sorted and distinct by construction *)
-    of_sorted (Array.append t.vars extra) out (t.nrows * reps)
+    of_sorted (Array.append t.vars extra) out (t.core.nrows * reps)
   end
 
 let complement t n =
   (* merge-scan against the lexicographic enumeration of the full product —
      the n^k escape hatch; the planner's anti-joins exist to avoid this *)
-  let k = t.width in
+  let k = t.core.width in
   let rec pow acc i = if i = 0 then acc else pow (acc * n) (i - 1) in
   let total = pow 1 k in
-  Eval_obs.note_complement ~rows:(total - t.nrows);
-  if k = 0 then if t.nrows = 0 then unit else zero
+  Eval_obs.note_complement ~rows:(total - t.core.nrows);
+  if k = 0 then if t.core.nrows = 0 then unit else zero
   else begin
-    let out = Array.make (max 1 ((total - t.nrows) * k)) 0 in
+    let out = Array.make (max 1 ((total - t.core.nrows) * k)) 0 in
     let p = ref 0 (* next unmatched row of t *)
     and r = ref 0 in
     Foc_util.Combi.iter_tuples n k (fun tup ->
-        if !p < t.nrows && cmp2 tup 0 t.data (!p * k) k = 0 then incr p
+        if !p < t.core.nrows && TS.cmp2 tup 0 t.core.data (!p * k) k = 0 then incr p
         else begin
           Array.blit tup 0 out (!r * k) k;
           incr r
@@ -497,74 +365,15 @@ let complement t n =
 
 (* ---- union / diff (sorted merges) ---- *)
 
-let merge keep_right t1 t2 =
-  (* both over the same columns in the same order *)
-  let w = t1.width in
-  let out = Array.make (max 1 ((t1.nrows + t2.nrows) * w)) 0 in
-  let i = ref 0 and j = ref 0 and r = ref 0 in
-  let emit data ofs =
-    Array.blit data ofs out (!r * w) w;
-    incr r
-  in
-  while !i < t1.nrows || !j < t2.nrows do
-    if !i = t1.nrows then begin
-      if keep_right then emit t2.data (!j * w);
-      incr j
-    end
-    else if !j = t2.nrows then begin
-      emit t1.data (!i * w);
-      incr i
-    end
-    else begin
-      let c = cmp2 t1.data (!i * w) t2.data (!j * w) w in
-      if c < 0 then begin
-        emit t1.data (!i * w);
-        incr i
-      end
-      else if c > 0 then begin
-        if keep_right then emit t2.data (!j * w);
-        incr j
-      end
-      else begin
-        if keep_right then emit t1.data (!i * w);
-        incr i;
-        incr j
-      end
-    end
-  done;
-  of_sorted t1.vars out !r
-
 let union t1 t2 =
   let t2 = align t2 t1.vars in
-  if t1.width = 0 then if t1.nrows + t2.nrows > 0 then unit else zero
-  else merge true t1 t2
+  if t1.core.width = 0 then if t1.core.nrows + t2.core.nrows > 0 then unit else zero
+  else of_core t1.vars (TS.union t1.core t2.core)
 
 let diff t1 t2 =
   let t2 = align t2 t1.vars in
-  if t1.width = 0 then if t1.nrows = 1 && t2.nrows = 0 then unit else zero
-  else begin
-    (* same merge with equal rows dropped and right-only rows skipped *)
-    let w = t1.width in
-    let out = Array.make (max 1 (t1.nrows * w)) 0 in
-    let i = ref 0 and j = ref 0 and r = ref 0 in
-    while !i < t1.nrows do
-      let c =
-        if !j = t2.nrows then -1
-        else cmp2 t1.data (!i * w) t2.data (!j * w) w
-      in
-      if c < 0 then begin
-        Array.blit t1.data (!i * w) out (!r * w) w;
-        incr r;
-        incr i
-      end
-      else if c > 0 then incr j
-      else begin
-        incr i;
-        incr j
-      end
-    done;
-    of_sorted t1.vars out !r
-  end
+  if t1.core.width = 0 then if t1.core.nrows = 1 && t2.core.nrows = 0 then unit else zero
+  else of_core t1.vars (TS.diff t1.core t2.core)
 
 (* ---- grouping ---- *)
 
@@ -573,23 +382,23 @@ let group_count t target =
      projection; keys come back sorted lexicographically *)
   let idx = Array.map (fun x -> column_index t x) target in
   let k = Array.length target in
-  if k = 0 then ([||], if t.nrows = 0 then [||] else [| t.nrows |])
+  if k = 0 then ([||], if t.core.nrows = 0 then [||] else [| t.core.nrows |])
   else begin
-    let buf = Array.make (max 1 (t.nrows * k)) 0 in
-    for r = 0 to t.nrows - 1 do
-      let src = r * t.width and dst = r * k in
+    let buf = Array.make (max 1 (t.core.nrows * k)) 0 in
+    for r = 0 to t.core.nrows - 1 do
+      let src = r * t.core.width and dst = r * k in
       for i = 0 to k - 1 do
-        buf.(dst + i) <- t.data.(src + idx.(i))
+        buf.(dst + i) <- t.core.data.(src + idx.(i))
       done
     done;
-    let order = Array.init t.nrows (fun i -> i) in
-    Array.sort (fun i j -> cmp2 buf (i * k) buf (j * k) k) order;
-    let keys = Array.make (max 1 (t.nrows * k)) 0 in
-    let counts = Array.make (max 1 t.nrows) 0 in
+    let order = Array.init t.core.nrows (fun i -> i) in
+    Array.sort (fun i j -> TS.cmp2 buf (i * k) buf (j * k) k) order;
+    let keys = Array.make (max 1 (t.core.nrows * k)) 0 in
+    let counts = Array.make (max 1 t.core.nrows) 0 in
     let g = ref 0 in
-    for r = 0 to t.nrows - 1 do
+    for r = 0 to t.core.nrows - 1 do
       let src = order.(r) * k in
-      if !g = 0 || cmp2 keys ((!g - 1) * k) buf src k <> 0 then begin
+      if !g = 0 || TS.cmp2 keys ((!g - 1) * k) buf src k <> 0 then begin
         Array.blit buf src keys (!g * k) k;
         counts.(!g) <- 1;
         incr g
@@ -640,42 +449,30 @@ let bind t binding =
   in
   let keep =
     filter_rows t (fun r ->
-        List.for_all (fun (i, v) -> t.data.((r * t.width) + i) = v) checks)
+        List.for_all (fun (i, v) -> t.core.data.((r * t.core.width) + i) = v) checks)
   in
   (* bound columns are constant over [keep]: projecting them away keeps the
      remaining rows sorted and distinct *)
   let idx = Array.map (fun x -> column_index keep x) rest in
   let k = Array.length rest in
-  if k = 0 then if keep.nrows = 0 then zero else unit
+  if k = 0 then if keep.core.nrows = 0 then zero else unit
   else begin
-    let out = Array.make (max 1 (keep.nrows * k)) 0 in
-    for r = 0 to keep.nrows - 1 do
+    let out = Array.make (max 1 (keep.core.nrows * k)) 0 in
+    for r = 0 to keep.core.nrows - 1 do
       for i = 0 to k - 1 do
-        out.((r * k) + i) <- keep.data.((r * keep.width) + idx.(i))
+        out.((r * k) + i) <- keep.core.data.((r * keep.core.width) + idx.(i))
       done
     done;
-    of_sorted rest out keep.nrows
+    of_sorted rest out keep.core.nrows
   end
 
 let equal t1 t2 =
   let s1 = List.sort Var.compare (Array.to_list t1.vars) in
   let s2 = List.sort Var.compare (Array.to_list t2.vars) in
-  s1 = s2
-  &&
-  let t2 = align t2 t1.vars in
-  t1.nrows = t2.nrows
-  &&
-  let rec go i =
-    i >= t1.nrows * t1.width || (t1.data.(i) = t2.data.(i) && go (i + 1))
-  in
-  go 0
+  s1 = s2 && TS.equal t1.core (align t2 t1.vars).core
 
 let pp ppf t =
-  let elems = ref [] in
-  for r = t.nrows - 1 downto 0 do
-    elems := Array.sub t.data (r * t.width) t.width :: !elems
-  done;
   Format.fprintf ppf "@[<v>cols: %s@,%a@]"
     (String.concat ", " (Array.to_list t.vars))
     (Format.pp_print_list Foc_data.Tuple.pp)
-    !elems
+    (TS.elements t.core)

@@ -1,12 +1,13 @@
 (** Tables of satisfying assignments: the substrate of the relational-algebra
     baseline evaluator {!Relalg}.
 
-    A table has a column list (distinct variables) and a set of rows; row
-    [i] holds the value of column [i]. Rows are stored columnar-style in a
-    single flat [int array] ([width] ints per row), kept sorted
+    A table is a column list (distinct variables) over the packed relation
+    core {!Foc_data.Tuple.Set} that also stores every structure relation:
+    rows in one flat [int array] ([width] ints per row), sorted
     lexicographically and deduplicated — so membership is binary search,
     union/difference are linear merges, and natural join is a hash join on
-    packed integer keys with the build side chosen by cardinality. The
+    packed integer keys with the build side chosen by cardinality. An atom
+    over distinct variables wraps its relation's core without copying. The
     algebra is the classical one — natural join, projection,
     union/difference after column alignment, complement against the full
     product — extended with the planner-facing kernels (semijoin, anti-join,
@@ -22,21 +23,13 @@ type t
 (** Columns, in order. *)
 val vars : t -> Var.t array
 
-(** Rows (arity = number of columns). This builds a fresh balanced set on
-    every call — use {!iter} on hot paths. *)
-val rows : t -> Foc_data.Tuple.Set.t
-
-(** [create vars rows] — columns must be distinct, rows of matching arity. *)
-val create : Var.t array -> Foc_data.Tuple.Set.t -> t
-
-(** [of_rows vars row_list]. *)
+(** [of_rows vars row_list] — columns must be distinct, rows of matching
+    arity. *)
 val of_rows : Var.t array -> int array list -> t
 
-(** [of_dense vars data nrows] takes ownership of [data] — a row-major
-    buffer of logical size [nrows * Array.length vars], possibly
-    over-allocated — and sorts + deduplicates it in place. The cheapest way
-    to build a table from a generator. *)
-val of_dense : Var.t array -> int array -> int -> t
+(** [of_core vars core] names the columns of a packed core (no copy);
+    [Array.length vars] must equal its width. *)
+val of_core : Var.t array -> Foc_data.Tuple.Set.t -> t
 
 (** The 0-column table with one (empty) row — "true". *)
 val unit : t
@@ -55,29 +48,10 @@ val full : int -> Var.t array -> t
     retain. *)
 val iter : t -> (int array -> unit) -> unit
 
-(** {2 Cursor kernels}
-
-    Random access into the sorted row store, the substrate of the
-    streaming {!Enum} producers: rows are addressed by index in the
-    canonical lexicographic order, and binary search gives O(log rows)
-    seeks for [?after] resumption and join continuations. *)
-
-(** [blit_row t r dst] copies row [r] (0-based, lexicographic position)
-    into [dst] (length ≥ width). *)
-val blit_row : t -> int -> int array -> unit
-
-(** [cell t r c] — the value of column [c] in row [r]. *)
-val cell : t -> int -> int -> int
-
-(** [seek_col t ~lo ~hi ~col v] — the first row index in [[lo,hi)] whose
-    column [col] value is ≥ [v], or [hi]. Only meaningful when all rows in
-    the range agree on the columns before [col] (then the column is
-    non-decreasing over the range); binary search. *)
-val seek_col : t -> lo:int -> hi:int -> col:int -> int -> int
-
-(** [lower_bound t key] — the index of the first row lexicographically
-    ≥ [key] (a full-width row), or [cardinal t]. Binary search. *)
-val lower_bound : t -> int array -> int
+(** The packed core under the columns — the random-access substrate of
+    the streaming {!Enum} producers (rows in canonical lexicographic order,
+    binary-search seeks via {!Foc_data.Tuple.Set.seek_col}). *)
+val core : t -> Foc_data.Tuple.Set.t
 
 (** [project t target] keeps the [target] columns (a subset of [vars t],
     any order), deduplicating rows. *)
@@ -137,29 +111,6 @@ val divide : t -> Var.t -> int -> t
     row-major ([Array.length target] ints per group, lexicographically
     sorted) and [counts.(i)] the multiplicity of group [i]. *)
 val group_count : t -> Var.t array -> int array * int array
-
-(** Growable row buffer for building tables without an intermediate list
-    or set. *)
-module Builder : sig
-  type b
-
-  (** [create ?hint width] — a buffer for rows of [width] ints, initially
-      sized for [hint] rows. *)
-  val create : ?hint:int -> int -> b
-
-  (** [add b row] copies [row] (its first [width] ints) into the buffer. *)
-  val add : b -> int array -> unit
-
-  (** Rows added so far. *)
-  val rows : b -> int
-
-  (** [build b vars] — sort + deduplicate and seal into a table. *)
-  val build : b -> Var.t array -> t
-
-  (** [build_sorted b vars] — seal rows already added in strictly
-      increasing lexicographic order (unchecked). *)
-  val build_sorted : b -> Var.t array -> t
-end
 
 (** [bind t binding] selects the rows matching the (variable, value) pairs
     (variables not among the columns are ignored) and then projects those

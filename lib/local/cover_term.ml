@@ -35,8 +35,6 @@ let basic_vector ?(jobs = 1) ?cache_bytes preds a cover (b : Clterm.basic) =
       if Array.length kernel > 0 then begin
         let members = Array.to_list (Foc_graph.Cover.cluster cover i) in
         let sub, old_of_new = Foc_data.Structure.induced a members in
-        let new_of_old = Hashtbl.create (Array.length old_of_new) in
-        Array.iteri (fun nw od -> Hashtbl.replace new_of_old od nw) old_of_new;
         let ctx = Pattern_count.make_ctx ?cache_bytes preds sub ~r:b.radius in
         let plan =
           Pattern_count.make_plan ctx ~pattern:b.pattern ~vars:b.vars
@@ -44,13 +42,15 @@ let basic_vector ?(jobs = 1) ?cache_bytes preds a cover (b : Clterm.basic) =
         in
         Array.iter
           (fun old_elt ->
-            let anchor = Hashtbl.find new_of_old old_elt in
+            let anchor = Foc_data.Structure.new_of_old old_of_new old_elt in
             out.(old_elt) <-
               Pattern_count.at ~plan ctx ~pattern:b.pattern ~vars:b.vars
                 ~body:b.body ~anchor)
           kernel
       end
     in
+    (* induced reads the incidence indexes: build them before the fork *)
+    Foc_data.Structure.prepare a;
     Foc_par.parallel_for ~jobs ~label:"sweep.clusters"
       (Foc_graph.Cover.cluster_count cover)
       eval_cluster;

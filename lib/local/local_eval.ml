@@ -30,7 +30,7 @@ let anchor_values env anchors =
 
 (* Candidates from a positive relational atom R(…, y, …) with at least one
    position already bound: the y-entries of the matching tuples, via the
-   structure's lazy position index — time proportional to the matching
+   structure's incidence index — time proportional to the matching
    tuples, the key to DB-shaped (hub-heavy) Gaifman graphs. Returns [None]
    when no such atom is semantically entailed. *)
 let rec atom_candidates a env (phi : Ast.formula) y : Bucket.t option =
@@ -50,29 +50,29 @@ let rec atom_candidates a env (phi : Ast.formula) y : Bucket.t option =
       | _, bindings ->
           (* fetch via the most selective bound position, then filter the
              tuples against all the other bindings (full semi-join) *)
+          let matching (pos, value) f =
+            Foc_data.Structure.tuples_with a r ~pos ~value f
+          in
+          let size b =
+            let n = ref 0 in
+            matching b (fun _ -> incr n);
+            !n
+          in
           let best =
             List.fold_left
-              (fun (bp, bv, bn) (pos, value) ->
-                let size =
-                  List.length
-                    (Foc_data.Structure.tuples_with a r ~pos ~value)
-                in
-                if size < bn then (pos, value, size) else (bp, bv, bn))
-              (fst (List.hd bindings), snd (List.hd bindings), max_int)
-              bindings
+              (fun (b, bn) b' ->
+                let n = size b' in
+                if n < bn then (b', n) else (b, bn))
+              (List.hd bindings, max_int) bindings
           in
-          let bp, bv, _ = best in
-          let tuples = Foc_data.Structure.tuples_with a r ~pos:bp ~value:bv in
-          let yp = !y_pos in
-          let values =
-            List.filter_map
-              (fun t ->
-                if List.for_all (fun (i, v) -> t.(i) = v) bindings then
-                  Some t.(yp)
-                else None)
-              tuples
-          in
-          Some (Bucket.of_list values)
+          let rows = Foc_data.Structure.rel a r and values = ref [] in
+          matching (fst best) (fun i ->
+              if
+                List.for_all
+                  (fun (p, v) -> Foc_data.Tuple.Set.cell rows i p = v)
+                  bindings
+              then values := Foc_data.Tuple.Set.cell rows i !y_pos :: !values);
+          Some (Bucket.of_list !values)
     end
   | And (f, g) -> begin
       (* either conjunct alone gives a sound candidate set; prefer smaller *)

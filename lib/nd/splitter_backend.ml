@@ -140,9 +140,7 @@ and eval_basic_unary preds a ~rounds ~small (b : Clterm.basic) wanted =
           Array.to_list (Foc_graph.Cover.cluster cover cluster_id)
         in
         let sub, old_of_new = Structure.induced a members in
-        let new_of_old = Hashtbl.create (List.length members) in
-        Array.iteri (fun nw od -> Hashtbl.replace new_of_old od nw) old_of_new;
-        let local_wanted = List.map (Hashtbl.find new_of_old) elems in
+        let local_wanted = List.map (Structure.new_of_old old_of_new) elems in
         let values =
           in_cluster preds sub ~rounds ~small ~vars theta local_wanted
         in

@@ -36,18 +36,15 @@ let collect ?(buckets = 64) a =
         Array.init arity (fun _ ->
             { counts = Hashtbl.create 64; summ = None; stale = 0 })
       in
-      let rows = ref 0 in
-      TS.iter
-        (fun tup ->
-          incr rows;
-          for i = 0 to arity - 1 do
-            let c = cols.(i) in
-            let v = tup.(i) in
-            Hashtbl.replace c.counts v
-              (1 + Option.value ~default:0 (Hashtbl.find_opt c.counts v))
-          done)
-        tuples;
-      Hashtbl.replace rels name { rows = !rows; cols })
+      for r = 0 to tuples.nrows - 1 do
+        for i = 0 to arity - 1 do
+          let c = cols.(i) in
+          let v = TS.cell tuples r i in
+          Hashtbl.replace c.counts v
+            (1 + Option.value ~default:0 (Hashtbl.find_opt c.counts v))
+        done
+      done;
+      Hashtbl.replace rels name { rows = tuples.nrows; cols })
     (Foc_data.Signature.to_list (Structure.signature a));
   { buckets; rels }
 

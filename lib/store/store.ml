@@ -64,14 +64,12 @@ let enc_structure a =
     sign;
   Wire.put_int w (Structure.order a);
   List.iter
-    (fun (name, arity) ->
-      let tuples = Tuple.Set.elements (Structure.rel a name) in
-      Wire.put_int w (List.length tuples);
-      List.iter
-        (fun tup ->
-          assert (Array.length tup = arity);
-          Array.iter (Wire.put_int w) tup)
-        tuples)
+    (fun (name, _) ->
+      let { Tuple.Set.width; nrows; data } = Structure.rel a name in
+      Wire.put_int w nrows;
+      for i = 0 to (nrows * width) - 1 do
+        Wire.put_int w data.(i)
+      done)
     sign;
   Wire.contents w
 
@@ -90,17 +88,17 @@ let dec_structure payload =
   let rels =
     List.map
       (fun (name, arity) ->
-        let count = Wire.get_len r ~per:(max (8 * arity) 1) in
-        let tuples =
-          List.init count (fun _ ->
-              Array.init arity (fun _ -> Wire.get_int r))
-        in
-        (name, tuples))
+        (* per = 0 for arity 0: the true relation's empty row has no bytes *)
+        let count = Wire.get_len r ~per:(8 * arity) in
+        let data = Array.init (count * arity) (fun _ -> Wire.get_int r) in
+        (* unsorted or repeated rows are re-normalised, never adopted as
+           they are: binary search over them would answer [mem] wrongly *)
+        (name, Tuple.Set.of_dense arity data count))
       sign_list
   in
   Wire.expect_end r;
-  (* Structure.create re-validates arities and universe bounds *)
-  Structure.create (Signature.of_list sign_list) ~order rels
+  (* Structure.of_rels re-validates arities and universe bounds *)
+  Structure.of_rels (Signature.of_list sign_list) ~order rels
 
 let enc_graph g =
   let f = Graph.to_flat g in

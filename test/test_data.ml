@@ -180,6 +180,147 @@ let prop_removal_size =
       in
       total = Tuple.Set.cardinal (Structure.rel a "E"))
 
+(* ---- the packed relation core against brute-force references ---- *)
+
+let sig_0123 = Signature.of_list [ ("Z", 0); ("P", 1); ("E", 2); ("T", 3) ]
+
+(* random structure of order [n] over arities 0-3; entries are drawn from a
+   small range so repeated entries (R(x,x)) and duplicate draws are common *)
+let random_structure rng n =
+  let rels =
+    List.map
+      (fun (name, arity) ->
+        let count = Random.State.int rng (3 * n + 2) in
+        let range = max 1 (min n (1 + Random.State.int rng n)) in
+        ( name,
+          List.init count (fun _ ->
+              Array.init arity (fun _ -> Random.State.int rng range)) ))
+      (Signature.to_list sig_0123)
+  in
+  Structure.create sig_0123 ~order:n rels
+
+(* member lists with repeats; mode 0 is empty, mode 1 the full universe *)
+let random_members rng n =
+  match Random.State.int rng 4 with
+  | 0 -> []
+  | 1 -> List.init n Fun.id
+  | _ -> List.init (Random.State.int rng (2 * n + 1)) (fun _ -> Random.State.int rng n)
+
+(* the old algorithm: filter every tuple, then renumber *)
+let reference_induced a members =
+  let old_of_new = List.sort_uniq Int.compare members in
+  let index v =
+    let rec go i = function
+      | [] -> None
+      | x :: rest -> if x = v then Some i else go (i + 1) rest
+    in
+    go 0 old_of_new
+  in
+  let rels =
+    List.map
+      (fun (name, _) ->
+        ( name,
+          List.filter_map
+            (fun t ->
+              let ids = Array.map index t in
+              if Array.for_all Option.is_some ids then Some (Array.map Option.get ids)
+              else None)
+            (Tuple.Set.elements (Structure.rel a name)) ))
+      (Signature.to_list (Structure.signature a))
+  in
+  ( Structure.create (Structure.signature a) ~order:(List.length old_of_new) rels,
+    Array.of_list old_of_new )
+
+let seeded name count prop =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair (int_range 1 9) small_nat)
+    (fun (n, seed) -> prop (Random.State.make [| n; seed; 15 |]) n)
+
+let prop_induced =
+  seeded "induced = filter-and-renumber reference" 300 (fun rng n ->
+      let a = random_structure rng n in
+      if Random.State.bool rng then Structure.prepare a;
+      let members = random_members rng n in
+      let sub, old_of_new = Structure.induced a members in
+      let want, want_map = reference_induced a members in
+      Structure.equal sub want
+      && old_of_new = want_map
+      && Array.for_all
+           (fun v -> old_of_new.(Structure.new_of_old old_of_new v) = v)
+           old_of_new
+      && List.for_all
+           (fun v -> List.mem v members || Structure.new_of_old old_of_new v = -1)
+           (List.init (n + 2) (fun v -> v - 1)))
+
+let prop_tuples_with =
+  seeded "tuples_with = filtering rel" 200 (fun rng n ->
+      let a = random_structure rng n in
+      List.for_all
+        (fun (name, arity) ->
+          let rows = Structure.rel a name in
+          List.for_all
+            (fun pos ->
+              List.for_all
+                (fun value ->
+                  let got = ref [] in
+                  Structure.tuples_with a name ~pos ~value (fun i ->
+                      got := Tuple.Set.row rows i :: !got);
+                  List.rev !got
+                  = List.filter
+                      (fun t -> t.(pos) = value)
+                      (Tuple.Set.elements rows))
+                (List.init (n + 1) Fun.id))
+            (List.init arity Fun.id))
+        (Signature.to_list sig_0123))
+
+let prop_updates =
+  seeded "add/remove_tuples = list model" 200 (fun rng n ->
+      let a = ref (random_structure rng n) in
+      let model = ref (Tuple.Set.elements (Structure.rel !a "E")) in
+      let ok = ref true in
+      for _ = 1 to 1 + Random.State.int rng 12 do
+        let tuples =
+          List.init (Random.State.int rng 4) (fun _ ->
+              [| Random.State.int rng n; Random.State.int rng n |])
+        in
+        if Random.State.bool rng then begin
+          a := Structure.add_tuples !a "E" tuples;
+          model := List.sort_uniq Tuple.compare (tuples @ !model)
+        end
+        else begin
+          a := Structure.remove_tuples !a "E" tuples;
+          model := List.filter (fun t -> not (List.mem t tuples)) !model
+        end;
+        if Random.State.bool rng then Structure.prepare !a;
+        ok :=
+          !ok
+          && Tuple.Set.elements (Structure.rel !a "E") = !model
+          && List.for_all (Structure.mem !a "E") !model
+          && List.for_all
+               (fun t -> Structure.mem !a "E" t = List.mem t !model)
+               tuples
+      done;
+      !ok)
+
+let prop_store_roundtrip =
+  seeded "Store encode/decode keeps equal and isomorphic" 40 (fun rng n ->
+      let a = random_structure rng n in
+      let dir = Filename.temp_file "foc_test_data" ".d" in
+      Sys.remove dir;
+      let snap =
+        { Foc.Store.version = 0; structure = a; graph = None; covers = [];
+          hanfs = []; stats = None }
+      in
+      let path = Foc.Store.save ~dir snap in
+      let loaded = Foc.Store.load ~dir in
+      Sys.remove path;
+      Sys.rmdir dir;
+      match loaded with
+      | Ok s ->
+          Structure.equal s.Foc.Store.structure a
+          && Structure.isomorphic s.Foc.Store.structure a
+      | Error _ -> false)
+
 let () =
   Alcotest.run "foc_data"
     [
@@ -203,6 +344,9 @@ let () =
           Alcotest.test_case "rename roundtrip" `Quick test_removal_rename_roundtrip;
           QCheck_alcotest.to_alcotest prop_removal_size;
         ] );
+      ( "packed core",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_induced; prop_tuples_with; prop_updates; prop_store_roundtrip ] );
       ("strings", [ Alcotest.test_case "roundtrip" `Quick test_strings_roundtrip ]);
       ( "db_gen",
         [

@@ -147,10 +147,10 @@ let test_statement_3 () =
       (fun o ->
         let cid = o.(3) in
         let matches =
-          Foc_data.Tuple.Set.exists
+          List.exists
             (fun c ->
               c.(0) = cid && c.(1) = fn && c.(2) = ln && c.(3) = d.DB.berlin)
-            customers
+            (Foc_data.Tuple.Set.elements customers)
         in
         if matches && not (List.mem o.(0) !ids) then ids := o.(0) :: !ids)
       orders;

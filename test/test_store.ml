@@ -384,6 +384,69 @@ let test_load_after_corruption_answers () =
         (fresh_check Foc.Engine.Cover a phi)
         (Foc.Session.check l.Foc.Session.session phi))
 
+(* hand-built structure sections: a snapshot's relation rows are adopted
+   as packed cores, so rows that are unsorted or repeated must come back
+   re-normalised (binary-search membership stays right), and rows outside
+   the universe or of the wrong arity must make the snapshot unloadable *)
+let structure_section ~order rels =
+  let w = Wire.writer () in
+  Wire.put_int w (List.length rels);
+  List.iter
+    (fun (name, arity, _) ->
+      Wire.put_string w name;
+      Wire.put_int w arity)
+    rels;
+  Wire.put_int w order;
+  List.iter
+    (fun (_, _, rows) ->
+      Wire.put_int w (List.length rows);
+      List.iter (Array.iter (Wire.put_int w)) rows)
+    rels;
+  Wire.contents w
+
+let load_hand_built structure =
+  with_store_dir (fun dir ->
+      let meta = Wire.writer () in
+      Wire.put_int meta 0;
+      Container.write
+        (Store.snap_path ~dir ~version:0)
+        [ ("meta", Wire.contents meta); ("structure", structure) ];
+      Store.load ~dir)
+
+let test_hostile_structure_rows () =
+  let edges rows = structure_section ~order:3 [ ("E", 2, rows) ] in
+  let expect_rows what payload want =
+    match load_hand_built payload with
+    | Error e -> Alcotest.failf "%s: rejected: %s" what e
+    | Ok snap ->
+        let a = snap.Store.structure in
+        Alcotest.(check (list (array int)))
+          what want
+          (Foc.Tuple.Set.elements (Foc.Structure.rel a "E"));
+        List.iter
+          (fun t ->
+            Alcotest.(check bool) (what ^ ": mem") true
+              (Foc.Structure.mem a "E" t))
+          want;
+        Alcotest.(check bool) (what ^ ": absent") false
+          (Foc.Structure.mem a "E" [| 1; 0 |])
+  in
+  let expect_error what payload =
+    match load_hand_built payload with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: loaded" what
+  in
+  expect_rows "unsorted rows re-sorted"
+    (edges [ [| 2; 1 |]; [| 0; 2 |]; [| 0; 1 |] ])
+    [ [| 0; 1 |]; [| 0; 2 |]; [| 2; 1 |] ];
+  expect_rows "repeated rows deduplicated"
+    (edges [ [| 0; 1 |]; [| 0; 1 |]; [| 2; 2 |]; [| 0; 1 |] ])
+    [ [| 0; 1 |]; [| 2; 2 |] ];
+  expect_error "element outside the universe" (edges [ [| 0; 3 |] ]);
+  expect_error "negative element" (edges [ [| -1; 0 |] ]);
+  expect_error "rows wider than the declared arity"
+    (edges [ [| 0; 1; 2 |]; [| 1; 2; 0 |] ])
+
 let () =
   Alcotest.run "persistent store"
     [
@@ -421,6 +484,8 @@ let () =
             test_session_load_empty_dir;
           Alcotest.test_case "corruption fallback answers" `Quick
             test_load_after_corruption_answers;
+          Alcotest.test_case "hostile relation rows" `Quick
+            test_hostile_structure_rows;
         ] );
       ( "session save/load",
         [
