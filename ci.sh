@@ -169,6 +169,22 @@ grep -q '^# 7 rows, .*(streamed, producer=' /tmp/ci_stream_out.txt || {
   echo "ci: remote streamed query printed the wrong number of rows"
   exit 1
 }
+# a conjunctive body with a negated atom streams through the leapfrog walk
+# over the wire as well (seek-and-skip on !R), and its pages must add up to
+# exactly the rows of a local, materialised foc query for the same body
+"$FOC" query --socket "$SOCK" --timeout 10 --head x --head y \
+  --body "E(x,y) & !R(y)" --limit 1000 --page 3 > /tmp/ci_neg_remote.txt
+grep -q '^# [0-9]* rows, .*(streamed, producer=walk' /tmp/ci_neg_remote.txt || {
+  echo "ci: remote negated-atom query did not stream through the walk"
+  exit 1
+}
+"$FOC" query -s /tmp/ci_tree.foc --head x --head y \
+  --body "E(x,y) & !R(y)" --limit 1000 > /tmp/ci_neg_local.txt
+[ "$(grep '|' /tmp/ci_neg_remote.txt)" = "$(grep '|' /tmp/ci_neg_local.txt)" ] \
+  && [ "$(grep -c '|' /tmp/ci_neg_local.txt)" -gt 0 ] || {
+  echo "ci: remote negated-atom rows differ from the local query"
+  exit 1
+}
 # kill a client mid-stream: open a cursor (chunk 2 leaves it open with
 # more:true) and exit without close_cursor — the server must reap it on
 # disconnect, so stats settles back to zero open cursors

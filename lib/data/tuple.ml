@@ -102,14 +102,25 @@ module Set = struct
   let row s r = Array.sub s.data (r * s.width) s.width
 
   (* first row in [lo,hi) whose column [col] value is >= v; callers keep
-     all rows of the range equal on columns < col *)
+     all rows of the range equal on columns < col. Galloping from [lo]
+     brackets the answer in [(l, l+step)] before the binary search, so a
+     seek costs O(log d) in the distance d it moves *)
   let seek_col s ~lo ~hi ~col v =
-    let l = ref lo and h = ref hi in
-    while !l < !h do
-      let mid = (!l + !h) / 2 in
-      if s.data.((mid * s.width) + col) < v then l := mid + 1 else h := mid
-    done;
-    !l
+    let below r = s.data.((r * s.width) + col) < v in
+    if lo >= hi || not (below lo) then lo
+    else begin
+      let l = ref lo and step = ref 1 in
+      while !l + !step < hi && below (!l + !step) do
+        l := !l + !step;
+        step := 2 * !step
+      done;
+      let a = ref (!l + 1) and b = ref (min hi (!l + !step)) in
+      while !a < !b do
+        let mid = (!a + !b) / 2 in
+        if below mid then a := mid + 1 else b := mid
+      done;
+      !a
+    end
 
   let lower_bound s key =
     let l = ref 0 and h = ref s.nrows in

@@ -58,7 +58,8 @@ module Set : sig
 
   (** [seek_col s ~lo ~hi ~col v] — the first row in [[lo,hi)] whose column
       [col] is ≥ [v], or [hi]; the rows of the range must agree on the
-      columns before [col]. Binary search. *)
+      columns before [col]. Galloping search from [lo]: O(log d) for a
+      seek that moves [d] rows, so a forward scan is linear. *)
   val seek_col : t -> lo:int -> hi:int -> col:int -> int -> int
 
   (** [lower_bound s key] — the first row ≥ [key], or [cardinal s]. *)

@@ -8,11 +8,14 @@
     resumption is well-defined.
 
     Producers: {!of_table} streams an already-materialised table (the
-    fallback — full materialisation cost up front, O(1) per row after);
-    {!walk} enumerates a conjunctive join over sorted per-conjunct tables
-    with binary-search seeks — linear-ish preprocessing, then a bounded
-    per-answer delay of O(k·#conjuncts·log n) independent of the output
-    size, with no output materialisation. Producer selection lives in
+    fallback — full materialisation cost up front, amortised O(k) per row
+    after);
+    {!walk} enumerates a conjunctive join (negated conjuncts included)
+    over sorted per-conjunct tables with the {!Leapfrog} kernel —
+    linear-ish preprocessing, then a per-answer delay of
+    O(k·#conjuncts·log n) independent of the output size (plus the
+    candidates a negated conjunct skips), with no output
+    materialisation. Producer selection lives in
     [Engine.enumerate].
 
     Every cursor feeds {!Eval_obs}: cursors opened, rows yielded, the
@@ -50,7 +53,7 @@ val make :
     the head order) in lexicographic order; [values row] computes the
     head-term values ([row] is freshly allocated per answer and may be
     retained). [?after] (a full-width row) resumes strictly after that
-    tuple via binary search. *)
+    tuple by seeking. The table is the {!Leapfrog} kernel's single atom. *)
 val of_table :
   ?limit:int ->
   ?after:int array ->
@@ -58,21 +61,24 @@ val of_table :
   Table.t ->
   cursor
 
-(** [walk ~values ~n ~head conjuncts] enumerates the natural join of the
-    [conjuncts] (each a table whose columns are a subset of [head],
-    raising [Invalid_argument] otherwise), extended with the full domain
-    [0..n-1] on head variables no conjunct mentions — the same answer set
-    [Relalg.query] materialises for a conjunction of those atoms — in
-    ascending lexicographic order on the [head] tuple. Backtracking
-    leapfrog join over the sorted tables: binding head position [i]
-    intersects, by binary-search seek, the candidate values of every
-    conjunct whose next column is [i]. *)
+(** [walk ~values ~n ~head ~neg conjuncts] enumerates the natural join of
+    the [conjuncts] minus every binding some table of [neg] contains (each
+    table's columns a subset of [head], raising [Invalid_argument]
+    otherwise), extended with the full domain [0..n-1] on head variables
+    no positive conjunct mentions — the answer set [Relalg.query]
+    materialises for a conjunction of those atoms and negated atoms — in
+    ascending lexicographic order on the [head] tuple. The lazy form of
+    the {!Leapfrog} kernel: binding head position [i] intersects, by
+    galloping seeks, the candidate values of every positive conjunct
+    whose next column is [i], and skips the values a negated conjunct
+    ending at [i] contains. *)
 val walk :
   ?limit:int ->
   ?after:int array ->
   values:(int array -> int array) ->
   n:int ->
   head:Var.t array ->
+  neg:Table.t list ->
   Table.t list ->
   cursor
 

@@ -79,13 +79,15 @@ let note_table ~rows ~words =
   M.Counter.add !cur.rows_built rows;
   M.Gauge.set_max !cur.peak_table_bytes (8 * words)
 
-let note_join ~build ~probe =
-  M.Counter.inc !cur.joins;
-  M.Counter.add !cur.join_build_rows build;
-  M.Counter.add !cur.join_probe_rows probe
+let note_join_build ~rows = M.Counter.add !cur.join_build_rows rows
 
-let note_semijoin () = M.Counter.inc !cur.semijoins
-let note_antijoin () = M.Counter.inc !cur.antijoins
+let note_probe counter rows =
+  M.Counter.inc counter;
+  M.Counter.add !cur.join_probe_rows rows
+
+let note_join ~probe = note_probe !cur.joins probe
+let note_semijoin ~probe = note_probe !cur.semijoins probe
+let note_antijoin ~probe = note_probe !cur.antijoins probe
 
 let note_complement ~rows =
   M.Counter.inc !cur.complements;

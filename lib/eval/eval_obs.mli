@@ -20,9 +20,17 @@ val reset : unit -> unit
 (** {2 Recording (called by the kernels; not for users)} *)
 
 val note_table : rows:int -> words:int -> unit
-val note_join : build:int -> probe:int -> unit
-val note_semijoin : unit -> unit
-val note_antijoin : unit -> unit
+
+(** Rows the join kernel re-sorted into its variable order (see
+    {!join_build_rows}). *)
+val note_join_build : rows:int -> unit
+
+(** One join / semijoin / anti-join driven by [probe] rows. *)
+val note_join : probe:int -> unit
+
+val note_semijoin : probe:int -> unit
+val note_antijoin : probe:int -> unit
+
 val note_complement : rows:int -> unit
 val note_complement_avoided : unit -> unit
 val note_selection_pushed : unit -> unit
@@ -75,11 +83,14 @@ val rows_built : unit -> int
 
 val joins : unit -> int
 
-(** Rows on the build (hash-indexed) side of every join — with the
-    cardinality-guided build-side choice this is the sum of the {e smaller}
-    operand sizes. *)
+(** [join.build_rows]: rows the {!Leapfrog} kernel had to re-sort into its
+    variable order before a search — a join's right operand, a semi- or
+    anti-join's shared-column projection, or a cursor conjunct whose
+    columns were out of that order. 0 for operands already aligned. *)
 val join_build_rows : unit -> int
 
+(** [join.probe_rows]: rows of the driving (left) operand of every
+    {!Table.join}, {!Table.semijoin} and {!Table.antijoin}. *)
 val join_probe_rows : unit -> int
 val semijoins : unit -> int
 val antijoins : unit -> int

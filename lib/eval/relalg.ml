@@ -475,19 +475,20 @@ let count ?(plan = true) ?ctx preds a vars phi =
   let rec pow acc i = if i = 0 then acc else pow (acc * n) (i - 1) in
   Table.cardinal t * pow 1 (List.length missing)
 
-let query ?(plan = true) ?ctx preds a (q : Query.t) =
-  check_universe a;
-  let n = Foc_data.Structure.order a in
-  let pctx = ctx in
-  let body = ft ~plan ~pctx preds a q.body in
-  let head = Array.of_list q.head_vars in
+let head_table ?(plan = true) ?ctx preds a head body =
+  let t = ft ~plan ~pctx:ctx preds a body in
   let missing =
     Array.to_list head
-    |> List.filter (fun x -> not (Table.has_column body x))
+    |> List.filter (fun x -> not (Table.has_column t x))
     |> Array.of_list
   in
-  let body = Table.extend_full body n missing in
-  let body = Table.align body head in
+  Table.align (Table.extend_full t (Foc_data.Structure.order a) missing) head
+
+let query ?(plan = true) ?ctx preds a (q : Query.t) =
+  check_universe a;
+  let pctx = ctx in
+  let head = Array.of_list q.head_vars in
+  let body = head_table ~plan ?ctx preds a head q.body in
   (* head-term readers are compiled once against the head column order *)
   let readers =
     Array.of_list

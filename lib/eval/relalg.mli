@@ -115,6 +115,18 @@ val count :
   Ast.formula ->
   int
 
+(** [head_table preds a head φ] — the table of [φ] over exactly the
+    [head] columns, in head order; head variables [φ] leaves free range
+    over the whole domain. [free φ] must be within [head]. *)
+val head_table :
+  ?plan:bool ->
+  ?ctx:ctx ->
+  Pred.collection ->
+  Foc_data.Structure.t ->
+  Var.t array ->
+  Ast.formula ->
+  Table.t
+
 (** [query preds a q] evaluates a Definition 5.2 query; rows in lexicographic
     order of the head tuple. *)
 val query :

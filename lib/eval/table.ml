@@ -65,18 +65,19 @@ let has_column t x = Array.exists (Var.equal x) t.vars
    a planner {!Foc_stats.Summary} for an intermediate table *)
 let column_counts t x =
   let j = column_index t x in
-  let tbl = Hashtbl.create (min 1024 (t.core.nrows + 1)) in
-  for r = 0 to t.core.nrows - 1 do
-    let v = t.core.data.((r * t.core.width) + j) in
-    Hashtbl.replace tbl v
-      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl v))
-  done;
-  let pairs = Hashtbl.fold (fun v c acc -> (v, c) :: acc) tbl [] in
-  Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs)
+  let col = Array.init t.core.nrows (fun r -> TS.cell t.core r j) in
+  Foc_util.Int_sort.sort col;
+  let runs = ref [] in
+  Array.iter
+    (fun v ->
+      match !runs with
+      | (w, c) :: rest when w = v -> runs := (w, c + 1) :: rest
+      | _ -> runs := (v, 1) :: !runs)
+    col;
+  Array.of_list (List.rev !runs)
 
 (* ---- iteration ---- *)
 
-let core t = t.core
 let iter t f = TS.iter f t.core
 
 (* ---- projection / alignment ---- *)
@@ -103,28 +104,21 @@ let align t target =
   then invalid_arg "Table.align: not a permutation";
   project t target
 
-(* ---- filters (order-preserving, no re-sort needed) ---- *)
-
-let filter_rows t keep =
-  let b = TS.Builder.create ~hint:(max 1 t.core.nrows) t.core.width in
-  for r = 0 to t.core.nrows - 1 do
-    if keep r then TS.Builder.add_sub b t.core.data (r * t.core.width)
-  done;
-  of_core t.vars (TS.Builder.build_sorted b)
-
-let filter t f =
-  let scratch = Array.make t.core.width 0 in
-  filter_rows t (fun r ->
-      Array.blit t.core.data (r * t.core.width) scratch 0 t.core.width;
-      f scratch)
+(* ---- selection / column copy (order-preserving, no re-sort) ---- *)
 
 (* keep the rows whose column [x] equals column [y] *)
 let select_eq t x y =
   let ix = column_index t x and iy = column_index t y in
   if ix = iy then t
-  else
-    filter_rows t (fun r ->
-        t.core.data.(r * t.core.width + ix) = t.core.data.(r * t.core.width + iy))
+  else begin
+    let b = TS.Builder.create ~hint:(max 1 t.core.nrows) t.core.width in
+    for r = 0 to t.core.nrows - 1 do
+      let ofs = r * t.core.width in
+      if t.core.data.(ofs + ix) = t.core.data.(ofs + iy) then
+        TS.Builder.add_sub b t.core.data ofs
+    done;
+    of_core t.vars (TS.Builder.build_sorted b)
+  end
 
 (* append a column [dst] duplicating [src]; comparing two rows first differs
    on an original column, so sortedness and distinctness are preserved *)
@@ -139,183 +133,65 @@ let duplicate_column t ~src ~dst =
   done;
   of_sorted (Array.append t.vars [| dst |]) out t.core.nrows
 
-(* ---- key packing ----
+(* ---- joins: drains of the one leapfrog kernel ---- *)
 
-   Shared-column keys are packed into a single tagless int when the value
-   range allows it (base^k < 2^62): hash joins and anti-joins then run on
-   unboxed int keys with zero per-row allocation. *)
-
-let packable base k =
-  base > 0
-  &&
-  let lim = max_int / 4 in
-  let rec go acc i =
-    if i = 0 then true else if acc > lim / base then false else go (acc * base) (i - 1)
+(* [t] as a kernel atom under [order]: its projection onto the columns
+   [order] mentions, re-sorted into [order] only when they are out of
+   order (those rows are the join.build_rows) *)
+let atom ?(neg = false) ~order t =
+  let depth x =
+    let rec go i =
+      if i = Array.length order then -1
+      else if Var.equal order.(i) x then i
+      else go (i + 1)
+    in
+    go 0
   in
-  go 1 k
+  let cols =
+    List.filter (fun x -> depth x >= 0) (Array.to_list t.vars)
+    |> List.sort (fun x y -> Int.compare (depth x) (depth y))
+    |> Array.of_list
+  in
+  let t =
+    if cols = t.vars then t
+    else begin
+      Eval_obs.note_join_build ~rows:t.core.nrows;
+      project t cols
+    end
+  in
+  { Leapfrog.core = t.core; pos = Array.map depth cols; neg }
 
-let max_on_columns t cols =
-  let m = ref 0 in
-  for r = 0 to t.core.nrows - 1 do
-    let base = r * t.core.width in
-    Array.iter (fun c -> if t.core.data.(base + c) > !m then m := t.core.data.(base + c)) cols
-  done;
-  !m
+(* every depth of these searches is a column of a positive atom, so the
+   domain bound is never consulted *)
+let drain vars atoms =
+  let next = Leapfrog.search ~n:max_int ~width:(Array.length vars) atoms in
+  let b = TS.Builder.create (Array.length vars) in
+  let rec go () =
+    match next () with
+    | Some row ->
+        TS.Builder.add b row;
+        go ()
+    | None -> ()
+  in
+  go ();
+  of_core vars (TS.Builder.build_sorted b)
 
-let pack_key data base_ofs (cols : int array) base =
-  let k = Array.length cols in
-  let key = ref 0 in
-  for i = k - 1 downto 0 do
-    key := (!key * base) + data.(base_ofs + cols.(i))
-  done;
-  !key
+(* natural join in the order [vars t1 @ fresh t2]: [t1] drives and is
+   already aligned; the bindings come out sorted *)
+let join t1 t2 =
+  let fresh = List.filter (fun x -> not (has_column t1 x)) (Array.to_list t2.vars) in
+  let order = Array.append t1.vars (Array.of_list fresh) in
+  Eval_obs.note_join ~probe:t1.core.nrows;
+  drain order [ atom ~order t1; atom ~order t2 ]
 
-(* ---- join ---- *)
-
-let shared_columns t1 t2 =
-  (* shared vars in t2 order, as (index in t1, index in t2) column pairs *)
-  let pairs = ref [] in
-  Array.iteri
-    (fun j x -> if has_column t1 x then pairs := (column_index t1 x, j) :: !pairs)
-    t2.vars;
-  let pairs = Array.of_list (List.rev !pairs) in
-  (Array.map fst pairs, Array.map snd pairs)
-
-let fresh_columns t1 t2 =
-  let idx = ref [] in
-  Array.iteri
-    (fun j x -> if not (has_column t1 x) then idx := j :: !idx)
-    t2.vars;
-  Array.of_list (List.rev !idx)
-
-(* generic hash index over the key columns of [t]: returns a lookup
-   function row-offset-consumer… represented as (find : int array -> int ->
-   int) giving the head of a chain into [next], or -1. Falls back to boxed
-   int-array keys when packing overflows. *)
-type index = {
-  find : int array -> int -> int; (* (data, row_ofs) of the probe side -> chain head *)
-  next : int array;
-}
-
-let build_index build (bcols : int array) (pcols : int array) pdata_max =
-  let k = Array.length bcols in
-  let base = 1 + max (max_on_columns build bcols) pdata_max in
-  let next = Array.make (max 1 build.core.nrows) (-1) in
-  if packable base k then begin
-    let tbl = Hashtbl.create (max 16 (2 * build.core.nrows)) in
-    for r = 0 to build.core.nrows - 1 do
-      let key = pack_key build.core.data (r * build.core.width) bcols base in
-      (match Hashtbl.find_opt tbl key with
-      | Some h -> next.(r) <- h
-      | None -> ());
-      Hashtbl.replace tbl key r
-    done;
-    let find data ofs =
-      let key = pack_key data ofs pcols base in
-      match Hashtbl.find_opt tbl key with Some h -> h | None -> -1
-    in
-    { find; next }
-  end
-  else begin
-    (* boxed fallback: key is a fresh int array per build row (rare) *)
-    let tbl = Hashtbl.create (max 16 (2 * build.core.nrows)) in
-    let extract data ofs (cols : int array) =
-      Array.map (fun c -> data.(ofs + c)) cols
-    in
-    for r = 0 to build.core.nrows - 1 do
-      let key = extract build.core.data (r * build.core.width) bcols in
-      (match Hashtbl.find_opt tbl key with
-      | Some h -> next.(r) <- h
-      | None -> ());
-      Hashtbl.replace tbl key r
-    done;
-    let find data ofs =
-      match Hashtbl.find_opt tbl (extract data ofs pcols) with
-      | Some h -> h
-      | None -> -1
-    in
-    { find; next }
-  end
-
-(* keep (semijoin) or drop (antijoin) the rows of [t1] that have a match in
-   [t2] on the shared columns; the output is a filtered [t1], still sorted *)
-let membership_filter ~keep t1 t2 =
-  let c1, c2 = shared_columns t1 t2 in
-  if Array.length c1 = 0 then
-    if (t2.core.nrows > 0) = keep then t1 else empty_like t1.vars
-  else if t2.core.nrows = 0 then if keep then empty_like t1.vars else t1
-  else begin
-    let idx = build_index t2 c2 c1 (max_on_columns t1 c1) in
-    filter_rows t1 (fun r -> idx.find t1.core.data (r * t1.core.width) >= 0 = keep)
-  end
-
+(* [t1] against the shared-column projection of [t2], kept or negated *)
 let semijoin t1 t2 =
-  Eval_obs.note_semijoin ();
-  membership_filter ~keep:true t1 t2
+  Eval_obs.note_semijoin ~probe:t1.core.nrows;
+  drain t1.vars [ atom ~order:t1.vars t1; atom ~order:t1.vars t2 ]
 
 let antijoin t1 t2 =
-  Eval_obs.note_antijoin ();
-  membership_filter ~keep:false t1 t2
-
-let join t1 t2 =
-  let fresh2 = fresh_columns t1 t2 in
-  let out_vars = Array.append t1.vars (Array.map (fun j -> t2.vars.(j)) fresh2) in
-  if t1.core.nrows = 0 || t2.core.nrows = 0 then empty_like out_vars
-  else if Array.length fresh2 = 0 then
-    (* no fresh columns: the join is a semijoin filter on t1 *)
-    { (semijoin t1 t2) with vars = out_vars }
-  else begin
-    let c1, c2 = shared_columns t1 t2 in
-    let kf = Array.length fresh2 in
-    let width_out = t1.core.width + kf in
-    let b = TS.Builder.create ~hint:(max t1.core.nrows t2.core.nrows) width_out in
-    let scratch = Array.make (max 1 width_out) 0 in
-    let emit r1 r2 =
-      Array.blit t1.core.data (r1 * t1.core.width) scratch 0 t1.core.width;
-      for i = 0 to kf - 1 do
-        scratch.(t1.core.width + i) <- t2.core.data.((r2 * t2.core.width) + fresh2.(i))
-      done;
-      TS.Builder.add b scratch
-    in
-    if Array.length c1 = 0 then begin
-      (* cross product; r1-major emission keeps the output sorted *)
-      Eval_obs.note_join ~build:(min t1.core.nrows t2.core.nrows)
-        ~probe:(max t1.core.nrows t2.core.nrows);
-      for r1 = 0 to t1.core.nrows - 1 do
-        for r2 = 0 to t2.core.nrows - 1 do
-          emit r1 r2
-        done
-      done;
-      of_core out_vars (TS.Builder.build_sorted b)
-    end
-    else begin
-      (* hash join, building on the smaller side *)
-      if t1.core.nrows <= t2.core.nrows then begin
-        Eval_obs.note_join ~build:t1.core.nrows ~probe:t2.core.nrows;
-        let idx = build_index t1 c1 c2 (max_on_columns t2 c2) in
-        for r2 = 0 to t2.core.nrows - 1 do
-          let h = ref (idx.find t2.core.data (r2 * t2.core.width)) in
-          while !h >= 0 do
-            emit !h r2;
-            h := idx.next.(!h)
-          done
-        done
-      end
-      else begin
-        Eval_obs.note_join ~build:t2.core.nrows ~probe:t1.core.nrows;
-        let idx = build_index t2 c2 c1 (max_on_columns t1 c1) in
-        for r1 = 0 to t1.core.nrows - 1 do
-          let h = ref (idx.find t1.core.data (r1 * t1.core.width)) in
-          while !h >= 0 do
-            emit r1 !h;
-            h := idx.next.(!h)
-          done
-        done
-      end;
-      (* distinct inputs give distinct outputs; order needs restoring *)
-      of_core out_vars (TS.Builder.build b)
-    end
-  end
+  Eval_obs.note_antijoin ~probe:t1.core.nrows;
+  drain t1.vars [ atom ~order:t1.vars t1; atom ~neg:true ~order:t1.vars t2 ]
 
 (* ---- cross-product extension / complement ---- *)
 
@@ -363,17 +239,12 @@ let complement t n =
     of_sorted t.vars out !r
   end
 
-(* ---- union / diff (sorted merges) ---- *)
+(* ---- union (sorted merge) ---- *)
 
 let union t1 t2 =
   let t2 = align t2 t1.vars in
   if t1.core.width = 0 then if t1.core.nrows + t2.core.nrows > 0 then unit else zero
   else of_core t1.vars (TS.union t1.core t2.core)
-
-let diff t1 t2 =
-  let t2 = align t2 t1.vars in
-  if t1.core.width = 0 then if t1.core.nrows = 1 && t2.core.nrows = 0 then unit else zero
-  else of_core t1.vars (TS.diff t1.core t2.core)
 
 (* ---- grouping ---- *)
 
@@ -434,37 +305,17 @@ let divide t y n =
 
 (* ---- binding / equality / printing ---- *)
 
+(* a semijoin with the binding's one-row table, so the kernel seeks
+   straight to the matching rows; the bound columns are then constant, so
+   projecting them away keeps the rows sorted and distinct *)
 let bind t binding =
-  let checks =
-    List.filter_map
-      (fun (x, v) ->
-        if has_column t x then Some (column_index t x, v) else None)
-      binding
+  let bound = List.filter (fun (x, _) -> has_column t x) binding in
+  let sel =
+    of_rows (Array.of_list (List.map fst bound)) [ Array.of_list (List.map snd bound) ]
   in
-  let rest =
-    Array.of_list
-      (List.filter
-         (fun x -> not (List.mem_assoc x binding))
-         (Array.to_list t.vars))
-  in
-  let keep =
-    filter_rows t (fun r ->
-        List.for_all (fun (i, v) -> t.core.data.((r * t.core.width) + i) = v) checks)
-  in
-  (* bound columns are constant over [keep]: projecting them away keeps the
-     remaining rows sorted and distinct *)
-  let idx = Array.map (fun x -> column_index keep x) rest in
-  let k = Array.length rest in
-  if k = 0 then if keep.core.nrows = 0 then zero else unit
-  else begin
-    let out = Array.make (max 1 (keep.core.nrows * k)) 0 in
-    for r = 0 to keep.core.nrows - 1 do
-      for i = 0 to k - 1 do
-        out.((r * k) + i) <- keep.core.data.((r * keep.core.width) + idx.(i))
-      done
-    done;
-    of_sorted rest out keep.core.nrows
-  end
+  project (semijoin t sel)
+    (Array.of_list
+       (List.filter (fun x -> not (List.mem_assoc x bound)) (Array.to_list t.vars)))
 
 let equal t1 t2 =
   let s1 = List.sort Var.compare (Array.to_list t1.vars) in

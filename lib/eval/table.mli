@@ -5,13 +5,13 @@
     core {!Foc_data.Tuple.Set} that also stores every structure relation:
     rows in one flat [int array] ([width] ints per row), sorted
     lexicographically and deduplicated — so membership is binary search,
-    union/difference are linear merges, and natural join is a hash join on
-    packed integer keys with the build side chosen by cardinality. An atom
-    over distinct variables wraps its relation's core without copying. The
-    algebra is the classical one — natural join, projection,
-    union/difference after column alignment, complement against the full
-    product — extended with the planner-facing kernels (semijoin, anti-join,
-    division, group-count) that let {!Relalg} avoid [n^k]
+    union is a linear merge, and natural join, semijoin and anti-join
+    drain the {!Leapfrog} kernel, whose output comes out sorted with no
+    re-sort. An atom over distinct variables wraps its relation's core
+    without copying. The algebra is the classical one — natural join,
+    projection, union after column alignment, complement against the full
+    product — extended with the planner-facing kernels (semijoin,
+    anti-join, division, group-count) that let {!Relalg} avoid [n^k]
     materialisations. This engine is the "textbook" poly-time baseline the
     paper's almost-linear algorithm is compared against in experiments E3
     and E13. *)
@@ -48,28 +48,32 @@ val full : int -> Var.t array -> t
     retain. *)
 val iter : t -> (int array -> unit) -> unit
 
-(** The packed core under the columns — the random-access substrate of
-    the streaming {!Enum} producers (rows in canonical lexicographic order,
-    binary-search seeks via {!Foc_data.Tuple.Set.seek_col}). *)
-val core : t -> Foc_data.Tuple.Set.t
-
 (** [project t target] keeps the [target] columns (a subset of [vars t],
     any order), deduplicating rows. *)
 val project : t -> Var.t array -> t
 
 (** [join t1 t2] — natural join on the shared columns; result columns are
-    [vars t1] followed by the fresh columns of [t2]. Hash join on packed
-    int keys; the smaller operand is the build side. *)
+    [vars t1] followed by the fresh columns of [t2]. A {!Leapfrog} search
+    in that column order: [t1] drives, and [t2] is re-sorted into the
+    order only when its columns are not already in it. *)
 val join : t -> t -> t
 
 (** [semijoin t1 t2] keeps the rows of [t1] with at least one match in
-    [t2] on the shared columns. Columns are [vars t1]. *)
+    [t2] on the shared columns. Columns are [vars t1]. A {!Leapfrog}
+    search over [t1] and the shared-column projection of [t2]. *)
 val semijoin : t -> t -> t
 
 (** [antijoin t1 t2] keeps the rows of [t1] with {e no} match in [t2] on
     the shared columns — [t1 ∧ ¬t2] without materialising a complement
-    (when the shared columns cover [vars t2]). *)
+    (when the shared columns cover [vars t2]): the same search with the
+    projection as a negated atom. *)
 val antijoin : t -> t -> t
+
+(** [atom ~order t] — [t] as a {!Leapfrog} atom under the variable order
+    [order]: its projection onto the columns [order] mentions, re-sorted
+    into [order] only when they are out of it (counted as
+    {!Eval_obs.join_build_rows}). [?neg] marks it negated. *)
+val atom : ?neg:bool -> order:Var.t array -> t -> Leapfrog.atom
 
 (** [align t target] reorders columns to [target]; [target] must be a
     permutation of [vars t]. *)
@@ -79,19 +83,13 @@ val align : t -> Var.t array -> t
     [vars t]) carrying all values [0..n-1] (cross product). *)
 val extend_full : t -> int -> Var.t array -> t
 
-(** [union t1 t2] / [diff t1 t2] — same column sets, aligned
-    automatically. Linear sorted merges. *)
+(** [union t1 t2] — same column sets, aligned automatically. Linear
+    sorted merge. *)
 val union : t -> t -> t
-
-val diff : t -> t -> t
 
 (** [complement t n] is [full n (vars t)] minus [t] — the [n^k] escape
     hatch the planner exists to avoid (counted by {!Eval_obs}). *)
 val complement : t -> int -> t
-
-(** [filter t f] keeps rows satisfying [f]; the callback receives the row
-    (a scratch buffer — copy to retain). *)
-val filter : t -> (int array -> bool) -> t
 
 (** [select_eq t x y] keeps the rows where columns [x] and [y] agree. *)
 val select_eq : t -> Var.t -> Var.t -> t
@@ -113,8 +111,8 @@ val divide : t -> Var.t -> int -> t
 val group_count : t -> Var.t array -> int array * int array
 
 (** [bind t binding] selects the rows matching the (variable, value) pairs
-    (variables not among the columns are ignored) and then projects those
-    columns away. *)
+    (variables not among the columns are ignored; the others must be
+    distinct) and then projects those columns away. *)
 val bind : t -> (Var.t * int) list -> t
 
 (** [column_index t x] — position of column [x], or raises [Not_found]. *)

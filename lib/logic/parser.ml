@@ -44,7 +44,9 @@ let tokenize src =
       while !j < n && src.[!j] >= '0' && src.[!j] <= '9' do
         incr j
       done;
-      push (INT (int_of_string (String.sub src !i (!j - !i)))) pos;
+      (match int_of_string_opt (String.sub src !i (!j - !i)) with
+      | Some v -> push (INT v) pos
+      | None -> raise (Error ("integer literal out of range", pos)));
       i := !j
     end
     else if is_ident_start c then begin

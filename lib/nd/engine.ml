@@ -661,16 +661,10 @@ let run_query_inner t a (q : Query.t) =
          problem (3) — candidates come from the baseline body table, term
          values from the localized per-variable vectors *)
       fallback t "query head with two or more variables";
-      let table = Foc_eval.Relalg.formula_table ~ctx:(relalg_ctx t) t.cfg.preds a q.body in
       let head = Array.of_list head_vars in
-      let missing =
-        Array.to_list head
-        |> List.filter (fun v ->
-               not (Array.exists (Var.equal v) (Foc_eval.Table.vars table)))
-        |> Array.of_list
+      let table =
+        Foc_eval.Relalg.head_table ~ctx:(relalg_ctx t) t.cfg.preds a head q.body
       in
-      let table = Foc_eval.Table.extend_full table n missing in
-      let table = Foc_eval.Table.align table head in
       let values = head_values t a head q.head_terms in
       let out = ref [] in
       Foc_eval.Table.iter table (fun row ->
@@ -686,19 +680,22 @@ let run_query t a q =
 
 (* ---------------- answer enumeration ---------------- *)
 
-(* A body is walkable when it is a conjunction of positive atoms
-   (relations, equalities, distance atoms) — then each conjunct
+(* A body is walkable when it is a conjunction of atoms (relations,
+   equalities, distance atoms) and negated atoms — then each conjunct
    materialises to a small sorted table (linear-ish preprocessing) and
-   [Enum.walk] enumerates the join lazily. [Query.make] already guarantees
-   free(body) ⊆ head_vars, so the atoms are over head variables. *)
+   [Enum.walk] enumerates the join lazily, skipping the bindings a negated
+   atom contains. [Query.make] already guarantees free(body) ⊆ head_vars,
+   so the atoms are over head variables. Returns (positive, negated). *)
 let conjunctive_atoms body =
-  let rec go acc = function
+  let rec go ((pos, neg) as acc) = function
     | Ast.True -> Some acc
-    | Ast.And (f, g) -> ( match go acc f with Some acc -> go acc g | None -> None)
-    | (Ast.Eq _ | Ast.Rel _ | Ast.Dist _) as atom -> Some (atom :: acc)
+    | Ast.And (f, g) -> Option.bind (go acc f) (fun acc -> go acc g)
+    | (Ast.Eq _ | Ast.Rel _ | Ast.Dist _) as atom -> Some (atom :: pos, neg)
+    | Ast.Neg ((Ast.Eq _ | Ast.Rel _ | Ast.Dist _) as atom) ->
+        Some (pos, atom :: neg)
     | _ -> None
   in
-  Option.map List.rev (go [] body)
+  Option.map (fun (pos, neg) -> (List.rev pos, List.rev neg)) (go ([], []) body)
 
 let enumerate_inner t a ?limit ?after (q : Query.t) =
   let n = Structure.order a in
@@ -740,36 +737,22 @@ let enumerate_inner t a ?limit ?after (q : Query.t) =
       let head = Array.of_list head_vars in
       let values = head_values t a head q.head_terms in
       match conjunctive_atoms q.body with
-      | Some atoms ->
+      | Some (pos, neg) ->
           (* per-conjunct tables (each a single atom: relation scan,
-             identity table, or distance balls), then a backtracking
-             leapfrog join with binary-search seeks — no output
-             materialisation *)
-          let tables =
-            List.map
-              (fun atom ->
-                Foc_eval.Relalg.formula_table ~ctx:(relalg_ctx t) t.cfg.preds
-                  a atom)
-              atoms
+             identity table, or distance balls), then the leapfrog kernel
+             with galloping seeks — no output materialisation *)
+          let table =
+            Foc_eval.Relalg.formula_table ~ctx:(relalg_ctx t) t.cfg.preds a
           in
-          Foc_eval.Enum.walk ?limit ?after ~values ~n ~head tables
+          Foc_eval.Enum.walk ?limit ?after ~values ~n ~head
+            ~neg:(List.map table neg) (List.map table pos)
       | None ->
           (* outside the walkable fragment: materialise the planned body
              table as [run_query] would and stream it *)
           fallback t "query head with two or more variables";
-          let table =
-            Foc_eval.Relalg.formula_table ~ctx:(relalg_ctx t) t.cfg.preds a
-              q.body
-          in
-          let missing =
-            Array.to_list head
-            |> List.filter (fun v ->
-                   not (Array.exists (Var.equal v) (Foc_eval.Table.vars table)))
-            |> Array.of_list
-          in
-          let table = Foc_eval.Table.extend_full table n missing in
-          let table = Foc_eval.Table.align table head in
-          Foc_eval.Enum.of_table ?limit ?after ~values table)
+          Foc_eval.Enum.of_table ?limit ?after ~values
+            (Foc_eval.Relalg.head_table ~ctx:(relalg_ctx t) t.cfg.preds a head
+               q.body))
 
 let enumerate t a ?limit ?after q =
   with_artifacts t (fun () ->

@@ -217,10 +217,12 @@ val run_query :
     Producer selection: empty heads yield their 0/1 answer directly;
     single-variable heads run the localized per-element sweep once and
     then emit with O(1) delay; wider heads over conjunctive bodies
-    (conjunctions of relation/equality/distance atoms) run a backtracking
-    leapfrog join over sorted per-atom tables with binary-search seeks
-    (bounded per-answer delay, no output materialisation); anything else
-    materialises the planned body table and streams it. [?limit] caps the
+    (conjunctions of relation/equality/distance atoms and their
+    negations) run the {!Foc_eval.Leapfrog} kernel lazily over sorted
+    per-atom tables with galloping seeks, skipping the bindings a negated
+    atom contains (bounded per-answer delay, no output materialisation);
+    anything else — disjunction, counting, quantifiers — materialises the
+    planned body table and streams it. [?limit] caps the
     answer count; [?after] (a head tuple) resumes strictly after it.
     Preprocessing happens before the cursor is returned — [next] never
     touches engine artifacts, so the cursor stays valid as long as the

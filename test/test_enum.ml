@@ -60,15 +60,42 @@ let rec chain = function
   | [ a ] -> a
   | a :: rest -> Ast.And (a, chain rest)
 
-(* conjunctive bodies take the walk producer; the rest (disjunction, a
-   guarded quantifier) take the materialise-and-stream fallback — the
-   property must hold for both *)
+(* one negated atom over the in-scope variables — also walkable *)
+let gen_neg_atom vars =
+  map
+    (fun a -> Ast.Neg a)
+    (oneof
+       [
+         map2 (fun r v -> Ast.Rel (r, [| v |])) unary_rel (oneofl vars);
+         map2 (fun u v -> Ast.Rel ("E", [| u; v |])) (oneofl vars) (oneofl vars);
+         map2 (fun u v -> Ast.Eq (u, v)) (oneofl vars) (oneofl vars);
+         map3
+           (fun u v d -> Ast.Dist (u, v, d))
+           (oneofl vars) (oneofl vars) (int_range 0 2);
+       ])
+
+(* conjunctive bodies, negated atoms included, take the walk producer; the
+   rest (disjunction, a guarded quantifier) take the materialise-and-stream
+   fallback — the property must hold for both *)
 let gen_body vars =
   int_range 1 4 >>= fun k ->
-  list_repeat k (gen_atom vars) >>= fun atoms ->
+  list_repeat k (frequency [ (3, gen_atom vars); (1, gen_neg_atom vars) ])
+  >>= fun atoms ->
+  let last = List.nth vars (List.length vars - 1) in
+  let rest = List.filter (fun v -> v <> last) vars in
   frequency
     [
       (3, return (chain atoms));
+      ( 1,
+        (* a negated atom over a variable no positive conjunct binds *)
+        (if rest = [] then return [] else list_repeat k (gen_atom rest))
+        >>= fun pos ->
+        oneof
+          [
+            map (fun r -> Ast.Neg (Ast.Rel (r, [| last |]))) unary_rel;
+            map (fun u -> Ast.Neg (Ast.Rel ("E", [| u; last |]))) (oneofl vars);
+          ]
+        >>= fun neg -> return (chain (pos @ [ neg ])) );
       ( 1,
         gen_atom vars >>= fun extra ->
         return (Ast.Or (chain atoms, extra)) );
@@ -277,6 +304,28 @@ let test_canonical_order () =
   check_sorted "Engine.enumerate"
     (Foc_eval.Enum.to_list (Foc_nd.Engine.enumerate eng a q))
 
+(* a conjunctive body with a negated atom streams through the walk, not
+   the materialised table *)
+let test_negation_walks () =
+  let rng = Random.State.make [| 11 |] in
+  let a = coloured 4 (Foc_graph.Gen.random_bounded_degree rng 24 3) in
+  let q =
+    Query.make ~head_vars:[ "x"; "y" ] ~head_terms:[]
+      (Ast.And (Ast.Rel ("E", [| "x"; "y" |]), Ast.Neg (Ast.Rel ("R", [| "y" |]))))
+  in
+  let eng = engine ~backend:Foc_nd.Engine.Direct ~jobs:1 in
+  let c = Foc_nd.Engine.enumerate eng a q in
+  Alcotest.(check string) "producer" "walk" (Foc_eval.Enum.producer c);
+  (* reference straight from the structure, not through the join kernel *)
+  let want =
+    List.filter
+      (fun e -> not (Foc_data.Structure.mem a "R" [| e.(1) |]))
+      (Foc_data.Tuple.Set.elements (Foc_data.Structure.rel a "E"))
+  in
+  Alcotest.(check bool) "non-empty" true (want <> []);
+  Alcotest.(check (list (array int))) "rows" want
+    (List.map fst (Foc_eval.Enum.to_list c))
+
 (* ground heads (k = 0) stream their 0/1 answer too *)
 let test_ground_head () =
   let rng = Random.State.make [| 9 |] in
@@ -311,5 +360,6 @@ let () =
           Alcotest.test_case "canonical lexicographic order" `Quick
             test_canonical_order;
           Alcotest.test_case "ground head streams" `Quick test_ground_head;
+          Alcotest.test_case "negated atom walks" `Quick test_negation_walks;
         ] );
     ]

@@ -93,6 +93,18 @@ let test_errors () =
   bad "exists exists. P(x)";
   bad "_x = y"
 
+let test_int_out_of_range () =
+  let src = "exists x. #(y). E(x,y) >= 99999999999999999999" in
+  (match Parser.formula Pred.standard src with
+  | _ -> Alcotest.fail "an out-of-range literal parsed"
+  | exception Parser.Error (msg, pos) ->
+      Alcotest.(check string) "message" "integer literal out of range" msg;
+      Alcotest.(check int) "position of the literal" 26 pos);
+  Alcotest.(check bool) "max_int still parses" true
+    (Result.is_ok
+       (Parser.formula_result Pred.standard
+          (Printf.sprintf "#(x). E(x,x) >= %d" max_int)))
+
 let gen_var = QCheck.Gen.oneofl [ "x"; "y"; "z"; "u"; "v" ]
 
 let gen_formula =
@@ -171,6 +183,11 @@ let () =
           Alcotest.test_case "pred sugar" `Quick test_pred_sugar;
           Alcotest.test_case "example 3.2" `Quick test_example_3_2;
         ] );
-      ("errors", [ Alcotest.test_case "rejections" `Quick test_errors ]);
+      ( "errors",
+        [
+          Alcotest.test_case "rejections" `Quick test_errors;
+          Alcotest.test_case "integer literal out of range" `Quick
+            test_int_out_of_range;
+        ] );
       ("roundtrip", [ QCheck_alcotest.to_alcotest prop_roundtrip ]);
     ]

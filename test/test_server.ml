@@ -340,6 +340,24 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* an integer literal past max_int is a parse error on the wire, not an
+   uncaught exception that silently ends the connection thread *)
+let test_int_literal_out_of_range () =
+  with_server (fun srv _ ->
+      let c = connect srv in
+      Foc.Server_client.send_raw c
+        "{\"op\":\"check\",\"query\":\"exists x. #(y). E(x,y) >= \
+         99999999999999999999\"}";
+      let line = Foc.Server_client.recv_raw c in
+      Alcotest.(check bool) ("answered ok:false: " ^ line) true
+        (contains line "\"ok\":false");
+      Alcotest.(check bool) "names the literal" true
+        (contains line "integer literal out of range");
+      Alcotest.(check bool)
+        "same connection answers ping" true
+        (Foc.Server_client.rpc c P.Ping = P.Pong);
+      Foc.Server_client.close c)
+
 (* a conjunctive counting sentence too wide for the decomposition kernels
    (5 counted variables > max_width): the engine falls back to the
    relational-algebra baseline, so plan_and runs and Eval_obs records a
@@ -936,6 +954,8 @@ let () =
           Alcotest.test_case "basic ops + versions" `Quick test_basic_ops;
           Alcotest.test_case "malformed input survives" `Quick
             test_malformed_survives;
+          Alcotest.test_case "out-of-range integer literal" `Quick
+            test_int_literal_out_of_range;
           Alcotest.test_case "hostile lines rejected" `Quick
             test_hostile_lines;
           Alcotest.test_case "concurrent clients agree" `Quick

@@ -3,8 +3,9 @@
    atoms, Neg under And, Forall, Eq chains, empty relations — must give
    the same counts through the planned Relalg, the unplanned (seed
    strategy) Relalg and brute-force Naive enumeration; plus unit tests
-   for the kernels themselves (join build-side choice, anti-join vs
-   complement, division, merges) and the planner helpers. *)
+   for the kernels themselves (the leapfrog joins against a nested-loop
+   reference, anti-join vs complement, division, merges) and the planner
+   helpers. *)
 
 open Foc_logic
 open QCheck.Gen
@@ -116,25 +117,104 @@ let prop_tables_equal =
 
 let t_of vars rows = Table.of_rows vars rows
 
-let test_build_side () =
-  let small = t_of [| "x"; "z" |] [ [| 0; 7 |]; [| 2; 9 |] ] in
-  let big =
-    t_of [| "x"; "y" |]
-      [ [| 0; 1 |]; [| 0; 2 |]; [| 2; 0 |]; [| 3; 1 |]; [| 4; 4 |] ]
+(* ---------------- join kernels against a nested-loop reference -------- *)
+
+(* two operands over a small variable pool, related by a disjoint,
+   overlapping, equal or permuted column set; widths 0-3, empty operands
+   and unit/zero included. Values mix small ones with ones near 2^40, far
+   past any domain size, so a kernel that packed several columns into one
+   int key would overflow *)
+let gen_operands =
+  let pool = [ "a"; "b"; "c"; "d"; "e"; "f" ] in
+  let value = oneofl [ 0; 1; 2; 1 lsl 40; (1 lsl 40) - 1; 123_456_789_012 ] in
+  let gen_vars =
+    int_range 0 3 >>= fun k -> shuffle_l pool >|= List.filteri (fun i _ -> i < k)
   in
-  Foc_eval.Eval_obs.reset ();
-  let j = Table.join big small in
-  Alcotest.(check int) "join rows" 3 (Table.cardinal j);
-  Alcotest.(check int) "build side is the smaller table" 2
-    (Foc_eval.Eval_obs.join_build_rows ());
-  Alcotest.(check int) "probe side is the bigger table" 5
-    (Foc_eval.Eval_obs.join_probe_rows ());
-  Foc_eval.Eval_obs.reset ();
-  let j' = Table.join small big in
-  Alcotest.(check int) "same choice from the other argument order" 2
-    (Foc_eval.Eval_obs.join_build_rows ());
-  Alcotest.(check bool) "same rows either way" true
-    (Table.equal j (Table.align j' (Table.vars j)))
+  let rows vars =
+    let k = List.length vars in
+    if k = 0 then oneofl [ []; [ [||] ] ]
+    else int_range 0 8 >>= fun m -> list_repeat m (array_repeat k value)
+  in
+  gen_vars >>= fun v1 ->
+  oneof
+    [
+      gen_vars;
+      return v1;
+      shuffle_l v1;
+      gen_vars >|= List.filter (fun x -> not (List.mem x v1));
+    ]
+  >>= fun v2 ->
+  pair (rows v1) (rows v2) >|= fun (r1, r2) -> ((v1, r1), (v2, r2))
+
+let print_operands ((v1, r1), (v2, r2)) =
+  let rows r =
+    String.concat " "
+      (List.map
+         (fun row ->
+           "(" ^ String.concat "," (List.map string_of_int (Array.to_list row)) ^ ")")
+         r)
+  in
+  Printf.sprintf "t1[%s] = {%s}\nt2[%s] = {%s}" (String.concat "," v1) (rows r1)
+    (String.concat "," v2) (rows r2)
+
+(* the value of [x] in a row over [vars] *)
+let get vars row x =
+  let rec go i = function
+    | [] -> raise Not_found
+    | y :: rest -> if y = x then row.(i) else go (i + 1) rest
+  in
+  go 0 vars
+
+let agree v1 r1 v2 r2 =
+  List.for_all (fun x -> not (List.mem x v2) || get v1 r1 x = get v2 r2 x) v1
+
+let strictly_sorted t =
+  let prev = ref None and ok = ref true in
+  Table.iter t (fun row ->
+      (match !prev with
+      | Some p when compare p row >= 0 -> ok := false
+      | _ -> ());
+      prev := Some (Array.copy row));
+  !ok
+
+let prop_join_kernels =
+  QCheck.Test.make
+    ~name:"join/semijoin/antijoin = nested-loop reference" ~count:1000
+    (QCheck.make ~print:print_operands gen_operands)
+    (fun ((v1, r1), (v2, r2)) ->
+      let t1 = t_of (Array.of_list v1) r1 and t2 = t_of (Array.of_list v2) r2 in
+      let fresh = List.filter (fun x -> not (List.mem x v1)) v2 in
+      let out_vars = v1 @ fresh in
+      let joined =
+        List.concat_map
+          (fun a ->
+            List.filter_map
+              (fun b ->
+                if agree v1 a v2 b then
+                  Some (Array.append a (Array.of_list (List.map (get v2 b) fresh)))
+                else None)
+              r2)
+          r1
+      in
+      let matched a = List.exists (agree v1 a v2) r2 in
+      let j = Table.join t1 t2 in
+      let check what got want_vars want_rows =
+        if Array.to_list (Table.vars got) <> want_vars then
+          QCheck.Test.fail_reportf "%s: columns %s" what
+            (String.concat "," (Array.to_list (Table.vars got)));
+        if not (strictly_sorted got) then
+          QCheck.Test.fail_reportf "%s: rows out of order" what;
+        if not (Table.equal got (t_of (Array.of_list want_vars) want_rows)) then
+          QCheck.Test.fail_reportf "%s: %d rows, reference %d" what
+            (Table.cardinal got)
+            (Table.cardinal (t_of (Array.of_list want_vars) want_rows))
+      in
+      check "join" j out_vars joined;
+      check "semijoin" (Table.semijoin t1 t2) v1 (List.filter matched r1);
+      check "antijoin" (Table.antijoin t1 t2) v1
+        (List.filter (fun a -> not (matched a)) r1);
+      (* either argument order gives the same rows *)
+      Table.equal j (Table.join t2 t1))
 
 let test_antijoin_vs_complement () =
   (* t1 ▷ t2 must equal t1 ⋈ complement(t2) for every n that covers the
@@ -268,10 +348,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_planned_vs_naive;
           QCheck_alcotest.to_alcotest prop_planned_vs_unplanned;
           QCheck_alcotest.to_alcotest prop_tables_equal;
+          QCheck_alcotest.to_alcotest prop_join_kernels;
         ] );
       ( "kernels",
         [
-          Alcotest.test_case "join build side" `Quick test_build_side;
           Alcotest.test_case "antijoin vs complement" `Quick
             test_antijoin_vs_complement;
           Alcotest.test_case "division" `Quick test_divide;
