@@ -82,6 +82,25 @@ for e in direct cover hanf; do
     exit 1
   }
 done
+# Hanf partitions are memoised per evaluation: the sweep term needs two
+# type radii, so a cold Hanf count builds exactly two partitions, and its
+# answer must equal Direct's.
+dune exec bin/foc_cli.exe -- gen -n 300 --class bounded-degree-3 --colours \
+  -o /tmp/ci_bd3.foc
+HQ='#(x,y). (R(x) & !E(x,y) & B(y))'
+dune exec bin/foc_cli.exe -- count -s /tmp/ci_bd3.foc "$HQ" -e hanf \
+  --jobs 1 --stats > /tmp/ci_hanf_out.txt 2>&1
+hanf=$(grep -E '^[0-9]+$' /tmp/ci_hanf_out.txt)
+direct=$(dune exec bin/foc_cli.exe -- count -s /tmp/ci_bd3.foc "$HQ" \
+  -e direct | grep -E '^[0-9]+$')
+[ -n "$hanf" ] && [ "$hanf" = "$direct" ] || {
+  echo "ci: hanf count '$hanf' disagrees with direct '$direct'"
+  exit 1
+}
+grep -q 'engine.hanf_partitions_built=2' /tmp/ci_hanf_out.txt || {
+  echo "ci: hanf count did not build exactly two partitions"
+  exit 1
+}
 # CLI batch round-trip: session answers must match per-sentence checks
 printf 'exists x. (#(y). E(x,y)) >= 1\n#(x,y). (E(x,y) & R(x)) >= 5\n' \
   > /tmp/ci_batch.txt

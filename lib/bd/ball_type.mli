@@ -17,20 +17,23 @@
     sparse structures; on refinement-blind inputs the bounded
     individualization search may split one type into several keys — harmless
     for Hanf grouping, which then merely evaluates a few extra
-    representatives. Canonicalization runs colour refinement seeded with
-    the BFS layer, then individualizes ambiguous classes under a fixed work
-    budget (unbounded backtracking is exponential on large orbits such as a
-    hub's leaves). *)
+    representatives. Canonicalization works on int arrays (local ids,
+    relation ids in name order): colour refinement seeded with the centre
+    against the rest runs to its fixpoint, ambiguous classes are then
+    individualized under a fixed work budget (unbounded backtracking is
+    exponential on large orbits such as a hub's leaves), and the key
+    serialises the relabelled rows in lexicographic order. *)
 
 (** [extract a ~centre ~r] — the induced substructure on [N_r(centre)]
     together with the centre's id in it. *)
 val extract :
   Foc_data.Structure.t -> centre:int -> r:int -> Foc_data.Structure.t * int
 
-(** Reusable canonicalization scratch (serialization buffer + colour-rank
-    table). Optional; passing one to repeated key computations avoids
-    re-growing the buffers per call. One scratch per domain — do not share
-    across concurrent canonicalizations. *)
+(** Reusable canonicalization scratch (serialization buffer and a BFS
+    arena over the last Gaifman graph seen). Optional; passing one to
+    repeated key computations avoids re-allocating them per call. One
+    scratch per domain — do not share across concurrent
+    canonicalizations. *)
 type scratch
 
 val scratch : unit -> scratch
@@ -40,17 +43,15 @@ val scratch : unit -> scratch
     cost grows with automorphism ambiguity. *)
 val canonical_key : ?scratch:scratch -> Foc_data.Structure.t -> centre:int -> string
 
-(** [ball_key a ~centre ~r] = [canonical_key (extract a ~centre ~r)]. *)
+(** [ball_key a ~centre ~r] = [canonical_key (extract a ~centre ~r)],
+    computed without building the substructure: one BFS over the Gaifman
+    graph, the ball's rows read off the incidence indexes. A ball with
+    more than [max_ball] elements (default: no limit) is not canonicalised;
+    its key is ["!uniq"] followed by [centre], unique to the centre. *)
 val ball_key :
-  ?scratch:scratch -> Foc_data.Structure.t -> centre:int -> r:int -> string
-
-(** Hash-consing of canonical keys to dense int ids (first-intern order).
-    Interning each key string once lets all downstream grouping compare
-    ints instead of re-hashing strings. *)
-type interner
-
-val interner : unit -> interner
-val intern : interner -> string -> int
-
-(** Number of distinct keys interned so far; ids are [0 .. count-1]. *)
-val interned_count : interner -> int
+  ?max_ball:int ->
+  ?scratch:scratch ->
+  Foc_data.Structure.t ->
+  centre:int ->
+  r:int ->
+  string

@@ -7,19 +7,20 @@
     per-element sweep into [n·(type hashing) + #types·(local work)] —
     fixed-parameter linear on bounded-degree classes.
 
-    This module supplies the grouping and a type-grouped evaluator for
-    per-element functions that are certified local; the [Foc_nd] engine
-    uses it as a fourth back-end for basic cl-terms. On structures with
+    This module supplies the grouping; the [Foc_nd] engine evaluates one
+    representative per class as its fourth back-end for basic cl-terms
+    ({!Foc_nd.Hanf_backend}). On structures with
     many distinct local types (random trees with hubs, databases) the
     grouping degenerates gracefully to the direct sweep plus hashing
     overhead. *)
 
 (** [classes a ~r] — the partition of the universe into r-ball isomorphism
-    classes: a list of (canonical key, members). Cost: one ball extraction
-    and canonicalization per element. Balls larger than [max_ball] (default
-    48) are not canonicalized: their element gets a singleton class — a
-    sound degradation that keeps the back-end total on structures outside
-    the bounded-degree sweet spot.
+    classes: a list of (canonical key, members), classes in order of their
+    least member, members ascending. Cost: one ball BFS and
+    canonicalization per element ({!Ball_type.ball_key}). Balls larger
+    than [max_ball] (default 48) are not canonicalized: their element gets
+    a singleton class — a sound degradation that keeps the back-end total
+    on structures outside the bounded-degree sweet spot.
 
     [jobs > 1] canonicalises the r-balls on that many domains
     ({!Foc_par}); the grouping pass stays sequential in element order, so
@@ -30,21 +31,6 @@ val classes :
   Foc_data.Structure.t ->
   r:int ->
   (string * int list) list
-
-(** [eval_by_type a ~r f] — the vector [v] with [v.(e) = f rep] where [rep]
-    is [e]'s class representative; sound whenever [f] is invariant under
-    r-ball isomorphism (e.g. any r-local unary term value — Section 6.1).
-    [f] is called once per class, in the calling domain ([jobs] only
-    parallelises the class computation — see {!classes}); callers that
-    want parallel per-class evaluation should iterate over {!classes}
-    with a per-domain context (as {!Foc_nd.Hanf_backend} does). *)
-val eval_by_type :
-  ?max_ball:int ->
-  ?jobs:int ->
-  Foc_data.Structure.t ->
-  r:int ->
-  (int -> int) ->
-  int array
 
 (** Number of distinct r-ball types (diagnostic; bounded in terms of degree
     and r on bounded-degree classes). *)

@@ -65,6 +65,7 @@ type handles = {
   basic_terms : Foc_obs.Metrics.Counter.t;
   fallbacks : Foc_obs.Metrics.Counter.t;
   covers_built : Foc_obs.Metrics.Counter.t;
+  hanf_partitions_built : Foc_obs.Metrics.Counter.t;
   removals : Foc_obs.Metrics.Counter.t;
   balls_computed : Foc_obs.Metrics.Counter.t;
   ball_cache_hits : Foc_obs.Metrics.Counter.t;
@@ -85,6 +86,7 @@ let make_handles () =
     basic_terms = c "engine.basic_terms";
     fallbacks = c "engine.fallbacks";
     covers_built = c "engine.covers_built";
+    hanf_partitions_built = c "engine.hanf_partitions_built";
     removals = c "engine.removals";
     balls_computed = c "ball.computed";
     ball_cache_hits = c "ball.cache_hits";
@@ -105,8 +107,7 @@ let make_handles () =
 type artifacts = {
   art_cover : Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t;
   art_ctx : (Foc_data.Structure.t -> r:int -> Pattern_count.ctx) option;
-  art_hanf :
-    (Foc_data.Structure.t -> tr:int -> (string * int list) list) option;
+  art_hanf : Foc_data.Structure.t -> tr:int -> (string * int list) list;
   art_stats : (Foc_data.Structure.t -> Foc_stats.Stats.t) option;
 }
 
@@ -227,9 +228,9 @@ let count_cl t cl =
   Foc_obs.Metrics.Counter.inc t.m.clterms_built;
   Foc_obs.Metrics.Counter.add t.m.basic_terms (Clterm.basic_count cl)
 
-(* raw builders: [engine.covers_built] counts *actual* constructions, so
-   artifact-cache hit rates are visible as the gap between call sites
-   reached and covers built *)
+(* raw builders: [engine.covers_built] and [engine.hanf_partitions_built]
+   count *actual* constructions, so artifact-cache hit rates are visible
+   as the gap between call sites reached and artifacts built *)
 let make_cover t a ~rc =
   let cover =
     Foc_obs.span ~name:"cover" (fun () ->
@@ -237,6 +238,11 @@ let make_cover t a ~rc =
   in
   Foc_obs.Metrics.Counter.inc t.m.covers_built;
   cover
+
+let make_hanf_classes t a ~tr =
+  let cls = Foc_bd.Hanf.classes ~jobs:t.cfg.jobs a ~r:tr in
+  Foc_obs.Metrics.Counter.inc t.m.hanf_partitions_built;
+  cls
 
 let make_pattern_ctx t a ~r =
   Foc_obs.Metrics.with_current t.m.registry (fun () ->
@@ -252,21 +258,21 @@ let ctx_for t a ~r =
   | Some { art_ctx = Some f; _ } -> f a ~r
   | _ -> make_pattern_ctx t a ~r
 
-let hanf_classes_for t a =
+let hanf_classes_for t a ~r =
   match t.art with
-  | Some { art_hanf = Some f; _ } -> Some (fun ~r -> f a ~tr:r)
-  | _ -> None
+  | Some art -> art.art_hanf a ~tr:r
+  | None -> make_hanf_classes t a ~tr:r
 
 (* Per-call artifact memo, installed around every public entry point when
    no session supplied its own artifacts: covers are keyed by (Gaifman
    graph, radius) — by *physical* graph identity, so the stratification
    strata (which share the graph, see {!Foc_data.Structure.expand}) share
-   covers too — and contexts by (structure, radius). This in particular
-   deduplicates the cover the Direct and Cover paths used to rebuild at
-   both cl-term call sites of a single evaluation. *)
+   covers too — and contexts and Hanf partitions by (structure, radius).
+   This in particular deduplicates the cover the Direct and Cover paths
+   used to rebuild at both cl-term call sites of a single evaluation, and
+   the Hanf partition each basic term of one type radius used to rebuild. *)
 let default_artifacts t =
-  let covers = ref [] in
-  let ctxs = ref [] in
+  let covers = ref [] and ctxs = ref [] and hanfs = ref [] in
   let tbl_for cell key =
     match List.assq_opt key !cell with
     | Some tbl -> tbl
@@ -291,7 +297,9 @@ let default_artifacts t =
     art_ctx =
       Some
         (fun a ~r -> memo (tbl_for ctxs a) r (fun () -> make_pattern_ctx t a ~r));
-    art_hanf = None;
+    art_hanf =
+      (fun a ~tr ->
+        memo (tbl_for hanfs a) tr (fun () -> make_hanf_classes t a ~tr));
     art_stats = None;
   }
 
@@ -325,7 +333,7 @@ let eval_cl_ground t a cl =
   | Hanf ->
       sweep t (fun () ->
           Hanf_backend.eval_ground ~jobs ~cache_bytes:(cache_bytes t)
-            ?classes_for:(hanf_classes_for t a) t.cfg.preds a cl)
+            ~classes_for:(hanf_classes_for t a) t.cfg.preds a cl)
 
 let eval_cl_unary t a cl =
   count_cl t cl;
@@ -345,7 +353,7 @@ let eval_cl_unary t a cl =
   | Hanf ->
       sweep t (fun () ->
           Hanf_backend.eval_unary ~jobs ~cache_bytes:(cache_bytes t)
-            ?classes_for:(hanf_classes_for t a) t.cfg.preds a cl)
+            ~classes_for:(hanf_classes_for t a) t.cfg.preds a cl)
 
 (* ---------------- stratification (Theorem 6.10) ---------------- *)
 

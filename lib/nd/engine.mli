@@ -126,11 +126,12 @@ val fork : t -> t
     contexts, Hanf class partitions — are obtained through replaceable
     hooks. With no hooks installed, every public entry point installs a
     {e per-call} memo (covers keyed by physical Gaifman graph and radius,
-    contexts by structure and radius), which already deduplicates the
-    cover the Direct and Cover paths used to rebuild at both cl-term call
-    sites of one evaluation. A session layer ({!Foc_serve.Session})
-    installs cross-query hooks instead. All artifacts are result-neutral:
-    injection can never change counts, only time and memory. *)
+    contexts and Hanf partitions by structure and radius), which already
+    deduplicates the cover the Direct and Cover paths used to rebuild at
+    both cl-term call sites of one evaluation. A session layer
+    ({!Foc_serve.Session}) installs cross-query hooks instead. All
+    artifacts are result-neutral: injection can never change counts, only
+    time and memory. *)
 
 type artifacts = {
   art_cover : Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t;
@@ -142,9 +143,9 @@ type artifacts = {
           radius; may be long-lived. It records into the registry that
           was in scope when it was made ({!make_pattern_ctx} uses this
           engine's) *)
-  art_hanf :
-    (Foc_data.Structure.t -> tr:int -> (string * int list) list) option;
-      (** must return [Foc_bd.Hanf.classes a ~r:tr] *)
+  art_hanf : Foc_data.Structure.t -> tr:int -> (string * int list) list;
+      (** must return [Foc_bd.Hanf.classes a ~r:tr] (memoised however the
+          provider likes) *)
   art_stats : (Foc_data.Structure.t -> Foc_stats.Stats.t) option;
       (** statistics for baseline-fallback join planning; must describe
           the structure's {e current} contents (collected fresh,
@@ -160,6 +161,13 @@ val make_cover : t -> Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t
 (** Build a cover the way the engine would (span + [engine.covers_built]
     counter) — the raw builder artifact providers should delegate to. *)
 
+val make_hanf_classes :
+  t -> Foc_data.Structure.t -> tr:int -> (string * int list) list
+(** Build a Hanf class partition the way the engine would
+    ([Foc_bd.Hanf.classes] at the engine's [jobs], counted in
+    [engine.hanf_partitions_built]) — the raw builder [art_hanf]
+    providers should delegate to. *)
+
 val make_pattern_ctx :
   t -> Foc_data.Structure.t -> r:int -> Foc_local.Pattern_count.ctx
 (** Fresh Direct-sweep context with this engine's ball-cache budget,
@@ -171,7 +179,8 @@ val metrics : t -> Foc_obs.Metrics.t
     contexts, cluster sweeps and the splitter recursion record into it
     directly, on {!Foc_par} workers too. Counter glossary:
     [engine.materialised], [engine.clterms_built], [engine.basic_terms],
-    [engine.fallbacks], [engine.covers_built], [engine.removals],
+    [engine.fallbacks], [engine.covers_built],
+    [engine.hanf_partitions_built], [engine.removals],
     [ball.computed], [ball.cache_hits], [ball.cache_evictions],
     [bfs.visited]; gauges [ball.cache_peak_entries],
     [ball.cache_peak_bytes]; histogram [sweep.ns] (per-sweep wall time in

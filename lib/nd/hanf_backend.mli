@@ -18,19 +18,18 @@
     ({!Foc_local.Pattern_count.make_ctx}); the contexts record their ball
     counters into the {!Foc_obs.Metrics.current} registry.
 
-    [classes_for ~r] lets a caller supply the r-ball class partition
-    instead of recomputing it per leaf — the session layer caches
-    {!Foc_bd.Hanf.classes} results keyed by type radius. The supplied
-    partition must equal [Foc_bd.Hanf.classes a ~r] (which is
-    deterministic and identical for every [jobs]), so injection never
-    changes results. *)
+    [classes_for ~r] supplies the r-ball class partition, so that one
+    evaluation builds each partition once: the engine passes its artifact
+    hook (a per-call memo, or a session's cache keyed by type radius). It
+    must return [Foc_bd.Hanf.classes a ~r] (which is deterministic and
+    identical for every [jobs]), so injection never changes results. *)
 
 open Foc_logic
 
 val eval_ground :
   ?jobs:int ->
   ?cache_bytes:int ->
-  ?classes_for:(r:int -> (string * int list) list) ->
+  classes_for:(r:int -> (string * int list) list) ->
   Pred.collection ->
   Foc_data.Structure.t ->
   Foc_local.Clterm.t ->
@@ -39,7 +38,7 @@ val eval_ground :
 val eval_unary :
   ?jobs:int ->
   ?cache_bytes:int ->
-  ?classes_for:(r:int -> (string * int list) list) ->
+  classes_for:(r:int -> (string * int list) list) ->
   Pred.collection ->
   Foc_data.Structure.t ->
   Foc_local.Clterm.t ->

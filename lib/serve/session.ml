@@ -167,7 +167,7 @@ let hanf_for t a ~tr =
       Counter.inc t.hanf_misses;
       let cls =
         Foc_obs.Scope.cue Foc_obs.Scope.Artifact (fun () ->
-            Foc_bd.Hanf.classes ~jobs:1 a ~r:tr)
+            Engine.make_hanf_classes t.eng a ~tr)
       in
       Budget_cache.insert t.cache key (VHanf cls);
       cls
@@ -194,7 +194,7 @@ let install_hooks t =
        {
          Engine.art_cover = (fun a ~rc -> cover_for t a ~rc);
          art_ctx = Some (fun a ~r -> ctx_for t a ~r);
-         art_hanf = Some (fun a ~tr -> hanf_for t a ~tr);
+         art_hanf = (fun a ~tr -> hanf_for t a ~tr);
          art_stats = Some (fun a -> stats_for t a);
        })
 
@@ -339,18 +339,17 @@ let make_worker t gids sids covers hanfs () =
                    Hashtbl.add tbl r ctx;
                    ctx);
          art_hanf =
-           Some
-             (fun a ~tr ->
-               let frozen =
-                 match List.assq_opt a sids with
-                 | Some s -> List.assoc_opt (s, tr) hanfs
-                 | None -> None
-               in
-               match frozen with
-               | Some cls ->
-                   Counter.inc t.hanf_hits;
-                   cls
-               | None -> Foc_bd.Hanf.classes ~jobs:1 a ~r:tr);
+           (fun a ~tr ->
+             let frozen =
+               match List.assq_opt a sids with
+               | Some s -> List.assoc_opt (s, tr) hanfs
+               | None -> None
+             in
+             match frozen with
+             | Some cls ->
+                 Counter.inc t.hanf_hits;
+                 cls
+             | None -> Engine.make_hanf_classes weng a ~tr);
          (* statistics are mutable (count tables, summaries rebuilt on
             demand) — never shared across domains; each worker engine
             collects its own through its per-engine memo *)

@@ -101,6 +101,139 @@ let test_cycle_single_type () =
   let a = Structure.of_graph (Foc_graph.Gen.cycle 20) in
   Alcotest.(check int) "vertex-transitive" 1 (Foc_bd.Hanf.type_count a ~r:2)
 
+(* ---------------- pinned partitions ---------------- *)
+
+(* The partitions [Hanf.classes] returns (classes in order, members in
+   order) and their [type_count]s, pinned as digests so that a rewrite of
+   the keying cannot silently merge, split or reorder classes. The inputs
+   mirror the sweep benchmark's generators. *)
+let pin_inputs () =
+  let gen seed n family g =
+    let rng = Random.State.make [| seed; n; family |] in
+    Foc_data.Db_gen.colored_digraph rng ~graph:(g rng) ~orient:`Both
+      ~p_red:0.3 ~p_blue:0.4 ~p_green:0.3
+  in
+  [
+    ( "bd3",
+      gen 1 500 3 (fun rng -> Foc_graph.Gen.random_bounded_degree rng 500 3)
+    );
+    ("tree", gen 1 500 1 (fun rng -> Foc_graph.Gen.random_tree rng 500));
+    ("grid", Structure.of_graph (Foc_graph.Gen.grid 12 12));
+    ("cycle", Structure.of_graph (Foc_graph.Gen.cycle 20));
+  ]
+
+let partition_digest classes =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (_, members) ->
+      List.iter (fun v -> Buffer.add_string b (string_of_int v ^ ",")) members;
+      Buffer.add_char b '|')
+    classes;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned =
+  [
+    ("bd3 r=1", ("0f80caabee98951893483b17c82ebe91", 323));
+    ("bd3 r=2", ("ab6479224dc6296dd1f2df31aa094009", 489));
+    ("bd3 r=3", ("ab6479224dc6296dd1f2df31aa094009", 489));
+    ("tree r=1", ("68bd66052ece3d6445cda77e691c1d1b", 254));
+    ("tree r=2", ("9eb3aa2af283c436296c4ac5d75108f7", 468));
+    ("tree r=3", ("529f75b68e70c1ab9f3327f825798657", 488));
+    ("grid r=1", ("76c4099a7fa838e8fd8e517e36edb975", 3));
+    ("grid r=2", ("626a6cd11f11b39445cbb52b9bfbb28d", 6));
+    ("grid r=3", ("c6be127406367d9523c477a4b4994e81", 10));
+    ("cycle r=1", ("eec8bee4c4284919a999eb29540ff224", 1));
+    ("cycle r=2", ("eec8bee4c4284919a999eb29540ff224", 1));
+    ("cycle r=3", ("eec8bee4c4284919a999eb29540ff224", 1))
+  ]
+
+let test_pinned_partitions () =
+  List.iter
+    (fun (name, a) ->
+      List.iter
+        (fun r ->
+          let cls = Foc_bd.Hanf.classes a ~r in
+          let got = (partition_digest cls, Foc_bd.Hanf.type_count a ~r) in
+          let label = Printf.sprintf "%s r=%d" name r in
+          Alcotest.(check (pair string int))
+            label (List.assoc label pinned) got)
+        [ 1; 2; 3 ])
+    (pin_inputs ())
+
+(* the rooted r-ball of [v], its centre marked by a fresh unary symbol *)
+let rooted_ball a v ~r =
+  let sub, c = Foc_bd.Ball_type.extract a ~centre:v ~r in
+  Structure.expand sub [ ("$centre", 1, [ [| c |] ]) ]
+
+let random_bd (n, seed) =
+  let rng = Random.State.make [| n; seed |] in
+  coloured seed (Foc_graph.Gen.random_bounded_degree rng n 3)
+
+(* uncoloured, so that many balls are isomorphic *)
+let random_forest (n, seed) =
+  let rng = Random.State.make [| n; seed |] in
+  Structure.of_graph (Foc_graph.Gen.random_tree rng n)
+
+let prop_classes_sound =
+  QCheck.Test.make ~name:"class members have isomorphic rooted balls"
+    ~count:20
+    QCheck.(triple (int_range 8 40) (int_range 0 10000) (int_range 1 2))
+    (fun (n, seed, r) ->
+      let a = random_bd (n, seed) in
+      List.for_all
+        (fun (_, members) ->
+          match members with
+          | [] -> false
+          | rep :: rest ->
+              let b = rooted_ball a rep ~r in
+              Structure.order b > 8
+              || List.for_all
+                   (fun v -> Structure.isomorphic b (rooted_ball a v ~r))
+                   rest)
+        (Foc_bd.Hanf.classes a ~r))
+
+let prop_classes_complete_on_forests =
+  QCheck.Test.make ~name:"forests: isomorphic rooted balls share a class"
+    ~count:10
+    QCheck.(triple (int_range 8 24) (int_range 0 10000) (int_range 1 2))
+    (fun (n, seed, r) ->
+      let a = random_forest (n, seed) in
+      let cls = Array.make n (-1) in
+      List.iteri
+        (fun i (_, members) -> List.iter (fun v -> cls.(v) <- i) members)
+        (Foc_bd.Hanf.classes a ~r);
+      let balls = Array.init n (fun v -> rooted_ball a v ~r) in
+      let ok = ref true in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if
+            Structure.order balls.(u) <= 8
+            && Structure.isomorphic balls.(u) balls.(v)
+          then ok := !ok && cls.(u) = cls.(v)
+        done
+      done;
+      !ok)
+
+let prop_classes_jobs_invariant =
+  QCheck.Test.make ~name:"classes ~jobs:1 = classes ~jobs:2" ~count:20
+    QCheck.(triple (int_range 8 80) (int_range 0 10000) (int_range 1 3))
+    (fun (n, seed, r) ->
+      let a = random_bd (n, seed) in
+      Foc_bd.Hanf.classes ~jobs:1 a ~r = Foc_bd.Hanf.classes ~jobs:2 a ~r)
+
+let prop_ball_key_is_canonical_key =
+  QCheck.Test.make ~name:"ball_key = canonical_key of the extracted ball"
+    ~count:20
+    QCheck.(triple (int_range 8 40) (int_range 0 10000) (int_range 1 2))
+    (fun (n, seed, r) ->
+      let a = random_bd (n, seed) in
+      List.for_all
+        (fun v ->
+          let sub, c = Foc_bd.Ball_type.extract a ~centre:v ~r in
+          Foc_bd.Ball_type.ball_key a ~centre:v ~r
+          = Foc_bd.Ball_type.canonical_key sub ~centre:c)
+        (List.init n Fun.id))
+
 (* ---------------- Hanf engine back-end ---------------- *)
 
 let hanf_engine () =
@@ -175,6 +308,11 @@ let () =
         [
           Alcotest.test_case "grid has few types" `Quick test_grid_has_few_types;
           Alcotest.test_case "cycle single type" `Quick test_cycle_single_type;
+          Alcotest.test_case "pinned partitions" `Quick test_pinned_partitions;
+          QCheck_alcotest.to_alcotest prop_classes_sound;
+          QCheck_alcotest.to_alcotest prop_classes_complete_on_forests;
+          QCheck_alcotest.to_alcotest prop_classes_jobs_invariant;
+          QCheck_alcotest.to_alcotest prop_ball_key_is_canonical_key;
         ] );
       ( "backend",
         [

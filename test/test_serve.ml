@@ -292,6 +292,29 @@ let test_cover_dedup () =
   Alcotest.(check int) "cover built exactly once" 1
     st.Foc.Engine.covers_built
 
+(* One evaluation builds each Hanf partition once: the sweep term needs two
+   type radii, and before the per-call memo it built four partitions. A
+   warm session then answers the same question without building any. *)
+let test_hanf_partition_memo () =
+  let a = structure 300 1 in
+  let src = "#(x,y). (R(x) & !E(x,y) & B(y))" in
+  let built m =
+    Foc.Obs.Metrics.Counter.value
+      (Foc.Obs.Metrics.counter m "engine.hanf_partitions_built")
+  in
+  let eng = Foc.Engine.create ~config:(config Foc.Engine.Hanf 1) () in
+  let v = Foc.Engine.eval_ground eng a (Foc.parse_term src) in
+  Alcotest.(check int) "fresh engine: two partitions" 2
+    (built (Foc.Engine.metrics eng));
+  let s = Foc.Session.create ~config:(config Foc.Engine.Hanf 1) a in
+  let phi = Foc.parse_formula (Printf.sprintf "%s >= %d" src v) in
+  Alcotest.(check bool) "session answer" true (Foc.Session.check s phi);
+  Alcotest.(check int) "cold session: two partitions" 2
+    (built (Foc.Session.metrics s));
+  Alcotest.(check bool) "session answer, warm" true (Foc.Session.check s phi);
+  Alcotest.(check int) "warm session: no new partitions" 2
+    (built (Foc.Session.metrics s))
+
 (* ---------------- worker spans reach the merged trace ------------- *)
 
 (* Regression for the server-context span loss: spans recorded on pool
@@ -459,6 +482,8 @@ let () =
           Alcotest.test_case "zero budget stays correct" `Quick
             test_zero_budget;
           Alcotest.test_case "per-call cover memo" `Quick test_cover_dedup;
+          Alcotest.test_case "per-call Hanf partition memo" `Quick
+            test_hanf_partition_memo;
         ] );
       ( "tracing",
         [
