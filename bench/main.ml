@@ -398,7 +398,7 @@ let e4 () =
             List.length (Foc.Pattern.enumerate (List.length vars))
           in
           let ctx = Foc.Pattern_count.make_ctx preds a ~r in
-          let got = Foc.Clterm.eval_ground ctx cl in
+          let got = Foc.Clterm.(eval_ground (direct ctx) cl) in
           let expected = Foc.Relalg.count preds a vars body in
           Printf.printf "%-28s %3d %3d %10d %8d %8d %6b\n" src
             (List.length vars) r patterns
@@ -2102,7 +2102,7 @@ let micro_suite () =
       Test.make ~name:"unary sweep direct 5k (E3)"
         (Staged.stage (fun () ->
              let ctx = Foc.Pattern_count.make_ctx preds a ~r:1 in
-             ignore (Foc.Clterm.eval_unary ctx cl)));
+             ignore Foc.Clterm.(eval_unary (direct ctx) cl)));
       Test.make ~name:"relalg term_counts 5k"
         (Staged.stage (fun () -> ignore (Foc.Relalg.term_counts preds a term)));
     ]

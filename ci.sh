@@ -82,6 +82,32 @@ for e in direct cover hanf; do
     exit 1
   }
 done
+# Every back-end, Splitter included, supplies only its basic-term sweep to
+# the one cl-term evaluator: the four must print the same answer on a
+# two-variable term and on a term with a width-0 ground leaf (#(). (true)),
+# and Splitter must really play removal rounds on the first.
+for q in '#(x,y). (R(x) & !E(x,y) & B(y))' '#(x). (R(x)) + #(). (true)'; do
+  want=""
+  for e in direct cover splitter hanf; do
+    dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc "$q" -e "$e" \
+      --jobs 1 --stats > /tmp/ci_backend_out.txt 2>&1
+    got=$(grep -E '^[0-9]+$' /tmp/ci_backend_out.txt)
+    [ -n "$got" ] && { [ -z "$want" ] || [ "$got" = "$want" ]; } || {
+      echo "ci: $e answers '$got' on '$q', direct answers '$want'"
+      exit 1
+    }
+    want=$got
+    if [ "$e" = splitter ] && [ "$q" = '#(x,y). (R(x) & !E(x,y) & B(y))' ]
+    then
+      removals=$(tr ' ' '\n' < /tmp/ci_backend_out.txt \
+        | awk -F= '$1 == "engine.removals" { print $2 }')
+      [ "${removals:-0}" -gt 0 ] || {
+        echo "ci: splitter played no removal rounds on '$q'"
+        exit 1
+      }
+    fi
+  done
+done
 # Hanf partitions are memoised per evaluation: the sweep term needs two
 # type radii, so a cold Hanf count builds exactly two partitions, and its
 # answer must equal Direct's.

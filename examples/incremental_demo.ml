@@ -50,6 +50,6 @@ let () =
       (Foc.Incremental.structure inc)
       ~r:1
   in
-  let fresh = Foc.Clterm.eval_unary ctx cl in
+  let fresh = Foc.Clterm.(eval_unary (direct ctx) cl) in
   Printf.printf "matches recomputation from scratch: %b\n"
     (fresh = Foc.Incremental.values inc)

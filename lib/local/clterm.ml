@@ -25,43 +25,62 @@ type t =
   | Add of t * t
   | Mul of t * t
 
-let rec is_ground = function
-  | Const _ | Ground _ -> true
-  | Unary _ -> false
-  | Add (s, t) | Mul (s, t) -> is_ground s && is_ground t
+let basics t =
+  let rec go acc = function
+    | Const _ -> acc
+    | Ground b | Unary b -> b :: acc
+    | Add (s, u) | Mul (s, u) -> go (go acc u) s
+  in
+  go [] t
 
-let rec basic_count = function
-  | Const _ -> 0
-  | Ground _ | Unary _ -> 1
-  | Add (s, t) | Mul (s, t) -> basic_count s + basic_count t
+let basic_count t = List.length (basics t)
 
-let rec width = function
-  | Const _ -> 0
-  | Ground b | Unary b -> Foc_graph.Pattern.k b.pattern
-  | Add (s, t) | Mul (s, t) -> max (width s) (width t)
+let width t =
+  List.fold_left (fun w b -> max w (Foc_graph.Pattern.k b.pattern)) 0 (basics t)
 
-let eval_basic_ground ?jobs ctx (b : basic) =
-  Pattern_count.ground ?jobs ctx ~pattern:b.pattern ~vars:b.vars ~body:b.body
+type sweep = {
+  preds : Pred.collection;
+  structure : Foc_data.Structure.t;
+  anchors : int;
+  per_anchor : basic -> int array;
+  ground : basic -> int;
+}
 
-let rec eval_ground ?jobs ctx = function
-  | Const i -> i
-  | Ground b -> eval_basic_ground ?jobs ctx b
-  | Unary _ -> invalid_arg "Clterm.eval_ground: unary leaf"
-  | Add (s, t) -> eval_ground ?jobs ctx s + eval_ground ?jobs ctx t
-  | Mul (s, t) -> eval_ground ?jobs ctx s * eval_ground ?jobs ctx t
+let sweep ?anchors ?ground preds structure per_anchor =
+  let anchors =
+    Option.value anchors ~default:(Foc_data.Structure.order structure)
+  and ground =
+    Option.value ground ~default:(fun b ->
+        Array.fold_left ( + ) 0 (per_anchor b))
+  in
+  { preds; structure; anchors; per_anchor; ground }
 
-let rec eval_unary ?jobs ctx t =
-  match t with
-  | Const _ | Ground _ ->
-      let v = eval_ground ?jobs ctx t in
-      Array.make (Pattern_count.order ctx) v
-  | Unary b ->
+let direct ?jobs ctx =
+  sweep (Pattern_count.preds ctx) (Pattern_count.structure ctx) (fun b ->
       Pattern_count.per_anchor ?jobs ctx ~pattern:b.pattern ~vars:b.vars
-        ~body:b.body
-  | Add (s, t') ->
-      Array.map2 ( + ) (eval_unary ?jobs ctx s) (eval_unary ?jobs ctx t')
-  | Mul (s, t') ->
-      Array.map2 ( * ) (eval_unary ?jobs ctx s) (eval_unary ?jobs ctx t')
+        ~body:b.body)
+
+(* A width-0 ground basic is a sentence: no back-end sweeps it, it is
+   decided once on the sweep's structure (raising on an empty universe,
+   as {!Foc_eval.Naive} does). *)
+let ground_leaf s b =
+  if Foc_graph.Pattern.k b.pattern = 0 then
+    if Local_eval.holds s.preds s.structure Var.Map.empty b.body then 1 else 0
+  else s.ground b
+
+let rec eval_ground s = function
+  | Const i -> i
+  | Ground b -> ground_leaf s b
+  | Unary _ -> invalid_arg "Clterm.eval_ground: unary leaf"
+  | Add (t, u) -> eval_ground s t + eval_ground s u
+  | Mul (t, u) -> eval_ground s t * eval_ground s u
+
+let rec eval_unary s = function
+  | Const i -> Array.make s.anchors i
+  | Ground b -> Array.make s.anchors (ground_leaf s b)
+  | Unary b -> s.per_anchor b
+  | Add (t, u) -> Array.map2 ( + ) (eval_unary s t) (eval_unary s u)
+  | Mul (t, u) -> Array.map2 ( * ) (eval_unary s t) (eval_unary s u)
 
 let rec pp ppf = function
   | Const i -> Format.pp_print_int ppf i

@@ -5,7 +5,10 @@
     body ψ; it is either ground (all positions counted) or unary (position 0
     free). A cl-term is a polynomial over basic cl-terms — exactly the shape
     produced by the decomposition of Lemma 6.4, and exactly what the engine
-    can evaluate by neighbourhood exploration (Remark 6.3). *)
+    can evaluate by neighbourhood exploration (Remark 6.3).
+
+    This module is the one evaluator of that polynomial: each back-end
+    only supplies a {!sweep} of one basic term. *)
 
 open Foc_logic
 
@@ -32,8 +35,9 @@ type t =
   | Add of t * t
   | Mul of t * t
 
-(** Is the term ground (no [Unary] leaf)? *)
-val is_ground : t -> bool
+(** The basic-term leaves, left to right (a leaf occurring twice is listed
+    twice). *)
+val basics : t -> basic list
 
 (** Number of basic cl-terms in the polynomial. *)
 val basic_count : t -> int
@@ -41,16 +45,47 @@ val basic_count : t -> int
 (** Largest pattern width. *)
 val width : t -> int
 
-(** [eval_ground ctx t] evaluates a ground cl-term. Raises
-    [Invalid_argument] on [Unary] leaves. The context must have been created
-    with the same radius as the basic terms (checked). [jobs > 1]
-    parallelises every basic-term sweep ({!Pattern_count.ground}); results
-    are bit-identical to [jobs = 1]. *)
-val eval_ground : ?jobs:int -> Pattern_count.ctx -> t -> int
+(** {1 Evaluation}
 
-(** [eval_unary ctx t] evaluates a (possibly mixed ground/unary) cl-term at
-    every element simultaneously, returning the vector of values. [jobs] as
-    in {!eval_ground}. *)
-val eval_unary : ?jobs:int -> Pattern_count.ctx -> t -> int array
+    Every back-end evaluates the same polynomial; they differ only in how
+    they sweep one basic term of width [k >= 1] — per element (Direct),
+    per cover cluster (Cover), by splitter-game removals (Splitter) or per
+    ball type (Hanf). A back-end therefore supplies a {!sweep}, and
+    {!eval_ground}/{!eval_unary} do the rest in one place: constants,
+    sums and products, ground leaves inside unary terms, and width-0
+    ground leaves (sentences), which are decided by {!Local_eval.holds} on
+    the sweep's structure and so raise [Invalid_argument] on an empty
+    universe, as {!Foc_eval.Naive} does. *)
+
+(** A back-end's basic-term sweep. *)
+type sweep
+
+(** [sweep preds a per_anchor] — [per_anchor b] is the value vector of the
+    unary basic term [b] (width >= 1) over the anchors; [anchors] (default
+    [order a]) is the vector length. [ground b] is the value of the ground
+    basic term [b] (width >= 1) and defaults to the sum of [per_anchor b];
+    a back-end whose anchors are not the whole universe supplies its own.
+    Sentence leaves are decided in [a] under [preds]. *)
+val sweep :
+  ?anchors:int ->
+  ?ground:(basic -> int) ->
+  Pred.collection ->
+  Foc_data.Structure.t ->
+  (basic -> int array) ->
+  sweep
+
+(** [direct ctx] — the per-element sweep ({!Pattern_count.per_anchor})
+    over the context's structure (Remark 6.3). The context must have been
+    created with the radius of the basic terms. [jobs > 1] parallelises
+    each sweep; results are bit-identical to [jobs = 1]. *)
+val direct : ?jobs:int -> Pattern_count.ctx -> sweep
+
+(** [eval_ground s t] evaluates a ground cl-term. Raises
+    [Invalid_argument] on [Unary] leaves. *)
+val eval_ground : sweep -> t -> int
+
+(** [eval_unary s t] evaluates a (possibly mixed ground/unary) cl-term at
+    every anchor of [s] simultaneously, returning the vector of values. *)
+val eval_unary : sweep -> t -> int array
 
 val pp : Format.formatter -> t -> unit

@@ -10,7 +10,10 @@
     r-covers the tuple". The sweep visits each cluster once and evaluates
     at the cluster's kernel elements; total work is the sum of cluster
     sizes, i.e. [n · Δ(X)] — the paper's [n^{1+ε}] on nowhere dense
-    classes. *)
+    classes.
+
+    This module supplies only that basic-term sweep; {!Clterm} evaluates
+    the polynomial around it. *)
 
 open Foc_logic
 
@@ -19,9 +22,12 @@ open Foc_logic
     term in [t] sound: [max over basics of k(2r+1)]. *)
 val required_cover_radius : Clterm.t -> int
 
-(** [eval_unary preds a cover t] — the per-element value vector of a cl-term
-    (mixing unary and ground leaves). Raises [Invalid_argument] if the
-    cover's parameter is smaller than {!required_cover_radius}.
+(** [sweep preds a cover t] — the cluster sweep of one basic term, for
+    {!Clterm.eval_ground}/{!Clterm.eval_unary}: each cluster with a
+    non-empty kernel is induced once, and the basic term is counted at its
+    kernel elements inside [A\[X\]]. Raises [Invalid_argument] if the
+    cover's parameter is smaller than {!required_cover_radius}[ t], the
+    term the sweep is built for.
 
     [jobs > 1] evaluates clusters in parallel ({!Foc_par}): each cluster
     task owns its induced substructure and context, and the kernels
@@ -31,22 +37,11 @@ val required_cover_radius : Clterm.t -> int
     [cache_bytes] bounds each cluster context's ball cache (see
     {!Pattern_count.make_ctx}); the cluster contexts record their ball
     counters into the {!Foc_obs.Metrics.current} registry. *)
-val eval_unary :
+val sweep :
   ?jobs:int ->
   ?cache_bytes:int ->
   Pred.collection ->
   Foc_data.Structure.t ->
   Foc_graph.Cover.t ->
   Clterm.t ->
-  int array
-
-(** [eval_ground preds a cover t] — ground cl-terms only. [jobs] and
-    [cache_bytes] as in {!eval_unary}. *)
-val eval_ground :
-  ?jobs:int ->
-  ?cache_bytes:int ->
-  Pred.collection ->
-  Foc_data.Structure.t ->
-  Foc_graph.Cover.t ->
-  Clterm.t ->
-  int
+  Clterm.sweep

@@ -83,3 +83,23 @@ let unary_count ?(max_blocks = 4096) ~r ~vars body =
   match vars with
   | [] -> None
   | _ -> over_patterns ~max_blocks ~anchored:true ~r ~vars ~body
+
+let localize ?max_blocks ~max_width ~anchored ~vars theta =
+  let width = List.length vars in
+  if width > max_width then
+    Error
+      (Printf.sprintf "width %d exceeds the configured maximum %d" width
+         max_width)
+  else
+    match
+      Foc_obs.span ~name:"locality" (fun () -> Locality.formula_radius theta)
+    with
+    | Locality.Nonlocal why -> Error why
+    | Locality.Local r -> (
+        let decompose = if anchored then unary_count else ground_count in
+        match
+          Foc_obs.span ~name:"decompose" (fun () ->
+              decompose ?max_blocks ~r ~vars theta)
+        with
+        | Some cl -> Ok (r, cl)
+        | None -> Error "component factorisation exceeded its budget")

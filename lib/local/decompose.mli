@@ -29,3 +29,19 @@ val ground_count :
     [a] is the number of extensions of [first ↦ a] satisfying [body]. *)
 val unary_count :
   ?max_blocks:int -> r:int -> vars:Var.t list -> Ast.formula -> Clterm.t option
+
+(** [localize ~max_width ~anchored ~vars θ] — the engine's localize step for
+    the counting kernel [#vars.θ] ([anchored]: the first of [vars] stays
+    free, as in {!unary_count}; otherwise {!ground_count}): the width cap
+    [|vars| <= max_width], locality certification
+    ({!Locality.formula_radius}, span [locality]) and the decomposition
+    (span [decompose]). [Ok (r, cl)] carries the certified radius;
+    [Error why] is the reason the baseline must answer instead. Evaluation
+    and [explain] both go through it, so they cannot disagree. *)
+val localize :
+  ?max_blocks:int ->
+  max_width:int ->
+  anchored:bool ->
+  vars:Var.t list ->
+  Ast.formula ->
+  (int * Clterm.t, string) result

@@ -119,6 +119,9 @@ let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
   }
 
 let order ctx = Foc_data.Structure.order ctx.structure
+let structure ctx = ctx.structure
+let preds ctx = ctx.preds
+
 (* A fresh ball cache and BFS arena over the same structure — one per worker
    domain, so parallel sweeps never share mutable state. The clone records
    into the same registry through its own domain's shards. *)
@@ -426,30 +429,4 @@ let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
       ~make_ctx:(fun () -> clone_ctx ctx)
       n
       (fun c a -> count_at ~plan c ~pattern ~vars ~body a)
-  end
-
-let ground ?(jobs = 1) ctx ~pattern ~vars ~body =
-  let k = Foc_graph.Pattern.k pattern in
-  if k = 0 then begin
-    if Local_eval.holds ctx.preds ctx.structure Var.Map.empty body then 1
-    else 0
-  end
-  else begin
-    let n = Foc_data.Structure.order ctx.structure in
-    let plan = make_plan ctx ~pattern ~vars ~body in
-    if jobs <= 1 then begin
-      let total = ref 0 in
-      for a = 0 to n - 1 do
-        total := !total + count_at ~plan ctx ~pattern ~vars ~body a
-      done;
-      !total
-    end
-    else begin
-      Foc_data.Structure.prepare ctx.structure;
-      Foc_par.map_reduce_ctx ~jobs ~label:"sweep.anchors"
-        ~make_ctx:(fun () -> clone_ctx ctx)
-        ~n
-        ~map:(fun c a -> count_at ~plan c ~pattern ~vars ~body a)
-        ~reduce:( + ) 0
-    end
   end

@@ -54,6 +54,11 @@ val rebind_ctx :
 (** Order of the underlying structure. *)
 val order : ctx -> int
 
+(** The structure and predicate collection the context sweeps. *)
+val structure : ctx -> Foc_data.Structure.t
+
+val preds : ctx -> Pred.collection
+
 (** A per-sweep evaluation plan: the pattern's BFS placement order plus the
     pairwise-closeness facts entailed by the body. Computing it once per
     sweep (instead of once per anchor) is significant on large
@@ -83,18 +88,6 @@ val per_anchor :
   vars:Var.t list ->
   body:Ast.formula ->
   int array
-
-(** [ground ctx ~pattern ~vars ~body] — the total count over all tuples; for
-    [k = 0] this is the 0/1 value of the sentence [body]. [jobs] as in
-    {!per_anchor} (the per-anchor partial sums reduce in fixed chunk
-    order). *)
-val ground :
-  ?jobs:int ->
-  ctx ->
-  pattern:Foc_graph.Pattern.t ->
-  vars:Var.t list ->
-  body:Ast.formula ->
-  int
 
 (** [at ctx ~pattern ~vars ~body ~anchor] — the count for a single anchor
     element (used by the cluster sweep of Section 8.2, which only needs the

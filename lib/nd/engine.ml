@@ -217,12 +217,7 @@ let maybe_export t =
 (* the context radius only matters through the 2r+1 threshold of basic
    terms; all basics produced by one decomposition share it *)
 let cl_radius cl =
-  let rec go = function
-    | Clterm.Const _ -> 0
-    | Clterm.Ground b | Clterm.Unary b -> b.Clterm.radius
-    | Clterm.Add (s, u) | Clterm.Mul (s, u) -> max (go s) (go u)
-  in
-  go cl
+  List.fold_left (fun r b -> max r b.Clterm.radius) 0 (Clterm.basics cl)
 
 let count_cl t cl =
   Foc_obs.Metrics.Counter.inc t.m.clterms_built;
@@ -314,46 +309,41 @@ let with_artifacts t f =
           t.art <- Some (default_artifacts t);
           Fun.protect ~finally:(fun () -> t.art <- None) f)
 
-let eval_cl_ground t a cl =
+(* The one back-end match: each back-end supplies its basic-term sweep and
+   {!Clterm} evaluates the polynomial. Covers are built (or fetched) ahead
+   of the sweep span, so the [cover] phase stays separate from [sweep]. *)
+let eval_cl t a cl eval =
   count_cl t cl;
-  let jobs = t.cfg.jobs in
-  match t.cfg.backend with
-  | Direct ->
-      sweep t (fun () ->
-          Clterm.eval_ground ~jobs (ctx_for t a ~r:(cl_radius cl)) cl)
-  | Cover ->
-      let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in
-      sweep t (fun () ->
-          Cover_term.eval_ground ~jobs ~cache_bytes:(cache_bytes t)
-            t.cfg.preds a cover cl)
-  | Splitter { max_rounds; small } ->
-      (* the removal recursion mutates shared state; it stays sequential *)
-      sweep t (fun () ->
-          Splitter_backend.eval_ground t.cfg.preds a ~max_rounds ~small cl)
-  | Hanf ->
-      sweep t (fun () ->
-          Hanf_backend.eval_ground ~jobs ~cache_bytes:(cache_bytes t)
-            ~classes_for:(hanf_classes_for t a) t.cfg.preds a cl)
+  let jobs = t.cfg.jobs and cache_bytes = cache_bytes t in
+  let backend_sweep =
+    match t.cfg.backend with
+    | Direct -> fun () -> Clterm.direct ~jobs (ctx_for t a ~r:(cl_radius cl))
+    | Cover ->
+        let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in
+        fun () -> Cover_term.sweep ~jobs ~cache_bytes t.cfg.preds a cover cl
+    | Splitter { max_rounds; small } ->
+        (* the removal recursion mutates shared state; it stays sequential *)
+        fun () -> Splitter_backend.sweep t.cfg.preds a ~max_rounds ~small
+    | Hanf ->
+        fun () ->
+          Hanf_backend.sweep ~jobs ~cache_bytes
+            ~classes_for:(hanf_classes_for t a) t.cfg.preds a
+  in
+  sweep t (fun () -> eval (backend_sweep ()) cl)
 
-let eval_cl_unary t a cl =
-  count_cl t cl;
-  let jobs = t.cfg.jobs in
-  match t.cfg.backend with
-  | Direct ->
-      sweep t (fun () ->
-          Clterm.eval_unary ~jobs (ctx_for t a ~r:(cl_radius cl)) cl)
-  | Cover ->
-      let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in
-      sweep t (fun () ->
-          Cover_term.eval_unary ~jobs ~cache_bytes:(cache_bytes t)
-            t.cfg.preds a cover cl)
-  | Splitter { max_rounds; small } ->
-      sweep t (fun () ->
-          Splitter_backend.eval_unary t.cfg.preds a ~max_rounds ~small cl)
-  | Hanf ->
-      sweep t (fun () ->
-          Hanf_backend.eval_unary ~jobs ~cache_bytes:(cache_bytes t)
-            ~classes_for:(hanf_classes_for t a) t.cfg.preds a cl)
+let eval_cl_ground t a cl = eval_cl t a cl Clterm.eval_ground
+let eval_cl_unary t a cl = eval_cl t a cl Clterm.eval_unary
+
+(* certify locality and cl-decompose a Pred-free counting kernel ([vars]
+   starts with the anchor when [anchored]); [None] means the baseline
+   fallback *)
+let localize t ~anchored ~vars theta =
+  match
+    Decompose.localize ~max_blocks:t.cfg.max_blocks ~max_width:t.cfg.max_width
+      ~anchored ~vars theta
+  with
+  | Ok (_, cl) -> Some cl
+  | Error _ -> None
 
 (* ---------------- stratification (Theorem 6.10) ---------------- *)
 
@@ -433,21 +423,6 @@ and eval_ground_term t a (term : Ast.term) : int =
       in
       eval_ground_count t a' ys theta'
 
-(* certify locality and cl-decompose a Pred-free ground counting kernel;
-   [None] means the baseline fallback (shared by direct evaluation and
-   sentence compilation) *)
-and localize_ground t ys theta =
-  if List.length ys > t.cfg.max_width then None
-  else
-    match
-      Foc_obs.span ~name:"locality" (fun () -> Locality.formula_radius theta)
-    with
-    | Locality.Local r ->
-        Foc_obs.span ~name:"decompose" (fun () ->
-            Decompose.ground_count ~max_blocks:t.cfg.max_blocks ~r ~vars:ys
-              theta)
-    | Locality.Nonlocal _ -> None
-
 and run_ground_count t a ys theta = function
   | Some cl -> eval_cl_ground t a cl
   | None ->
@@ -457,7 +432,7 @@ and run_ground_count t a ys theta = function
 
 and eval_ground_count t a ys theta =
   (* theta is Pred-free *)
-  run_ground_count t a ys theta (localize_ground t ys theta)
+  run_ground_count t a ys theta (localize t ~anchored:false ~vars:ys theta)
 
 and eval_unary_term t a x (term : Ast.term) : int array =
   let n = Structure.order a in
@@ -474,20 +449,7 @@ and eval_unary_term t a x (term : Ast.term) : int array =
       if not (Var.Set.mem x (Ast.free_formula theta')) then
         Array.make n (eval_ground_count t a' ys theta')
       else begin
-        let localized =
-          if 1 + List.length ys > t.cfg.max_width then None
-          else
-            match
-              Foc_obs.span ~name:"locality" (fun () ->
-                  Locality.formula_radius theta')
-            with
-            | Locality.Local r ->
-                Foc_obs.span ~name:"decompose" (fun () ->
-                    Decompose.unary_count ~max_blocks:t.cfg.max_blocks ~r
-                      ~vars:(x :: ys) theta')
-            | Locality.Nonlocal _ -> None
-        in
-        match localized with
+        match localize t ~anchored:true ~vars:(x :: ys) theta' with
         | Some cl -> eval_cl_unary t a' cl
         | None ->
             fallback t "unary counting kernel outside the guarded fragment";
@@ -556,18 +518,8 @@ let holds_unary_inner t a x phi =
   let a', phi' =
     Foc_obs.span ~name:"stratify" (fun () -> elim_preds t a phi)
   in
-  let localized =
-    match
-      Foc_obs.span ~name:"locality" (fun () -> Locality.formula_radius phi')
-    with
-    | Locality.Local r ->
-        (* a unary cl-term with an empty counted tuple: the 0/1 indicator *)
-        Foc_obs.span ~name:"decompose" (fun () ->
-            Decompose.unary_count ~max_blocks:t.cfg.max_blocks ~r ~vars:[ x ]
-              phi')
-    | Locality.Nonlocal _ -> None
-  in
-  match localized with
+  (* a unary cl-term with an empty counted tuple: the 0/1 indicator *)
+  match localize t ~anchored:true ~vars:[ x ] phi' with
   | Some cl -> Array.map (fun v -> v >= 1) (eval_cl_unary t a' cl)
   | None ->
       fallback t "unary formula outside the guarded fragment";
@@ -818,7 +770,8 @@ let compile_sentence t a phi =
               | f -> (List.rev acc, f)
             in
             let ys, body = peel [] phi in
-            CCount { ys; body; cl = localize_ground t ys body }
+            CCount
+              { ys; body; cl = localize t ~anchored:false ~vars:ys body }
         | Ast.Eq _ | Ast.Rel _ | Ast.Dist _ ->
             invalid_arg "Engine.compile_sentence: open formula"
         | Ast.Pred _ -> assert false (* eliminated by stratification *)

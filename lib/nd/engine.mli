@@ -7,16 +7,20 @@
       relation symbols, exactly like the interpretations [ι_i(R)] of the
       decomposition sequence;
     + {b locality certification} ({!Foc_local.Locality}) of the remaining
-      FO⁺ kernels;
-    + {b cl-decomposition} (Lemma 6.4, {!Foc_local.Decompose}) of counting
-      kernels into polynomials of connected local terms;
-    + {b basic-term evaluation} through a selectable back-end:
+      FO⁺ kernels and their {b cl-decomposition} (Lemma 6.4) into
+      polynomials of connected local terms — one step,
+      {!Foc_local.Decompose.localize}, which {!Plan} reports from too;
+    + {b cl-term evaluation} by the one evaluator of
+      {!Foc_local.Clterm}, around the basic-term sweep of a selectable
+      back-end ({!Foc_local.Clterm.sweep}):
       - [Direct] — per-element neighbourhood exploration (Remark 6.3);
       - [Cover] — cluster sweep over an [(s, 2s)]-neighbourhood cover
-        (Section 8.2, step 5);
+        (Section 8.2, step 5), see {!Foc_local.Cover_term};
       - [Splitter] — cover sweep plus the removal-lemma recursion driven by
         the splitter game (Section 8.2 steps 5a–e), see
-        {!Splitter_backend}.
+        {!Splitter_backend};
+      - [Hanf] — one evaluation per r-ball isomorphism class, see
+        {!Hanf_backend}.
 
     Inputs outside the supported fragment (see DESIGN.md §2.2) fall back to
     the {!Foc_eval.Relalg} baseline; every fallback is counted in

@@ -1,6 +1,8 @@
-(** The Hanf back-end: basic cl-terms evaluated once per r-ball isomorphism
-    class ({!Foc_bd.Hanf}) instead of once per element — the bounded-degree
-    strategy of the paper's predecessor [16].
+(** The Hanf back-end: the basic-term sweep ({!Foc_local.Clterm.sweep})
+    that evaluates a basic cl-term once per r-ball isomorphism class
+    ({!Foc_bd.Hanf}) instead of once per element — the bounded-degree
+    strategy of the paper's predecessor [16]. {!Foc_local.Clterm} walks
+    the polynomial around it.
 
     Soundness: the value of a basic cl-term of radius r and width k at an
     anchor [a] is determined by the isomorphism type of the rooted ball
@@ -26,20 +28,10 @@
 
 open Foc_logic
 
-val eval_ground :
+val sweep :
   ?jobs:int ->
   ?cache_bytes:int ->
   classes_for:(r:int -> (string * int list) list) ->
   Pred.collection ->
   Foc_data.Structure.t ->
-  Foc_local.Clterm.t ->
-  int
-
-val eval_unary :
-  ?jobs:int ->
-  ?cache_bytes:int ->
-  classes_for:(r:int -> (string * int list) list) ->
-  Pred.collection ->
-  Foc_data.Structure.t ->
-  Foc_local.Clterm.t ->
-  int array
+  Foc_local.Clterm.sweep

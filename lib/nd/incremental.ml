@@ -2,34 +2,16 @@ open Foc_logic
 open Foc_local
 module Structure = Foc_data.Structure
 
-(* Cached state per basic leaf: its per-anchor vector (for ground leaves the
-   vector of per-anchor contributions whose sum is the leaf's value). *)
-type leaf = {
-  basic : Clterm.basic;
-  unary : bool;
-  mutable per_anchor : int array;
-}
-
-(* A width-0 ground basic is a sentence: it has no anchor, so there is no
-   per-anchor vector to repair — its truth is just re-checked against the
-   current structure on every update (the body is r-local, so this stays
-   cheap). Keeping it out of [leaves] is what fixes the
-   [Invalid_argument] crash that [eval_leaf_at] used to raise on k = 0. *)
-type sentence = { body : Ast.formula; mutable value : int }
-
-type node =
-  | NConst of int
-  | NLeaf of int  (* index into leaves *)
-  | NSentence of int  (* index into sentences: a width-0 ground basic *)
-  | NAdd of node * node
-  | NMul of node * node
+(* The cached per-anchor vector of one basic leaf of width >= 1 (for a
+   ground leaf, the per-anchor contributions whose sum is its value). *)
+type leaf = { basic : Clterm.basic; mutable per_anchor : int array }
 
 type t = {
   preds : Pred.collection;
   mutable a : Structure.t;
-  leaves : leaf array;
-  sentences : sentence array;
-  skeleton : node;
+  term : Clterm.t;
+  leaves : leaf list;
+  sentences : int;  (* width-0 ground leaves, re-decided on every update *)
   mutable values : int array;
   (* observability: sentence re-checks and per-radius context memo hits
      are the incremental engine's cost drivers that the affected-anchor
@@ -39,56 +21,9 @@ type t = {
   affected_h : Foc_obs.Metrics.Histogram.t;
 }
 
-let compile term =
-  let leaves = ref [] in
-  let count = ref 0 in
-  let sentences = ref [] in
-  let scount = ref 0 in
-  let rec go = function
-    | Clterm.Const i -> NConst i
-    | Clterm.Ground b when Foc_graph.Pattern.k b.Clterm.pattern = 0 ->
-        sentences := { body = b.Clterm.body; value = 0 } :: !sentences;
-        incr scount;
-        NSentence (!scount - 1)
-    | Clterm.Ground b ->
-        leaves := { basic = b; unary = false; per_anchor = [||] } :: !leaves;
-        incr count;
-        NLeaf (!count - 1)
-    | Clterm.Unary b ->
-        leaves := { basic = b; unary = true; per_anchor = [||] } :: !leaves;
-        incr count;
-        NLeaf (!count - 1)
-    | Clterm.Add (s, u) -> NAdd (go s, go u)
-    | Clterm.Mul (s, u) -> NMul (go s, go u)
-  in
-  let skeleton = go term in
-  ( Array.of_list (List.rev !leaves),
-    Array.of_list (List.rev !sentences),
-    skeleton )
-
 let leaf_radius (l : leaf) =
   let k = Foc_graph.Pattern.k l.basic.Clterm.pattern in
   max 1 (k * ((2 * l.basic.Clterm.radius) + 1))
-
-let leaf_plan ctx (l : leaf) =
-  Pattern_count.make_plan ctx ~pattern:l.basic.Clterm.pattern
-    ~vars:l.basic.Clterm.vars ~body:l.basic.Clterm.body
-
-let eval_leaf_at ?plan ctx (l : leaf) anchor =
-  Pattern_count.at ?plan ctx ~pattern:l.basic.Clterm.pattern
-    ~vars:l.basic.Clterm.vars ~body:l.basic.Clterm.body ~anchor
-
-let full_leaf ctx (l : leaf) n =
-  let plan = leaf_plan ctx l in
-  l.per_anchor <- Array.init n (fun a -> eval_leaf_at ~plan ctx l a)
-
-let eval_sentences t =
-  Foc_obs.Metrics.Counter.add t.rechecks (Array.length t.sentences);
-  Array.iter
-    (fun s ->
-      s.value <-
-        (if Local_eval.holds t.preds t.a Var.Map.empty s.body then 1 else 0))
-    t.sentences
 
 (* One Pattern_count context per distinct radius, shared by every leaf of
    that radius within a single create/apply pass — the ball caches then
@@ -114,37 +49,29 @@ let ctx_by_radius ?registry preds a =
         Hashtbl.replace tbl r (ctx, hits);
         ctx
 
-(* recombine the polynomial into the value vector *)
-let recombine t =
-  let n = Structure.order t.a in
-  let totals =
-    Array.map
-      (fun l ->
-        if l.unary then 0 else Array.fold_left ( + ) 0 l.per_anchor)
-      t.leaves
+(* The cached leaf vectors are the sweep: the polynomial is re-evaluated
+   over them (sentence leaves are decided on the current structure). *)
+let evaluate t =
+  Foc_obs.Metrics.Counter.add t.rechecks t.sentences;
+  let per_anchor b =
+    (List.find (fun l -> l.basic == b) t.leaves).per_anchor
   in
-  let rec value_at node a =
-    match node with
-    | NConst i -> i
-    | NLeaf i ->
-        if t.leaves.(i).unary then t.leaves.(i).per_anchor.(a)
-        else totals.(i)
-    | NSentence i -> t.sentences.(i).value
-    | NAdd (s, u) -> value_at s a + value_at u a
-    | NMul (s, u) -> value_at s a * value_at u a
-  in
-  t.values <- Array.init n (fun a -> value_at t.skeleton a)
+  t.values <- Clterm.eval_unary (Clterm.sweep t.preds t.a per_anchor) t.term
 
 let create preds a term =
-  let leaves, sentences, skeleton = compile term in
+  let width0, leaves =
+    List.partition
+      (fun b -> Foc_graph.Pattern.k b.Clterm.pattern = 0)
+      (Clterm.basics term)
+  in
   let m = Foc_obs.Metrics.create () in
   let t =
     {
       preds;
       a;
-      leaves;
-      sentences;
-      skeleton;
+      term;
+      leaves = List.map (fun basic -> { basic; per_anchor = [||] }) leaves;
+      sentences = List.length width0;
       values = [||];
       m;
       rechecks = Foc_obs.Metrics.counter m "incr.sentence_rechecks";
@@ -152,13 +79,15 @@ let create preds a term =
     }
   in
   Foc_obs.span ~name:"incr.create" (fun () ->
-      let n = Structure.order a in
       let ctx_for = ctx_by_radius ~registry:m preds a in
-      Array.iter
-        (fun l -> full_leaf (ctx_for l.basic.Clterm.radius) l n)
-        leaves;
-      eval_sentences t;
-      recombine t);
+      List.iter
+        (fun l ->
+          let b = l.basic in
+          l.per_anchor <-
+            Pattern_count.per_anchor (ctx_for b.Clterm.radius)
+              ~pattern:b.Clterm.pattern ~vars:b.Clterm.vars ~body:b.Clterm.body)
+        t.leaves;
+      evaluate t);
   t
 
 let values t = t.values
@@ -176,7 +105,7 @@ let apply t name tup ~insert =
       let centres = List.sort_uniq compare (Array.to_list tup) in
       let affected = Hashtbl.create 64 in
       let radius =
-        Array.fold_left (fun acc l -> max acc (leaf_radius l)) 1 t.leaves
+        List.fold_left (fun acc l -> max acc (leaf_radius l)) 1 t.leaves
       in
       List.iter
         (fun structure ->
@@ -186,17 +115,20 @@ let apply t name tup ~insert =
         [ before; after ];
       t.a <- after;
       let ctx_for = ctx_by_radius ~registry:t.m t.preds after in
-      Array.iter
-        (fun l ->
-          let ctx = ctx_for l.basic.Clterm.radius in
-          let plan = leaf_plan ctx l in
+      List.iter
+        (fun { basic = b; per_anchor } ->
+          let ctx = ctx_for b.Clterm.radius in
+          let pattern = b.Clterm.pattern
+          and vars = b.Clterm.vars
+          and body = b.Clterm.body in
+          let plan = Pattern_count.make_plan ctx ~pattern ~vars ~body in
           Hashtbl.iter
             (fun anchor () ->
-              l.per_anchor.(anchor) <- eval_leaf_at ~plan ctx l anchor)
+              per_anchor.(anchor) <-
+                Pattern_count.at ~plan ctx ~pattern ~vars ~body ~anchor)
             affected)
         t.leaves;
-      eval_sentences t;
-      recombine t;
+      evaluate t;
       let k = Hashtbl.length affected in
       Foc_obs.Metrics.Histogram.observe t.affected_h k;
       k)

@@ -8,8 +8,10 @@
     ball meets τ, i.e. anchors within distance [R = k(2r+1)] of τ's
     elements (measured in the structure before *and* after the update,
     since distances move in opposite directions under insert/delete). The
-    maintained state caches one value vector per basic cl-term; an update
-    re-evaluates only the affected anchors and recombines the polynomial.
+    maintained state caches one value vector per basic cl-term; those
+    cached vectors are the basic-term sweep handed to
+    {!Foc_local.Clterm.eval_unary}, so an update re-evaluates only the
+    affected anchors and re-walks the polynomial.
 
     Per-update cost: O(affected · local work) for the counts plus — in this
     prototype — O(‖A‖) to rebuild the Gaifman graph and indexes of the new

@@ -104,33 +104,18 @@ and plan_term st (term : Ast.term) : unit =
 and record_kernel st ~anchored ~vars theta =
   let width = List.length vars in
   let route =
-    if width > st.config.Engine.max_width then
-      Fallback
-        (Printf.sprintf "width %d exceeds the configured maximum %d" width
-           st.config.Engine.max_width)
-    else begin
-      match Locality.formula_radius theta with
-      | Locality.Nonlocal why -> Fallback why
-      | Locality.Local radius -> begin
-          let decomposed =
-            if anchored then
-              Decompose.unary_count ~max_blocks:st.config.Engine.max_blocks
-                ~r:radius ~vars theta
-            else
-              Decompose.ground_count ~max_blocks:st.config.Engine.max_blocks
-                ~r:radius ~vars theta
-          in
-          match decomposed with
-          | Some cl ->
-              Localized
-                {
-                  radius;
-                  patterns = pattern_count width;
-                  basic_terms = Clterm.basic_count cl;
-                }
-          | None -> Fallback "component factorisation exceeded its budget"
-        end
-    end
+    match
+      Decompose.localize ~max_blocks:st.config.Engine.max_blocks
+        ~max_width:st.config.Engine.max_width ~anchored ~vars theta
+    with
+    | Ok (radius, cl) ->
+        Localized
+          {
+            radius;
+            patterns = pattern_count width;
+            basic_terms = Clterm.basic_count cl;
+          }
+    | Error why -> Fallback why
   in
   st.kernels <-
     {

@@ -275,51 +275,3 @@ let tabulate ~jobs ?chunks ?label n f =
     ~make_ctx:(fun () -> ())
     n
     (fun () i -> f i)
-
-let map_reduce_ctx ~jobs ?chunks ?label ~make_ctx ~n ~map ~reduce init =
-  if n <= 0 then init
-  else if sequential_only ~jobs n then begin
-    let ctx = make_ctx () in
-    let acc = ref init in
-    with_label label (fun () ->
-        for i = 0 to n - 1 do
-          acc := reduce !acc (map ctx i)
-        done);
-    !acc
-  end
-  else begin
-    let nc =
-      match chunks with
-      | Some c -> max 1 (min n c)
-      | None -> default_chunks ~jobs n
-    in
-    let partials = Array.make nc None in
-    let slots = Array.make jobs None in
-    let ctx_of slot =
-      match slots.(slot) with
-      | Some c -> c
-      | None ->
-          let c = make_ctx () in
-          slots.(slot) <- Some c;
-          c
-    in
-    run_batch ~jobs nc (fun slot c ->
-        with_label label (fun () ->
-            let ctx = ctx_of slot in
-            let lo, hi = chunk_bounds n nc c in
-            let acc = ref (map ctx lo) in
-            for i = lo + 1 to hi - 1 do
-              acc := reduce !acc (map ctx i)
-            done;
-            partials.(c) <- Some !acc));
-    Array.fold_left
-      (fun acc p -> match p with Some v -> reduce acc v | None -> assert false)
-      init partials
-  end
-
-let map_reduce ~jobs ?chunks ?label ~n ~map ~reduce init =
-  map_reduce_ctx ~jobs ?chunks ?label
-    ~make_ctx:(fun () -> ())
-    ~n
-    ~map:(fun () i -> map i)
-    ~reduce init

@@ -9,9 +9,8 @@
     external dependencies).
 
     {b Determinism.} Every combinator is deterministic: ranges are split
-    into chunks by index and partial results are combined in chunk-index
-    order (within a chunk, in element order). With an associative [reduce]
-    the result is bit-identical to the sequential fold for every [jobs]
+    into chunks by index and every index writes its own result slot, so
+    the result is bit-identical to the sequential loop for every [jobs]
     setting — the engine's invariant [parallel(jobs=k) ≡ sequential] that
     [test/test_par.ml] checks.
 
@@ -70,34 +69,6 @@ val tabulate_ctx :
   int ->
   ('c -> int -> 'a) ->
   'a array
-
-(** [map_reduce ~jobs ~n ~map ~reduce init] is
-    [fold_left (fun acc i -> reduce acc (map i)) init (0..n-1)] with the
-    maps run in parallel. [reduce] must be associative; chunk partials are
-    folded in chunk-index order, so the result is then identical to the
-    sequential fold for every [jobs]/[chunks] setting. *)
-val map_reduce :
-  jobs:int ->
-  ?chunks:int ->
-  ?label:string ->
-  n:int ->
-  map:(int -> 'a) ->
-  reduce:('a -> 'a -> 'a) ->
-  'a ->
-  'a
-
-(** [map_reduce_ctx] — {!map_reduce} with a per-executor context, as in
-    {!tabulate_ctx}. *)
-val map_reduce_ctx :
-  jobs:int ->
-  ?chunks:int ->
-  ?label:string ->
-  make_ctx:(unit -> 'c) ->
-  n:int ->
-  map:('c -> int -> 'a) ->
-  reduce:('a -> 'a -> 'a) ->
-  'a ->
-  'a
 
 (** Number of worker domains currently alive in the pool (diagnostic). *)
 val pool_size : unit -> int

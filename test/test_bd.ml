@@ -274,7 +274,36 @@ let test_backend_agreement () =
               (Foc_nd.Engine.eval_unary direct a "x" t)
               (Foc_nd.Engine.eval_unary (hanf_engine ()) a "x" t))
         terms)
-    structures
+    structures;
+  (* the width-0 leaf of #(). (true) is a sentence: on an empty universe
+     every back-end raises, as the Naive oracle does *)
+  let empty =
+    Structure.create Foc_data.Db_gen.colored_signature ~order:0 []
+  in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let t = parse_t "#(). (true)" in
+  Alcotest.(check bool)
+    "naive raises on order 0" true
+    (raises (fun () -> Foc_eval.Naive.ground_term preds empty t));
+  List.iter
+    (fun (name, backend) ->
+      let e =
+        Foc_nd.Engine.create
+          ~config:{ Foc_nd.Engine.default_config with backend }
+          ()
+      in
+      Alcotest.(check bool)
+        (name ^ " raises on order 0")
+        true
+        (raises (fun () -> Foc_nd.Engine.eval_ground e empty t)))
+    [
+      ("direct", Foc_nd.Engine.Direct);
+      ("cover", Foc_nd.Engine.Cover);
+      ("splitter", Foc_nd.Engine.Splitter { max_rounds = 2; small = 6 });
+      ("hanf", Foc_nd.Engine.Hanf);
+    ]
 
 let test_backend_sentence () =
   let a = coloured 4 (Foc_graph.Gen.grid 6 6) in

@@ -25,23 +25,22 @@ let decompose_unary vars src =
   | Some cl -> cl
   | None -> Alcotest.fail ("decomposition failed: " ^ src)
 
-let check_agreement name a cl =
+let direct_sweep a cl =
+  let r = List.fold_left (fun r b -> max r b.Clterm.radius) 0 (Clterm.basics cl) in
+  Clterm.direct (Pattern_count.make_ctx preds a ~r)
+
+let cover_sweep a cl =
   let rc = Cover_term.required_cover_radius cl in
-  let cover = Foc_graph.Cover.make (Structure.gaifman a) ~r:rc in
-  let direct =
-    let ctx = Pattern_count.make_ctx preds a ~r:(max 1 rc) in
-    ignore ctx;
-    (* re-derive the basic radius through the clterm itself *)
-    let rec basic_r = function
-      | Clterm.Const _ -> 0
-      | Clterm.Ground b | Clterm.Unary b -> b.Clterm.radius
-      | Clterm.Add (s, t) | Clterm.Mul (s, t) -> max (basic_r s) (basic_r t)
-    in
-    let ctx = Pattern_count.make_ctx preds a ~r:(basic_r cl) in
-    Clterm.eval_unary ctx cl
-  in
-  let covered = Cover_term.eval_unary preds a cover cl in
-  Alcotest.(check (array int)) name direct covered
+  Cover_term.sweep preds a (Foc_graph.Cover.make (Structure.gaifman a) ~r:rc) cl
+
+let hanf_sweep a =
+  Foc_nd.Hanf_backend.sweep ~classes_for:(Foc_bd.Hanf.classes a) preds a
+
+let check_agreement name a cl =
+  Alcotest.(check (array int))
+    name
+    (Clterm.eval_unary (direct_sweep a cl) cl)
+    (Clterm.eval_unary (cover_sweep a cl) cl)
 
 let test_agreement_tree () =
   let rng = Random.State.make [| 7 |] in
@@ -70,11 +69,9 @@ let test_ground_agreement () =
   match Decompose.ground_count ~r ~vars:[ "u"; "v" ] body with
   | None -> Alcotest.fail "decomposition failed"
   | Some cl ->
-      let rc = Cover_term.required_cover_radius cl in
-      let cover = Foc_graph.Cover.make (Structure.gaifman a) ~r:rc in
       let expected = Foc_eval.Relalg.count preds a [ "u"; "v" ] body in
       Alcotest.(check int) "ground count" expected
-        (Cover_term.eval_ground preds a cover cl)
+        (Clterm.eval_ground (cover_sweep a cl) cl)
 
 let test_radius_requirement () =
   let a = coloured 10 (Foc_graph.Gen.path 30) in
@@ -89,7 +86,7 @@ let test_radius_requirement () =
        (Printf.sprintf
           "Cover_term: cover parameter %d smaller than required %d"
           (needed - 1) needed))
-    (fun () -> ignore (Cover_term.eval_unary preds a small_cover cl))
+    (fun () -> ignore (Cover_term.sweep preds a small_cover cl))
 
 let test_sentence_leaf () =
   let a = coloured 11 (Foc_graph.Gen.path 10) in
@@ -101,21 +98,43 @@ let test_sentence_leaf () =
   in
   let cl = Clterm.Mul (Clterm.Const 5, Clterm.Ground sentence_basic) in
   let cover = Foc_graph.Cover.make (Structure.gaifman a) ~r:0 in
-  Alcotest.(check int) "5 * [true]" 5 (Cover_term.eval_ground preds a cover cl)
+  Alcotest.(check int)
+    "5 * [true]" 5
+    (Clterm.eval_ground (Cover_term.sweep preds a cover cl) cl)
+
+(* The degree term plus a constant and a width-0 ground leaf (a sentence
+   that holds on some structures and not on others). *)
+let with_sentence cl =
+  let sentence =
+    Clterm.basic
+      ~pattern:(Foc_graph.Pattern.make 0 [])
+      ~radius:1 ~vars:[] ~body:(parse "exists y. (R(y) & G(y))")
+  in
+  Clterm.(Add (Mul (Const 3, Ground sentence), cl))
 
 let prop_cover_vs_direct =
+  (* the Hanf sweep is checked against the same reference *)
   QCheck.Test.make ~name:"cover sweep = direct sweep on random graphs"
     ~count:25
     QCheck.(pair (int_range 10 60) (int_range 0 10000))
     (fun (n, seed) ->
       let rng = Random.State.make [| n; seed |] in
       let a = coloured seed (Foc_graph.Gen.random_bounded_degree rng n 3) in
-      let cl = decompose_unary [ "x"; "y" ] "E(x,y) & B(y)" in
-      let ctx = Pattern_count.make_ctx preds a ~r:1 in
-      let direct = Clterm.eval_unary ctx cl in
-      let rc = Cover_term.required_cover_radius cl in
-      let cover = Foc_graph.Cover.make (Structure.gaifman a) ~r:rc in
-      direct = Cover_term.eval_unary preds a cover cl)
+      let unary = with_sentence (decompose_unary [ "x"; "y" ] "E(x,y) & B(y)") in
+      let ground =
+        match
+          Decompose.ground_count ~r:1 ~vars:[ "x"; "y" ] (parse "E(x,y) & B(y)")
+        with
+        | Some cl -> with_sentence cl
+        | None -> QCheck.assume_fail ()
+      in
+      List.for_all
+        (fun sweep ->
+          Clterm.eval_unary (direct_sweep a unary) unary
+          = Clterm.eval_unary (sweep unary) unary
+          && Clterm.eval_ground (direct_sweep a ground) ground
+             = Clterm.eval_ground (sweep ground) ground)
+        [ cover_sweep a; (fun _ -> hanf_sweep a) ])
 
 let () =
   Alcotest.run "foc_local cover_term"

@@ -188,22 +188,24 @@ let test_pattern_count_edges () =
   let ctx = Pattern_count.make_ctx preds a ~r:0 in
   (* ordered pairs at distance <= 1 satisfying E: exactly the directed edges *)
   let edge_pattern = Foc_graph.Pattern.make 2 [ (0, 1) ] in
-  let count =
-    Pattern_count.ground ctx ~pattern:edge_pattern ~vars:[ "u"; "v" ]
+  let edges =
+    Clterm.basic ~pattern:edge_pattern ~radius:0 ~vars:[ "u"; "v" ]
       ~body:(parse "E(u,v)")
   in
-  Alcotest.(check int) "close E-pairs = 16" 16 count;
+  Alcotest.(check int)
+    "close E-pairs = 16" 16
+    (Clterm.eval_ground (Clterm.direct ctx) (Clterm.Ground edges));
   (* per-anchor: each cycle vertex sees 2 outgoing close E-edges *)
   let per =
     Pattern_count.per_anchor ctx ~pattern:edge_pattern ~vars:[ "u"; "v" ]
       ~body:(parse "E(u,v)")
   in
   Array.iter (fun c -> Alcotest.(check int) "deg 2" 2 c) per;
-  (* far pattern is not connected: ground on it must be rejected *)
+  (* far pattern is not connected: sweeping it must be rejected *)
   Alcotest.check_raises "disconnected rejected"
     (Invalid_argument "Pattern_count: pattern not connected") (fun () ->
       ignore
-        (Pattern_count.ground ctx
+        (Pattern_count.per_anchor ctx
            ~pattern:(Foc_graph.Pattern.make 2 [])
            ~vars:[ "u"; "v" ] ~body:Ast.True))
 
@@ -211,11 +213,15 @@ let test_pattern_count_sentence () =
   let rng = Random.State.make [| 41 |] in
   let a = structure_of_graph_coloured rng (Foc_graph.Gen.path 5) in
   let ctx = Pattern_count.make_ctx preds a ~r:0 in
-  let empty = Foc_graph.Pattern.make 0 [] in
+  let sentence body =
+    Clterm.Ground
+      (Clterm.basic ~pattern:(Foc_graph.Pattern.make 0 []) ~radius:0 ~vars:[]
+         ~body)
+  in
   Alcotest.(check int) "true sentence" 1
-    (Pattern_count.ground ctx ~pattern:empty ~vars:[] ~body:Ast.True);
+    (Clterm.eval_ground (Clterm.direct ctx) (sentence Ast.True));
   Alcotest.(check int) "false sentence" 0
-    (Pattern_count.ground ctx ~pattern:empty ~vars:[] ~body:Ast.False)
+    (Clterm.eval_ground (Clterm.direct ctx) (sentence Ast.False))
 
 (* ---------------- decomposition vs relalg ---------------- *)
 
@@ -230,7 +236,7 @@ let check_ground_decomposition ?(max_width = 3) a name vars body =
   | None -> Alcotest.fail (name ^ ": decomposition failed")
   | Some cl ->
       let ctx = Pattern_count.make_ctx preds a ~r in
-      let got = Clterm.eval_ground ctx cl in
+      let got = Clterm.eval_ground (Clterm.direct ctx) cl in
       let expected = Foc_eval.Relalg.count preds a vars body in
       Alcotest.(check int) name expected got
 
@@ -275,7 +281,7 @@ let test_decompose_unary_fixed () =
     | None -> Alcotest.fail (name ^ ": decomposition failed")
     | Some cl ->
         let ctx = Pattern_count.make_ctx preds a ~r in
-        let got = Clterm.eval_unary ctx cl in
+        let got = Clterm.eval_unary (Clterm.direct ctx) cl in
         for v = 0 to Foc_data.Structure.order a - 1 do
           let expected =
             Foc_eval.Relalg.term_value preds a
@@ -321,7 +327,7 @@ let prop_decompose_random =
           | None -> QCheck.assume_fail ()
           | Some cl ->
               let ctx = Pattern_count.make_ctx preds a ~r in
-              Clterm.eval_ground ctx cl
+              Clterm.eval_ground (Clterm.direct ctx) cl
               = Foc_eval.Relalg.count preds a vars body)
         bodies)
 

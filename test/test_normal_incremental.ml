@@ -70,7 +70,7 @@ let test_to_ast_agrees () =
   | None -> Alcotest.fail "decomposition failed"
   | Some cl ->
       let ctx = Foc_local.Pattern_count.make_ctx preds a ~r in
-      let via_clterm = Foc_local.Clterm.eval_ground ctx cl in
+      let via_clterm = Foc_local.Clterm.(eval_ground (direct ctx) cl) in
       let via_ast =
         Foc_eval.Relalg.term_value preds a [] (Foc_local.Normal_form.to_ast cl)
       in
@@ -86,7 +86,7 @@ let degree_clterm () =
 
 let recompute preds a cl =
   let ctx = Foc_local.Pattern_count.make_ctx preds a ~r:1 in
-  Foc_local.Clterm.eval_unary ctx cl
+  Foc_local.Clterm.(eval_unary (direct ctx) cl)
 
 let test_incremental_inserts () =
   let rng = Random.State.make [| 47 |] in

@@ -36,28 +36,8 @@ let test_tabulate () =
         (Foc.Par.tabulate ~jobs n (fun i -> (i * i) mod 97)))
     [ (1, 50); (3, 50); (4, 1); (4, 1023); (16, 33) ]
 
-let test_map_reduce_sum () =
-  List.iter
-    (fun (jobs, chunks, n) ->
-      Alcotest.(check int)
-        (Printf.sprintf "sum jobs=%d chunks=%d n=%d" jobs chunks n)
-        (n * (n - 1) / 2)
-        (Foc.Par.map_reduce ~jobs ~chunks ~n ~map:Fun.id ~reduce:( + ) 0))
-    [ (1, 1, 1000); (4, 16, 1000); (4, 3, 1001); (5, 40, 17) ]
-
-let test_map_reduce_order () =
-  (* associative but non-commutative reduce: the result only matches the
-     sequential fold when partials really are combined in chunk order *)
-  let expected = List.init 200 Fun.id in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "append order jobs=%d" jobs)
-        expected
-        (Foc.Par.map_reduce ~jobs ~n:200
-           ~map:(fun i -> [ i ])
-           ~reduce:( @ ) []))
-    [ 1; 2; 4; 7 ]
+(* 0 + 1 + ... + (n - 1), tabulated on the pool *)
+let sum ~jobs n = Array.fold_left ( + ) 0 (Foc.Par.tabulate ~jobs n Fun.id)
 
 let test_tabulate_ctx () =
   let lock = Mutex.create () and ctxs = ref [] in
@@ -87,8 +67,7 @@ let test_exception_propagates () =
       Foc.Par.parallel_for ~jobs:4 100 (fun i ->
           if i = 63 then raise Exit));
   (* and the pool still works afterwards *)
-  Alcotest.(check int) "pool survives" 4950
-    (Foc.Par.map_reduce ~jobs:4 ~n:100 ~map:Fun.id ~reduce:( + ) 0)
+  Alcotest.(check int) "pool survives" 4950 (sum ~jobs:4 100)
 
 exception Probe of int
 
@@ -109,8 +88,7 @@ let test_exception_every_jobs () =
             1037 p);
       Alcotest.(check int)
         (Printf.sprintf "jobs=%d pool reusable after failure" jobs)
-        2016
-        (Foc.Par.map_reduce ~jobs ~n:64 ~map:Fun.id ~reduce:( + ) 0))
+        2016 (sum ~jobs 64))
     [ 1; 2; 4; 8 ]
 
 (* regression: the join point must re-raise with the backtrace captured on
@@ -149,8 +127,7 @@ let test_nested_degrades () =
   (* a parallel call from inside a worker must degrade to sequential
      instead of deadlocking *)
   let out =
-    Foc.Par.tabulate ~jobs:4 64 (fun i ->
-        Foc.Par.map_reduce ~jobs:4 ~n:(i + 1) ~map:Fun.id ~reduce:( + ) 0)
+    Foc.Par.tabulate ~jobs:4 64 (fun i -> sum ~jobs:4 (i + 1))
   in
   Alcotest.(check (array int))
     "nested results"
@@ -194,9 +171,6 @@ let () =
           Alcotest.test_case "parallel_for covers range" `Quick
             test_parallel_for;
           Alcotest.test_case "tabulate = Array.init" `Quick test_tabulate;
-          Alcotest.test_case "map_reduce sums" `Quick test_map_reduce_sum;
-          Alcotest.test_case "deterministic reduce order" `Quick
-            test_map_reduce_order;
           Alcotest.test_case "per-executor contexts" `Quick test_tabulate_ctx;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagates;

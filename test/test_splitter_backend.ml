@@ -28,25 +28,26 @@ let decompose vars src =
   | Some cl -> cl
   | None -> Alcotest.fail "decomposition failed"
 
+let direct_sweep a cl =
+  let r =
+    List.fold_left
+      (fun r b -> max r b.Foc_local.Clterm.radius)
+      0
+      (Foc_local.Clterm.basics cl)
+  in
+  Foc_local.Clterm.direct (Foc_local.Pattern_count.make_ctx preds a ~r)
+
 (* removal steps land in the metrics registry in scope; with an engine's
    registry in scope they are read back through [Engine.stats] *)
 let check_agree name a cl ~max_rounds ~small =
   let e = Engine.create ~config:(splitter_cfg ~max_rounds ~small) () in
   let got =
     Foc.Obs.Metrics.with_current (Engine.metrics e) (fun () ->
-        Splitter_backend.eval_unary preds a ~max_rounds ~small cl)
+        Foc_local.Clterm.eval_unary
+          (Splitter_backend.sweep preds a ~max_rounds ~small)
+          cl)
   in
-  let ctx =
-    let rec radius = function
-      | Foc_local.Clterm.Const _ -> 0
-      | Foc_local.Clterm.Ground b | Foc_local.Clterm.Unary b ->
-          b.Foc_local.Clterm.radius
-      | Foc_local.Clterm.Add (s, t) | Foc_local.Clterm.Mul (s, t) ->
-          max (radius s) (radius t)
-    in
-    Foc_local.Pattern_count.make_ctx preds a ~r:(radius cl)
-  in
-  let expected = Foc_local.Clterm.eval_unary ctx cl in
+  let expected = Foc_local.Clterm.eval_unary (direct_sweep a cl) cl in
   Alcotest.(check (array int)) name expected got;
   (Engine.stats e).removals
 
@@ -97,6 +98,8 @@ let test_engine_integration () =
   Alcotest.(check bool) "removal stats recorded" true
     ((Engine.stats eng).removals >= 0)
 
+(* The degree term plus a constant and a width-0 ground leaf (a sentence);
+   the Hanf sweep is checked against the same reference. *)
 let prop_splitter_agrees =
   QCheck.Test.make ~name:"splitter backend = direct on random graphs"
     ~count:20
@@ -104,12 +107,24 @@ let prop_splitter_agrees =
     (fun (n, seed) ->
       let rng = Random.State.make [| n; seed |] in
       let a = coloured seed (Foc_graph.Gen.random_bounded_degree rng n 3) in
-      let cl = decompose [ "x"; "y" ] "E(x,y) & B(y)" in
-      let got =
-        Splitter_backend.eval_unary preds a ~max_rounds:2 ~small:6 cl
+      let sentence =
+        Foc_local.Clterm.basic
+          ~pattern:(Foc_graph.Pattern.make 0 [])
+          ~radius:1 ~vars:[] ~body:(parse "exists y. (R(y) & G(y))")
       in
-      let ctx = Foc_local.Pattern_count.make_ctx preds a ~r:1 in
-      got = Foc_local.Clterm.eval_unary ctx cl)
+      let cl =
+        Foc_local.Clterm.(
+          Add
+            ( Mul (Const 2, Ground sentence),
+              decompose [ "x"; "y" ] "E(x,y) & B(y)" ))
+      in
+      let expected = Foc_local.Clterm.eval_unary (direct_sweep a cl) cl in
+      List.for_all
+        (fun sweep -> Foc_local.Clterm.eval_unary sweep cl = expected)
+        [
+          Splitter_backend.sweep preds a ~max_rounds:2 ~small:6;
+          Hanf_backend.sweep ~classes_for:(Foc_bd.Hanf.classes a) preds a;
+        ])
 
 let () =
   Alcotest.run "foc_nd splitter backend"
