@@ -58,25 +58,6 @@ let ball_cache_arg =
            back-ends. $(b,0) keeps only the most recent ball. All settings \
            return identical counts; only memory and time change.")
 
-let stats_buckets_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "stats-buckets" ] ~docv:"N"
-        ~doc:
-          "Equi-depth histogram resolution of the join-planning statistics \
-           (relalg baseline and engine fallbacks). $(b,0) disables \
-           histograms; row and distinct counts remain. Never changes \
-           results.")
-
-let no_adaptive_arg =
-  Arg.(
-    value & flag
-    & info [ "no-adaptive" ]
-        ~doc:
-          "Disable the adaptive re-planning loop that compares the \
-           planner's estimated join cardinalities against the actual ones \
-           and re-orders repeated conjunctions. Never changes results.")
-
 let trace_arg =
   Arg.(
     value
@@ -138,8 +119,7 @@ let finish_obs ~trace ~metrics eng =
   | Some path -> Foc.Obs.Trace.export_chrome path
   | None -> ()
 
-let make_engine ?(jobs = 0) ?(ball_cache_mb = 64) ?(stats_buckets = 64)
-    ?(adaptive = true) ?trace_file engine =
+let make_engine ?(jobs = 0) ?(ball_cache_mb = 64) ?trace_file engine =
   let jobs = if jobs <= 0 then Foc.Par.default_jobs () else jobs in
   let with_backend backend =
     Some
@@ -151,8 +131,6 @@ let make_engine ?(jobs = 0) ?(ball_cache_mb = 64) ?(stats_buckets = 64)
              jobs;
              ball_cache_mb;
              trace_file;
-             stats_buckets;
-             adaptive;
            }
          ())
   in
@@ -169,20 +147,14 @@ let make_engine ?(jobs = 0) ?(ball_cache_mb = 64) ?(stats_buckets = 64)
 let print_stats eng =
   Printf.printf "# stats: %s\n" (Foc.Engine.stats_line eng)
 
-(* the relalg baseline plans with the same statistics layer as the engine
-   fallbacks: one collect per structure, memoised across a query's
-   sub-evaluations *)
-let make_relalg_ctx ~stats_buckets ~adaptive () =
-  let memo = ref [] in
-  let stats_for a =
-    match List.assq_opt a !memo with
-    | Some st -> st
-    | None ->
-        let st = Foc.Stats.collect ~buckets:stats_buckets a in
-        memo := (a, st) :: !memo;
-        st
-  in
-  Foc.Relalg.make_ctx ~stats_for ~buckets:stats_buckets ~adaptive ()
+(* a question with free variables has no single answer on any engine:
+   one error line and the usage exit code, before any engine runs *)
+let require_closed what free =
+  if not (Foc.Var.Set.is_empty free) then begin
+    Printf.eprintf "error: %s has free variable(s) %s\n" what
+      (String.concat ", " (Foc.Var.Set.elements free));
+    exit 2
+  end
 
 let print_baseline_stats () =
   Printf.printf "# stats: %s\n" (Foc.Eval_obs.line ())
@@ -193,8 +165,7 @@ let timed = Foc.Obs.Clock.timed
 (* ---------------- check ---------------- *)
 
 let check_cmd =
-  let run structure engine jobs ball_cache_mb stats_buckets no_adaptive
-      stats trace metrics log_level
+  let run structure engine jobs ball_cache_mb stats trace metrics log_level
       src =
     setup_obs ~trace ~metrics ~log_level;
     let a = load_structure structure in
@@ -204,8 +175,8 @@ let check_cmd =
         Printf.eprintf "parse error at %d: %s\n" p m;
         exit 2
     in
-    let eng = make_engine ~jobs ~ball_cache_mb ~stats_buckets
-        ~adaptive:(not no_adaptive) ?trace_file:trace engine in
+    require_closed "sentence" (Foc.Ast.free_formula phi);
+    let eng = make_engine ~jobs ~ball_cache_mb ?trace_file:trace engine in
     let result, seconds =
       match eng with
       | Some eng ->
@@ -218,13 +189,11 @@ let check_cmd =
                 Foc.Obs.span ~name:"naive" (fun () ->
                     Foc.Naive.sentence Foc.predicates a phi))
           else begin
-            let ctx =
-              make_relalg_ctx ~stats_buckets ~adaptive:(not no_adaptive) ()
-            in
             let r =
               timed (fun () ->
                   Foc.Obs.span ~name:"fallback" (fun () ->
-                      Foc.Relalg.holds ~ctx Foc.predicates a [] phi))
+                      Foc.Relalg.holds ~ctx:(Foc.Relalg.make_ctx ())
+                        Foc.predicates a [] phi))
             in
             if stats then print_baseline_stats ();
             r
@@ -244,13 +213,12 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Model-check a FOC(P) sentence on a structure.")
     Term.(
       const run $ structure_arg $ engine_arg $ jobs_arg $ ball_cache_arg
-      $ stats_buckets_arg $ no_adaptive_arg $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ src)
+      $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ src)
 
 (* ---------------- count ---------------- *)
 
 let count_cmd =
-  let run structure engine jobs ball_cache_mb stats_buckets no_adaptive
-      stats trace metrics log_level
+  let run structure engine jobs ball_cache_mb stats trace metrics log_level
       src =
     setup_obs ~trace ~metrics ~log_level;
     let a = load_structure structure in
@@ -260,8 +228,8 @@ let count_cmd =
         Printf.eprintf "parse error at %d: %s\n" p m;
         exit 2
     in
-    let eng = make_engine ~jobs ~ball_cache_mb ~stats_buckets
-        ~adaptive:(not no_adaptive) ?trace_file:trace engine in
+    require_closed "term" (Foc.Ast.free_term term);
+    let eng = make_engine ~jobs ~ball_cache_mb ?trace_file:trace engine in
     let result, seconds =
       match eng with
       | Some eng ->
@@ -274,13 +242,11 @@ let count_cmd =
                 Foc.Obs.span ~name:"naive" (fun () ->
                     Foc.Naive.ground_term Foc.predicates a term))
           else begin
-            let ctx =
-              make_relalg_ctx ~stats_buckets ~adaptive:(not no_adaptive) ()
-            in
             let r =
               timed (fun () ->
                   Foc.Obs.span ~name:"fallback" (fun () ->
-                      Foc.Relalg.term_value ~ctx Foc.predicates a [] term))
+                      Foc.Relalg.term_value ~ctx:(Foc.Relalg.make_ctx ())
+                        Foc.predicates a [] term))
             in
             if stats then print_baseline_stats ();
             r
@@ -300,7 +266,7 @@ let count_cmd =
     (Cmd.info "count" ~doc:"Evaluate a ground counting term on a structure.")
     Term.(
       const run $ structure_arg $ engine_arg $ jobs_arg $ ball_cache_arg
-      $ stats_buckets_arg $ no_adaptive_arg $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ src)
+      $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ src)
 
 (* ---------------- socket plumbing (query/serve/call/...) ---------------- *)
 
@@ -348,8 +314,7 @@ let timeout_arg =
 (* ---------------- query ---------------- *)
 
 let query_cmd =
-  let run structure engine jobs ball_cache_mb stats_buckets no_adaptive
-      stats trace metrics log_level
+  let run structure engine jobs ball_cache_mb stats trace metrics log_level
       head terms body limit page socket tcp timeout =
     setup_obs ~trace ~metrics ~log_level;
     (* remote: stream over a running foc serve (no structure file needed) *)
@@ -427,8 +392,7 @@ let query_cmd =
         Printf.eprintf "bad query: %s\n" m;
         exit 2
     in
-    let eng = make_engine ~jobs ~ball_cache_mb ~stats_buckets
-        ~adaptive:(not no_adaptive) ?trace_file:trace engine in
+    let eng = make_engine ~jobs ~ball_cache_mb ?trace_file:trace engine in
     (* --page: stream through a pull cursor instead of materialising;
        rows print as they are produced and --limit caps production, not
        just printing *)
@@ -477,13 +441,11 @@ let query_cmd =
                 Foc.Obs.span ~name:"naive" (fun () ->
                     Foc.Naive.query Foc.predicates a q))
           else begin
-            let ctx =
-              make_relalg_ctx ~stats_buckets ~adaptive:(not no_adaptive) ()
-            in
             let r =
               timed (fun () ->
                   Foc.Obs.span ~name:"fallback" (fun () ->
-                      Foc.Relalg.query ~ctx Foc.predicates a q))
+                      Foc.Relalg.query ~ctx:(Foc.Relalg.make_ctx ())
+                        Foc.predicates a q))
             in
             if stats then print_baseline_stats ();
             r
@@ -548,7 +510,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Run a FOC1(P)-query (Definition 5.2).")
     Term.(
       const run $ structure_opt $ engine_arg $ jobs_arg $ ball_cache_arg
-      $ stats_buckets_arg $ no_adaptive_arg $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ head $ terms
+      $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ head $ terms
       $ body $ limit $ page $ socket_arg $ tcp_arg $ timeout_arg)
 
 (* ---------------- gen ---------------- *)
@@ -712,8 +674,7 @@ let gendb_cmd =
     Term.(const run $ customers $ orders $ countries $ cities $ seed $ output)
 
 let sql_cmd =
-  let run structure engine jobs ball_cache_mb stats_buckets no_adaptive
-      stats trace metrics log_level
+  let run structure engine jobs ball_cache_mb stats trace metrics log_level
       src limit =
     setup_obs ~trace ~metrics ~log_level;
     let a = load_structure structure in
@@ -727,8 +688,7 @@ let sql_cmd =
         exit 2
     in
     Printf.printf "FOC1> %s\n" (Format.asprintf "%a" Foc.Query.pp q);
-    let eng = make_engine ~jobs ~ball_cache_mb ~stats_buckets
-        ~adaptive:(not no_adaptive) ?trace_file:trace engine in
+    let eng = make_engine ~jobs ~ball_cache_mb ?trace_file:trace engine in
     let rows, seconds =
       match eng with
       | Some eng ->
@@ -741,13 +701,11 @@ let sql_cmd =
                 Foc.Obs.span ~name:"naive" (fun () ->
                     Foc.Naive.query Foc.predicates a q))
           else begin
-            let ctx =
-              make_relalg_ctx ~stats_buckets ~adaptive:(not no_adaptive) ()
-            in
             let r =
               timed (fun () ->
                   Foc.Obs.span ~name:"fallback" (fun () ->
-                      Foc.Relalg.query ~ctx Foc.predicates a q))
+                      Foc.Relalg.query ~ctx:(Foc.Relalg.make_ctx ())
+                        Foc.predicates a q))
             in
             if stats then print_baseline_stats ();
             r
@@ -783,7 +741,7 @@ let sql_cmd =
     (Cmd.info "sql" ~doc:"Run an SQL COUNT statement compiled to FOC1.")
     Term.(
       const run $ structure_arg $ engine_arg $ jobs_arg $ ball_cache_arg
-      $ stats_buckets_arg $ no_adaptive_arg $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ src $ limit)
+      $ stats_arg $ trace_arg $ metrics_arg $ log_level_arg $ src $ limit)
 
 let budget_arg =
   Arg.(
@@ -798,9 +756,9 @@ let budget_arg =
 (* ---------------- serve / call ---------------- *)
 
 let serve_cmd =
-  let run structure engine jobs ball_cache_mb stats_buckets no_adaptive
-      budget_mb socket tcp max_queue client_budget max_batch slow_ms
-      slow_log trace trace_cap store checkpoint_every max_cursors log_level =
+  let run structure engine jobs ball_cache_mb budget_mb socket tcp max_queue
+      client_budget max_batch slow_ms slow_log trace trace_cap store
+      checkpoint_every max_cursors log_level =
     setup_obs ~trace:None ~metrics:false ~log_level;
     let a = load_structure structure in
     let address =
@@ -833,8 +791,6 @@ let serve_cmd =
             backend;
             jobs = 1;
             ball_cache_mb;
-            stats_buckets;
-            adaptive = not no_adaptive;
           };
         budget_mb;
         jobs;
@@ -966,7 +922,7 @@ let serve_cmd =
           session (try: socat - UNIX-CONNECT:/tmp/foc.sock).")
     Term.(
       const run $ structure_arg $ engine_arg $ jobs_arg $ ball_cache_arg
-      $ stats_buckets_arg $ no_adaptive_arg $ budget_arg $ socket_arg
+      $ budget_arg $ socket_arg
       $ tcp_arg $ max_queue $ client_budget $ max_batch $ slow_ms
       $ slow_log $ serve_trace $ trace_cap $ store_arg
       $ checkpoint_every_arg $ max_cursors_arg $ log_level_arg)
@@ -1285,7 +1241,7 @@ let parse_sentences srcs =
     srcs
 
 let snapshot_save_cmd =
-  let run structure engine ball_cache_mb stats_buckets budget_mb radii
+  let run structure engine ball_cache_mb budget_mb radii
       queries log_level dir =
     setup_obs ~trace:None ~metrics:false ~log_level;
     let a = load_structure structure in
@@ -1295,7 +1251,6 @@ let snapshot_save_cmd =
         backend = session_backend ~cmd:"snapshot save" engine;
         jobs = 1;
         ball_cache_mb;
-        stats_buckets;
       }
     in
     let sess = Foc.Session.create ~budget_mb ~config a in
@@ -1320,7 +1275,7 @@ let snapshot_save_cmd =
           into a store directory for instant cold starts.")
     Term.(
       const run $ structure_arg $ engine_arg $ ball_cache_arg
-      $ stats_buckets_arg $ budget_arg $ radii_arg $ snapshot_queries_arg
+      $ budget_arg $ radii_arg $ snapshot_queries_arg
       $ log_level_arg $ store_dir_arg)
 
 let snapshot_info_cmd =
@@ -1337,7 +1292,7 @@ let snapshot_info_cmd =
     Term.(const run $ store_dir_arg)
 
 let snapshot_load_cmd =
-  let run engine ball_cache_mb stats_buckets budget_mb queries log_level dir
+  let run engine ball_cache_mb budget_mb queries log_level dir
       =
     setup_obs ~trace:None ~metrics:false ~log_level;
     let config =
@@ -1346,7 +1301,6 @@ let snapshot_load_cmd =
         backend = session_backend ~cmd:"snapshot load" engine;
         jobs = 1;
         ball_cache_mb;
-        stats_buckets;
       }
     in
     let loaded, load_s =
@@ -1397,8 +1351,8 @@ let snapshot_load_cmd =
           check each $(b,--query) answer against a fresh engine on the \
           restored structure (exit 5 on any mismatch).")
     Term.(
-      const run $ engine_arg $ ball_cache_arg $ stats_buckets_arg
-      $ budget_arg $ snapshot_queries_arg $ log_level_arg $ store_dir_arg)
+      const run $ engine_arg $ ball_cache_arg $ budget_arg
+      $ snapshot_queries_arg $ log_level_arg $ store_dir_arg)
 
 let snapshot_cmd =
   Cmd.group

@@ -9,8 +9,9 @@ dune build
 dune runtest
 dune exec bench/main.exe -- --only E11 --smoke
 dune exec bench/main.exe -- --only E12 --smoke
-# E13 exits non-zero if the planned and unplanned relational engines
-# disagree or the planner takes a full n^k complement on conjunctive
+# E13 exits non-zero if the planned relational engine disagrees with
+# Naive (n <= 500) or, on the dense fallback, with the 4-edge walk count
+# 1'A^4 1, or if the planner takes a full n^k complement on conjunctive
 # negation — the agreement gate for the columnar kernel + planner.
 dune exec bench/main.exe -- --only E13 --smoke
 # E14 exits non-zero if a warm session or a batch (jobs 1 and 4) ever
@@ -22,10 +23,11 @@ dune exec bench/main.exe -- --only E14 --smoke
 # fresh sequential engine at the version it was served on.
 dune exec bench/main.exe -- --only E15 --smoke
 # E16 exits non-zero if histograms fail to flip the join order on
-# hub-skewed data, the adaptive feedback loop never re-plans, any count
-# deviates from the unplanned baseline / Naive, or incrementally
-# maintained statistics drift from recollection — the agreement gate
-# for the statistics layer and the adaptive planner.
+# hub-skewed data, the adaptive feedback loop never re-plans, the
+# uniform, histogram and re-planned counts differ or a small instance
+# disagrees with Naive, or incrementally maintained statistics drift
+# from recollection — the agreement gate for the statistics layer and
+# the adaptive planner.
 dune exec bench/main.exe -- --only E16 --smoke
 # E17 runs the E15 load twice — plain and with the full observability
 # stack (per-request timing, slow-query log, bounded-ring tracing) — and
@@ -127,6 +129,11 @@ grep -q 'engine.hanf_partitions_built=2' /tmp/ci_hanf_out.txt || {
   echo "ci: hanf count did not build exactly two partitions"
   exit 1
 }
+# A negation over variables no positive conjunct binds runs as one
+# leapfrog search over the domain: relalg must count what naive counts.
+UQ='#(x,y,z). (R(x) & !E(y,z))'
+uq() { dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc "$UQ" -e "$1" | head -1; }
+[ "$(uq relalg)" = "$(uq naive)" ] || { echo "ci: relalg and naive disagree on '$UQ'"; exit 1; }
 # CLI batch round-trip: session answers must match per-sentence checks
 printf 'exists x. (#(y). E(x,y)) >= 1\n#(x,y). (E(x,y) & R(x)) >= 5\n' \
   > /tmp/ci_batch.txt

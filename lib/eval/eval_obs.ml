@@ -21,8 +21,6 @@ type s = {
   complements_avoided : M.Counter.t;
   selections_pushed : M.Counter.t;
   divisions : M.Counter.t;
-  neg_extensions : M.Counter.t;
-  neg_complements : M.Counter.t;
   est_rows : M.Counter.t;
   actual_rows : M.Counter.t;
   replans : M.Counter.t;
@@ -32,7 +30,6 @@ type s = {
   enum_ttfr : M.Histogram.t;
   err_max_x100 : M.Gauge.t;
   peak_table_bytes : M.Gauge.t;
-  mutable orders : int list list;  (* recent plan orders, newest first *)
   mutable plans : plan_record list;  (* recent executed plans, newest first *)
   mutable pseq : int;  (* plans ever recorded since reset *)
 }
@@ -53,8 +50,6 @@ let make () =
     complements_avoided = M.counter registry "planner.complements_avoided";
     selections_pushed = M.counter registry "planner.selections_pushed";
     divisions = M.counter registry "planner.divisions";
-    neg_extensions = M.counter registry "planner.neg_extensions";
-    neg_complements = M.counter registry "planner.neg_complements";
     est_rows = M.counter registry "planner.est_rows";
     actual_rows = M.counter registry "planner.actual_rows";
     replans = M.counter registry "planner.replans";
@@ -64,7 +59,6 @@ let make () =
     enum_ttfr = M.histogram registry "enum.ttfr.ns";
     err_max_x100 = M.gauge registry "planner.err_max_x100";
     peak_table_bytes = M.gauge registry "table.peak_bytes";
-    orders = [];
     plans = [];
     pseq = 0;
   }
@@ -96,8 +90,6 @@ let note_complement ~rows =
 let note_complement_avoided () = M.Counter.inc !cur.complements_avoided
 let note_selection_pushed () = M.Counter.inc !cur.selections_pushed
 let note_division () = M.Counter.inc !cur.divisions
-let note_neg_extension () = M.Counter.inc !cur.neg_extensions
-let note_neg_complement () = M.Counter.inc !cur.neg_complements
 
 (* saturating float -> int for the estimate counters *)
 let int_of_est e =
@@ -125,22 +117,19 @@ let rec take k = function
   | x :: rest when k > 0 -> x :: take (k - 1) rest
   | _ -> []
 
-(* The plan rings are shared by every domain that runs the baseline
-   (session batches fall back on pool workers), so they change under a
+(* The plan ring is shared by every domain that runs the baseline
+   (session batches fall back on pool workers), so it changes under a
    lock; the counters above shard per domain and need none. *)
 let ring_lock = Mutex.create ()
 
-let with_rings f =
+let with_ring f =
   Mutex.lock ring_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock ring_lock) (fun () -> f !cur)
-
-let note_plan_order order =
-  with_rings (fun s -> s.orders <- order :: take 63 s.orders)
 
 (* the structured record behind the server's [explain] op: the executed
    join order with each step's predicted vs actual rows *)
 let note_plan_exec ~order ~steps ~replanned =
-  with_rings (fun s ->
+  with_ring (fun s ->
       s.pseq <- s.pseq + 1;
       s.plans <- { pseq = s.pseq; order; steps; replanned } :: take 63 s.plans)
 
@@ -158,8 +147,6 @@ let complement_rows () = M.Counter.value !cur.complement_rows
 let complements_avoided () = M.Counter.value !cur.complements_avoided
 let selections_pushed () = M.Counter.value !cur.selections_pushed
 let divisions () = M.Counter.value !cur.divisions
-let neg_extensions () = M.Counter.value !cur.neg_extensions
-let neg_complements () = M.Counter.value !cur.neg_complements
 let est_rows () = M.Counter.value !cur.est_rows
 let actual_rows () = M.Counter.value !cur.actual_rows
 let replans () = M.Counter.value !cur.replans
@@ -168,11 +155,10 @@ let enum_rows () = M.Counter.value !cur.enum_rows
 let enum_delay_quantile q = M.Histogram.quantile !cur.enum_delay q
 let enum_ttfr_quantile q = M.Histogram.quantile !cur.enum_ttfr q
 let err_max_x100 () = M.Gauge.value !cur.err_max_x100
-let plan_orders () = with_rings (fun s -> List.rev s.orders)
-let plan_seq () = with_rings (fun s -> s.pseq)
+let plan_seq () = with_ring (fun s -> s.pseq)
 
 let plans_since seq =
-  with_rings (fun s ->
+  with_ring (fun s ->
       List.rev (List.filter (fun (p : plan_record) -> p.pseq > seq) s.plans))
 
 let registry () = !cur.registry

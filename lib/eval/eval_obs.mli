@@ -10,7 +10,7 @@
     Any domain may record: session batches run baseline fallbacks on
     {!Foc_par} workers. The registry shards per domain like every
     {!Foc_obs.Metrics} registry, so readers see the sum over domains, and
-    the plan rings are appended under a lock. {!reset} swaps in a fresh
+    the plan ring is appended under a lock. {!reset} swaps in a fresh
     registry so a benchmark or test can measure a single run without
     interference; call it while no evaluation is running. *)
 
@@ -35,8 +35,6 @@ val note_complement : rows:int -> unit
 val note_complement_avoided : unit -> unit
 val note_selection_pushed : unit -> unit
 val note_division : unit -> unit
-val note_neg_extension : unit -> unit
-val note_neg_complement : unit -> unit
 
 (** [note_op_card ~est ~actual] — one planned operator (join or anti-join)
     produced [actual] rows where the planner predicted [est] (saturated
@@ -61,9 +59,6 @@ val note_enum_first : ns:int -> unit
 (** [note_plan_error ~ratio] — worst per-step estimation error ratio of a
     finished plan (gauge [planner.err_max_x100], peak-tracked). *)
 val note_plan_error : ratio:float -> unit
-
-(** Record the join order a [plan_and] chose (diagnostic ring, last 64). *)
-val note_plan_order : int list -> unit
 
 (** [note_plan_exec ~order ~steps ~replanned] — one executed conjunction
     plan: its join order, each executed join step's (predicted, actual)
@@ -111,17 +106,6 @@ val selections_pushed : unit -> int
 (** [Forall] quantifiers compiled as group-count division. *)
 val divisions : unit -> int
 
-(** Negated conjuncts whose variables were not covered by any positive
-    conjunct: the current table had to be padded with full columns before
-    the anti-join (degenerates towards the complement cost). *)
-val neg_extensions : unit -> int
-
-(** Uncovered negations where the cost model picked the [n^arity]
-    complement + join over padding the current table (chosen only when a
-    planning context makes the comparison possible and the complement is
-    estimated cheaper). *)
-val neg_complements : unit -> int
-
 (** Sum of predicted output rows across planned joins/anti-joins… *)
 val est_rows : unit -> int
 
@@ -146,11 +130,6 @@ val enum_ttfr_quantile : float -> float
 
 (** Peak per-plan worst-step estimation error ratio, ×100. *)
 val err_max_x100 : unit -> int
-
-(** Join orders chosen by recent [plan_and] calls, oldest first (at most
-    64 retained) — lets the bench assert a plan {e flip} between two
-    configurations. *)
-val plan_orders : unit -> int list list
 
 type plan_record = {
   pseq : int;  (** position in the sequence of plans since {!reset} *)

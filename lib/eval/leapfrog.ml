@@ -73,7 +73,7 @@ let search ?after ~n ~width atoms =
     let v = ref (max seed 0) and agreed = ref 0 and j = ref 0 in
     let result = ref (-2) in
     while !result = -2 do
-      if !v >= n then result := -1
+      if m = 0 && !v >= n then result := -1
       else if !agreed >= m then begin
         vals.(i) <- !v;
         if excluded i then begin

@@ -5,10 +5,9 @@ module Stats = Foc_stats.Stats
 
 (* ------------------------------------------------------------------ *)
 (* Planning context: base-relation statistics, histogram resolution, and
-   the adaptive feedback state. [None] everywhere reproduces the PR-4
-   uniform-domain planner bit-for-bit (and its metrics). A ctx is a
-   mutable single-domain object meant to live as long as an engine or a
-   session, so per-plan observations survive across queries. *)
+   the adaptive feedback state. A ctx is a mutable single-domain object
+   meant to live as long as an engine or a session, so per-plan
+   observations survive across queries. *)
 
 type feedback_entry = {
   (* observed selectivity of appending input [next] to the joined prefix
@@ -20,16 +19,36 @@ type feedback_entry = {
 }
 
 type ctx = {
-  stats_for : (Foc_data.Structure.t -> Stats.t) option;
+  stats_for : Foc_data.Structure.t -> Stats.t;
   buckets : int;
-  adaptive : bool;
-  replan_ratio : float;
   feedback : (Ast.formula list, feedback_entry) Hashtbl.t;
 }
 
-let make_ctx ?stats_for ?(buckets = 64) ?(adaptive = true)
-    ?(replan_ratio = 8.) () =
-  { stats_for; buckets; adaptive; replan_ratio; feedback = Hashtbl.create 16 }
+(* worst per-step estimate error beyond which a plan's observed
+   selectivities are recorded for re-planning *)
+let replan_ratio = 8.
+
+(* Without a provider, a two-entry physical-identity memo amortises one
+   [Stats.collect] per structure across a query's sub-evaluations (an
+   induced substructure alternates with its base). The per-atom row-count
+   guard in [conjunct_input] falls back to scanning whenever an entry went
+   stale, so a mutated structure can cost plan quality, never
+   correctness. *)
+let make_ctx ?stats_for ?(buckets = Stats.default_buckets) () =
+  let stats_for =
+    match stats_for with
+    | Some f -> f
+    | None ->
+        let memo = ref [] in
+        fun a ->
+          match List.assq_opt a !memo with
+          | Some s -> s
+          | None ->
+              let s = Stats.collect ~buckets a in
+              memo := (a, s) :: (match !memo with e :: _ -> [ e ] | [] -> []);
+              s
+  in
+  { stats_for; buckets; feedback = Hashtbl.create 16 }
 
 (* column summaries for one materialised conjunct table: O(1) from the
    relation statistics for a plain [Rel] atom, otherwise one O(rows) scan
@@ -44,10 +63,9 @@ let conjunct_input ctx a form table =
     if ctx.buckets <= 0 then []
     else begin
       let from_stats =
-        match (form, ctx.stats_for) with
-        | Ast.Rel (r, xs), Some sf
-          when Array.length xs = Var.Set.cardinal vars ->
-            let st = sf a in
+        match form with
+        | Ast.Rel (r, xs) when Array.length xs = Var.Set.cardinal vars ->
+            let st = ctx.stats_for a in
             if Stats.row_count st r = card then
               Some
                 (Array.to_list (Array.mapi (fun i x -> (x, Stats.summary st r i)) xs))
@@ -155,7 +173,7 @@ let dist_table a x y d =
     Table.of_core [| x; y |] (TS.Builder.build b)
   end
 
-let rec ft ~plan ~pctx preds a (phi : Ast.formula) =
+let rec ft ~ctx preds a (phi : Ast.formula) =
   check_universe a;
   let n = Foc_data.Structure.order a in
   match phi with
@@ -165,15 +183,14 @@ let rec ft ~plan ~pctx preds a (phi : Ast.formula) =
       if Var.equal x y then all_elements_table a x else eq_table n x y
   | Rel (r, xs) -> rel_table a r xs
   | Dist (x, y, d) -> dist_table a x y d
-  | Neg f when not plan -> Table.complement (ft ~plan ~pctx preds a f) n
-  | Neg (Neg f) -> ft ~plan ~pctx preds a f
+  | Neg (Neg f) -> ft ~ctx preds a f
   | Neg (Or _) ->
       (* ¬(f ∨ g) ≡ ¬f ∧ ¬g: route through the conjunction planner so each
          negation becomes an anti-join rather than one wide complement *)
-      plan_and ~plan ~pctx preds a (Planner.conjuncts phi)
-  | Neg f -> Table.complement (ft ~plan ~pctx preds a f) n
+      plan_and ~ctx preds a (Planner.conjuncts phi)
+  | Neg f -> Table.complement (ft ~ctx preds a f) n
   | Or (f, g) ->
-      let tf = ft ~plan ~pctx preds a f and tg = ft ~plan ~pctx preds a g in
+      let tf = ft ~ctx preds a f and tg = ft ~ctx preds a g in
       let missing_of t other =
         Array.to_list (Table.vars other)
         |> List.filter (fun x -> not (Table.has_column t x))
@@ -182,11 +199,9 @@ let rec ft ~plan ~pctx preds a (phi : Ast.formula) =
       let tf = Table.extend_full tf n (missing_of tf tg) in
       let tg = Table.extend_full tg n (missing_of tg tf) in
       Table.union tf tg
-  | And (f, g) ->
-      if plan then plan_and ~plan ~pctx preds a (Planner.conjuncts phi)
-      else Table.join (ft ~plan ~pctx preds a f) (ft ~plan ~pctx preds a g)
+  | And _ -> plan_and ~ctx preds a (Planner.conjuncts phi)
   | Exists (y, f) ->
-      let t = ft ~plan ~pctx preds a f in
+      let t = ft ~ctx preds a f in
       if Table.has_column t y then begin
         let target =
           Array.to_list (Table.vars t)
@@ -197,15 +212,12 @@ let rec ft ~plan ~pctx preds a (phi : Ast.formula) =
       end
       else t
   | Forall (y, f) ->
-      if plan then begin
-        (* relational division: one group-count pass instead of the
-           double-negation complement pair *)
-        let t = ft ~plan ~pctx preds a f in
-        if Table.has_column t y then Table.divide t y n else t
-      end
-      else ft ~plan ~pctx preds a (Ast.Neg (Exists (y, Ast.Neg f)))
+      (* relational division: one group-count pass instead of the
+         double-negation complement pair *)
+      let t = ft ~ctx preds a f in
+      if Table.has_column t y then Table.divide t y n else t
   | Pred (p, ts) ->
-      let counts = List.map (tc ~plan ~pctx preds a) ts in
+      let counts = List.map (tc ~ctx preds a) ts in
       let free =
         List.fold_left
           (fun acc c -> Var.Set.union acc (Counts.vars c))
@@ -230,7 +242,7 @@ let rec ft ~plan ~pctx preds a (phi : Ast.formula) =
    join them greedily by estimated output size, and eagerly settle Eq
    atoms as selections and negated conjuncts as anti-joins the moment the
    current table covers their variables. *)
-and plan_and ~plan ~pctx preds a cs =
+and plan_and ~ctx preds a cs =
   let n = Foc_data.Structure.order a in
   let eqs = ref [] and neg_fs = ref [] and pos = ref [] in
   List.iter
@@ -240,7 +252,31 @@ and plan_and ~plan ~pctx preds a cs =
       | Neg f -> neg_fs := f :: !neg_fs
       | f -> pos := f :: !pos)
     cs;
-  let negs = ref (List.rev_map (fun f -> ft ~plan ~pctx preds a f) !neg_fs) in
+  let negs = ref (List.rev_map (fun f -> ft ~ctx preds a f) !neg_fs) in
+  (* [cur ∧ ¬tg], its columns [vars cur] then those of [tg] that [cur]
+     lacks (ranging over the domain), with the predicted output
+     [|cur|·n^missing·(1 - semijoin sel)] checked against the actual one *)
+  let apply_neg cur tg =
+    let missing =
+      Array.to_list (Table.vars tg)
+      |> List.filter (fun x -> not (Table.has_column cur x))
+    in
+    let card =
+      float_of_int (Table.cardinal cur)
+      *. (float_of_int n ** float_of_int (List.length missing))
+    in
+    let vars = Var.Set.of_list (Array.to_list (Table.vars cur) @ missing) in
+    let sel =
+      Planner.semijoin_sel ~n
+        (Planner.input vars (int_of_float (Float.min card 1e18)))
+        (table_input tg)
+    in
+    let out = Table.antijoin ~n cur tg in
+    Eval_obs.note_op_card ~est:(card *. (1. -. sel))
+      ~actual:(Table.cardinal out);
+    Eval_obs.note_complement_avoided ();
+    out
+  in
   let settle cur0 =
     let cur = ref cur0 in
     let changed = ref true in
@@ -265,19 +301,7 @@ and plan_and ~plan ~pctx preds a cs =
         List.filter
           (fun tg ->
             if Array.for_all (Table.has_column !cur) (Table.vars tg) then begin
-              (match pctx with
-              | Some _ ->
-                  (* predicted anti-join output: |cur|·(1 - semijoin sel) *)
-                  let sel =
-                    Planner.semijoin_sel ~n (table_input !cur) (table_input tg)
-                  in
-                  let est =
-                    float_of_int (Table.cardinal !cur) *. (1. -. sel)
-                  in
-                  cur := Table.antijoin !cur tg;
-                  Eval_obs.note_op_card ~est ~actual:(Table.cardinal !cur)
-              | None -> cur := Table.antijoin !cur tg);
-              Eval_obs.note_complement_avoided ();
+              cur := apply_neg !cur tg;
               changed := true;
               false
             end
@@ -287,22 +311,15 @@ and plan_and ~plan ~pctx preds a cs =
     !cur
   in
   let pos_forms = Array.of_list (List.rev !pos) in
-  let tables = Array.map (fun f -> ft ~plan ~pctx preds a f) pos_forms in
+  let tables = Array.map (fun f -> ft ~ctx preds a f) pos_forms in
   let inputs =
     Foc_obs.Scope.cue Foc_obs.Scope.Plan (fun () ->
-        match pctx with
-        | Some c ->
-            Array.mapi (fun i t -> conjunct_input c a pos_forms.(i) t) tables
-        | None -> Array.map table_input tables)
+        Array.mapi (fun i t -> conjunct_input ctx a pos_forms.(i) t) tables)
   in
   (* Re-planning: once a previous run of this conjunct list recorded
      observed selectivities (because its estimates were off by more than
-     the ctx ratio), plan with them — and count an actual order change. *)
-  let fb =
-    match pctx with
-    | Some c when c.adaptive -> Hashtbl.find_opt c.feedback cs
-    | _ -> None
-  in
+     [replan_ratio]), plan with them — and count an actual order change. *)
+  let fb = Hashtbl.find_opt ctx.feedback cs in
   let correct =
     match fb with
     | Some e when e.corrections <> [] ->
@@ -313,7 +330,6 @@ and plan_and ~plan ~pctx preds a cs =
     Foc_obs.Scope.cue Foc_obs.Scope.Plan (fun () ->
         Planner.plan_joins ~n ?correct inputs)
   in
-  Eval_obs.note_plan_order jplan.Planner.order;
   let replanned = ref false in
   (match (fb, correct) with
   | Some e, Some _ ->
@@ -357,27 +373,26 @@ and plan_and ~plan ~pctx preds a cs =
   in
   Eval_obs.note_plan_exec ~order:jplan.Planner.order
     ~steps:(List.rev !steps) ~replanned:!replanned;
-  (match pctx with
-  | Some c when c.adaptive && List.length jplan.Planner.order > 1 ->
-      Eval_obs.note_plan_error ~ratio:!max_err;
-      if !max_err > c.replan_ratio && !observed <> [] then begin
-        if Hashtbl.length c.feedback > 512 then Hashtbl.reset c.feedback;
-        let e =
-          match Hashtbl.find_opt c.feedback cs with
-          | Some e -> e
-          | None ->
-              let e = { corrections = []; last_order = jplan.Planner.order } in
-              Hashtbl.replace c.feedback cs e;
-              e
-        in
-        e.last_order <- jplan.Planner.order;
-        e.corrections <-
-          !observed
-          @ List.filter
-              (fun (key, _) -> not (List.mem_assoc key !observed))
-              e.corrections
-      end
-  | _ -> ());
+  if List.length jplan.Planner.order > 1 then begin
+    Eval_obs.note_plan_error ~ratio:!max_err;
+    if !max_err > replan_ratio && !observed <> [] then begin
+      if Hashtbl.length ctx.feedback > 512 then Hashtbl.reset ctx.feedback;
+      let e =
+        match Hashtbl.find_opt ctx.feedback cs with
+        | Some e -> e
+        | None ->
+            let e = { corrections = []; last_order = jplan.Planner.order } in
+            Hashtbl.replace ctx.feedback cs e;
+            e
+      in
+      e.last_order <- jplan.Planner.order;
+      e.corrections <-
+        !observed
+        @ List.filter
+            (fun (key, _) -> not (List.mem_assoc key !observed))
+            e.corrections
+    end
+  end;
   (* Eq atoms with neither side bound: seed them from the identity table *)
   let rec drain_eqs () =
     match !eqs with
@@ -388,53 +403,21 @@ and plan_and ~plan ~pctx preds a cs =
         drain_eqs ()
   in
   drain_eqs ();
-  (* negations over variables no positive conjunct bounds: pad the current
-     table with full columns before the anti-join, or — when a planning
-     context can price both sides and the n^arity complement is cheaper
-     than the padded intermediate — take the complement and join it *)
-  List.iter
-    (fun tg ->
-      let missing =
-        Array.to_list (Table.vars tg)
-        |> List.filter (fun x -> not (Table.has_column !cur x))
-        |> Array.of_list
-      in
-      let nf = float_of_int n in
-      let padded_cost =
-        float_of_int (Table.cardinal !cur)
-        *. (nf ** float_of_int (Array.length missing))
-      in
-      let complement_cost =
-        nf ** float_of_int (Array.length (Table.vars tg))
-      in
-      match pctx with
-      | Some _ when complement_cost < padded_cost ->
-          Eval_obs.note_neg_complement ();
-          cur := Table.join !cur (Table.complement tg n)
-      | _ ->
-          Eval_obs.note_neg_extension ();
-          Eval_obs.note_complement_avoided ();
-          let padded = Table.extend_full !cur n missing in
-          let est =
-            float_of_int (Table.cardinal padded)
-            *. (1. -. Planner.semijoin_sel ~n (table_input padded) (table_input tg))
-          in
-          cur := Table.antijoin padded tg;
-          if Option.is_some pctx then
-            Eval_obs.note_op_card ~est ~actual:(Table.cardinal !cur))
-    !negs;
+  (* negations over variables no positive conjunct binds: the kernel
+     ranges those depths over the domain itself *)
+  List.iter (fun tg -> cur := apply_neg !cur tg) !negs;
   !cur
 
-and tc ~plan ~pctx preds a (t : Ast.term) =
+and tc ~ctx preds a (t : Ast.term) =
   check_universe a;
   let n = Foc_data.Structure.order a in
   match t with
   | Int i -> Counts.const i
-  | Add (s, t') -> Counts.add (tc ~plan ~pctx preds a s) (tc ~plan ~pctx preds a t')
-  | Mul (s, t') -> Counts.mul (tc ~plan ~pctx preds a s) (tc ~plan ~pctx preds a t')
+  | Add (s, t') -> Counts.add (tc ~ctx preds a s) (tc ~ctx preds a t')
+  | Mul (s, t') -> Counts.mul (tc ~ctx preds a s) (tc ~ctx preds a t')
   | Count (ys, f) ->
-      let tf = ft ~plan ~pctx preds a f in
-      let ctx =
+      let tf = ft ~ctx preds a f in
+      let keep =
         Array.to_list (Table.vars tf)
         |> List.filter (fun x -> not (List.mem x ys))
         |> Array.of_list
@@ -448,23 +431,29 @@ and tc ~plan ~pctx preds a (t : Ast.term) =
         let rec pow acc i = if i = 0 then acc else pow (acc * n) (i - 1) in
         pow 1 silent
       in
-      let keys, cnts = Table.group_count tf ctx in
-      Counts.of_sorted_groups ~vars:ctx ~multiplier keys cnts
+      let keys, cnts = Table.group_count tf keep in
+      Counts.of_sorted_groups ~vars:keep ~multiplier keys cnts
 
-let formula_table ?(plan = true) ?ctx preds a phi =
-  ft ~plan ~pctx:ctx preds a phi
-let term_counts ?(plan = true) ?ctx preds a t = tc ~plan ~pctx:ctx preds a t
+(* an omitted ctx is a fresh uniform one: no statistics are collected and
+   no feedback is carried over from earlier calls *)
+let ctx_of = function Some c -> c | None -> make_ctx ~buckets:0 ()
+let formula_table ?ctx preds a phi = ft ~ctx:(ctx_of ctx) preds a phi
+let term_counts ?ctx preds a t = tc ~ctx:(ctx_of ctx) preds a t
 
-let holds ?(plan = true) ?ctx preds a binding phi =
-  let t = ft ~plan ~pctx:ctx preds a phi in
-  not (Table.is_empty (Table.bind t binding))
+let check_covered fn binding free =
+  if not (Var.Set.for_all (fun x -> List.mem_assoc x binding) free) then
+    invalid_arg (fn ^ ": binding does not cover the free variables")
 
-let term_value ?(plan = true) ?ctx preds a binding t =
-  let c = tc ~plan ~pctx:ctx preds a t in
-  Counts.get c (Naive.env_of_list binding)
+let holds ?ctx preds a binding phi =
+  check_covered "Relalg.holds" binding (Ast.free_formula phi);
+  not (Table.is_empty (Table.bind (formula_table ?ctx preds a phi) binding))
 
-let count ?(plan = true) ?ctx preds a vars phi =
-  let t = ft ~plan ~pctx:ctx preds a phi in
+let term_value ?ctx preds a binding t =
+  check_covered "Relalg.term_value" binding (Ast.free_term t);
+  Counts.get (term_counts ?ctx preds a t) (Naive.env_of_list binding)
+
+let count ?ctx preds a vars phi =
+  let t = formula_table ?ctx preds a phi in
   Array.iter
     (fun x ->
       if not (List.mem x vars) then
@@ -475,8 +464,8 @@ let count ?(plan = true) ?ctx preds a vars phi =
   let rec pow acc i = if i = 0 then acc else pow (acc * n) (i - 1) in
   Table.cardinal t * pow 1 (List.length missing)
 
-let head_table ?(plan = true) ?ctx preds a head body =
-  let t = ft ~plan ~pctx:ctx preds a body in
+let head_table ?ctx preds a head body =
+  let t = formula_table ?ctx preds a body in
   let missing =
     Array.to_list head
     |> List.filter (fun x -> not (Table.has_column t x))
@@ -484,15 +473,15 @@ let head_table ?(plan = true) ?ctx preds a head body =
   in
   Table.align (Table.extend_full t (Foc_data.Structure.order a) missing) head
 
-let query ?(plan = true) ?ctx preds a (q : Query.t) =
+let query ?ctx preds a (q : Query.t) =
   check_universe a;
-  let pctx = ctx in
+  let ctx = ctx_of ctx in
   let head = Array.of_list q.head_vars in
-  let body = head_table ~plan ?ctx preds a head q.body in
+  let body = head_table ~ctx preds a head q.body in
   (* head-term readers are compiled once against the head column order *)
   let readers =
     Array.of_list
-      (List.map (fun t -> Counts.row (tc ~plan ~pctx preds a t) head) q.head_terms)
+      (List.map (fun t -> Counts.row (tc ~ctx preds a t) head) q.head_terms)
   in
   let out = ref [] in
   Table.iter body (fun row ->

@@ -161,10 +161,9 @@ let atom ?(neg = false) ~order t =
   in
   { Leapfrog.core = t.core; pos = Array.map depth cols; neg }
 
-(* every depth of these searches is a column of a positive atom, so the
-   domain bound is never consulted *)
-let drain vars atoms =
-  let next = Leapfrog.search ~n:max_int ~width:(Array.length vars) atoms in
+(* [n] bounds only the depths no positive atom covers *)
+let drain ~n vars atoms =
+  let next = Leapfrog.search ~n ~width:(Array.length vars) atoms in
   let b = TS.Builder.create (Array.length vars) in
   let rec go () =
     match next () with
@@ -182,16 +181,22 @@ let join t1 t2 =
   let fresh = List.filter (fun x -> not (has_column t1 x)) (Array.to_list t2.vars) in
   let order = Array.append t1.vars (Array.of_list fresh) in
   Eval_obs.note_join ~probe:t1.core.nrows;
-  drain order [ atom ~order t1; atom ~order t2 ]
+  drain ~n:max_int order [ atom ~order t1; atom ~order t2 ]
 
 (* [t1] against the shared-column projection of [t2], kept or negated *)
 let semijoin t1 t2 =
   Eval_obs.note_semijoin ~probe:t1.core.nrows;
-  drain t1.vars [ atom ~order:t1.vars t1; atom ~order:t1.vars t2 ]
+  drain ~n:max_int t1.vars [ atom ~order:t1.vars t1; atom ~order:t1.vars t2 ]
 
-let antijoin t1 t2 =
-  Eval_obs.note_antijoin ~probe:t1.core.nrows;
-  drain t1.vars [ atom ~order:t1.vars t1; atom ~neg:true ~order:t1.vars t2 ]
+(* [t ∧ ¬t2] in the order [vars t @ missing]: the depths of the columns
+   [t] lacks range over [0..n-1], so no padded product is built *)
+let antijoin ~n t t2 =
+  let missing =
+    List.filter (fun x -> not (has_column t x)) (Array.to_list t2.vars)
+  in
+  let order = Array.append t.vars (Array.of_list missing) in
+  Eval_obs.note_antijoin ~probe:t.core.nrows;
+  drain ~n order [ atom ~order t; atom ~neg:true ~order t2 ]
 
 (* ---- cross-product extension / complement ---- *)
 

@@ -63,11 +63,14 @@ val join : t -> t -> t
     search over [t1] and the shared-column projection of [t2]. *)
 val semijoin : t -> t -> t
 
-(** [antijoin t1 t2] keeps the rows of [t1] with {e no} match in [t2] on
-    the shared columns — [t1 ∧ ¬t2] without materialising a complement
-    (when the shared columns cover [vars t2]): the same search with the
-    projection as a negated atom. *)
-val antijoin : t -> t -> t
+(** [antijoin ~n t t2] is [t ∧ ¬t2] without materialising a complement:
+    the rows of [t] with {e no} match in [t2] on the shared columns when
+    [t] covers [vars t2]; otherwise its columns are [vars t] followed by
+    the columns of [t2] that [t] lacks (in [t2]'s order), which range over
+    [0..n-1] — the rows of [extend_full t n missing] with no match in
+    [t2]. One {!Leapfrog} search with [t2] as a negated atom, so the
+    padded product is never built. *)
+val antijoin : n:int -> t -> t -> t
 
 (** [atom ~order t] — [t] as a {!Leapfrog} atom under the variable order
     [order]: its projection onto the columns [order] mentions, re-sorted

@@ -28,8 +28,8 @@ let basic_vector ?(jobs = 1) ?cache_bytes preds a cover (b : Clterm.basic) =
         (fun old_elt ->
           let anchor = Foc_data.Structure.new_of_old old_of_new old_elt in
           out.(old_elt) <-
-            Pattern_count.at ~plan ctx ~pattern:b.pattern ~vars:b.vars
-              ~body:b.body ~anchor)
+            Pattern_count.at ~sweep_plan:plan ctx ~pattern:b.pattern
+              ~vars:b.vars ~body:b.body ~anchor)
         kernel
     end
   in

@@ -326,10 +326,12 @@ let make_plan ctx ~pattern ~vars ~body =
   in
   { impossible = !impossible; implied_close; order }
 
-let count_at ?plan ctx ~pattern ~vars ~body anchor =
+let count_at ?sweep_plan ctx ~pattern ~vars ~body anchor =
   let k = Foc_graph.Pattern.k pattern in
   let plan =
-    match plan with Some p -> p | None -> make_plan ctx ~pattern ~vars ~body
+    match sweep_plan with
+    | Some p -> p
+    | None -> make_plan ctx ~pattern ~vars ~body
   in
   let vars = Array.of_list vars in
   if Array.length vars <> k then
@@ -408,10 +410,10 @@ let count_at ?plan ctx ~pattern ~vars ~body anchor =
     !count
   end
 
-let at ?plan ctx ~pattern ~vars ~body ~anchor =
+let at ?sweep_plan ctx ~pattern ~vars ~body ~anchor =
   if Foc_graph.Pattern.k pattern = 0 then
     invalid_arg "Pattern_count.at: empty pattern has no anchor";
-  count_at ?plan ctx ~pattern ~vars ~body anchor
+  count_at ?sweep_plan ctx ~pattern ~vars ~body anchor
 
 let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
   let k = Foc_graph.Pattern.k pattern in
@@ -420,7 +422,8 @@ let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
   let n = Foc_data.Structure.order ctx.structure in
   let plan = make_plan ctx ~pattern ~vars ~body in
   if jobs <= 1 then
-    Array.init n (fun a -> count_at ~plan ctx ~pattern ~vars ~body a)
+    Array.init n (fun a ->
+        count_at ~sweep_plan:plan ctx ~pattern ~vars ~body a)
   else begin
     (* the anchors are independent; the plan is immutable and shared, the
        ball caches are per-domain clones *)
@@ -428,5 +431,5 @@ let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
     Foc_par.tabulate_ctx ~jobs ~label:"sweep.anchors"
       ~make_ctx:(fun () -> clone_ctx ctx)
       n
-      (fun c a -> count_at ~plan c ~pattern ~vars ~body a)
+      (fun c a -> count_at ~sweep_plan:plan c ~pattern ~vars ~body a)
   end

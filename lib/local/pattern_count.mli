@@ -91,10 +91,10 @@ val per_anchor :
 
 (** [at ctx ~pattern ~vars ~body ~anchor] — the count for a single anchor
     element (used by the cluster sweep of Section 8.2, which only needs the
-    kernel elements of each cluster). Pass [?plan] when calling repeatedly
-    with the same pattern/body to share the per-sweep plan. *)
+    kernel elements of each cluster). Pass [?sweep_plan] when calling
+    repeatedly with the same pattern/body to share the per-sweep plan. *)
 val at :
-  ?plan:plan ->
+  ?sweep_plan:plan ->
   ctx ->
   pattern:Foc_graph.Pattern.t ->
   vars:Var.t list ->

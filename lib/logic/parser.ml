@@ -374,7 +374,18 @@ and parse_term_atom preds st =
   | HASH ->
       advance st;
       expect st LPAREN "'('";
+      let first = st.pos in
       let vs = parse_var_list st in
+      (* a repeated bound variable is an error at its second occurrence *)
+      let seen = ref [] in
+      for i = first to st.pos - 1 do
+        match st.toks.(i) with
+        | IDENT x, p ->
+            if List.mem x !seen then
+              raise (Error ("repeated bound variable " ^ x, p));
+            seen := x :: !seen
+        | _ -> ()
+      done;
       expect st RPAREN "')'";
       expect st DOT "'.'";
       let body = parse_unary preds st in

@@ -185,6 +185,3 @@ let plan_joins ~n ?correct (inputs : input array) =
       est = Array.of_list (List.rev !ests);
     }
   end
-
-let greedy_order ~n (inputs : (Var.Set.t * int) array) =
-  (plan_joins ~n (Array.map (fun (v, c) -> input v c) inputs)).order

@@ -57,8 +57,3 @@ val plan_joins :
     anti-join output estimate [|acc|·(1 - sel)] and the cost-based
     complement-vs-antijoin decision. *)
 val semijoin_sel : n:int -> input -> input -> float
-
-(** [greedy_order ~n inputs] — the statistics-free order (uniform-domain
-    estimates): [plan_joins] over inputs without column summaries.
-    Returns a permutation of [0 .. length-1]. *)
-val greedy_order : n:int -> (Var.Set.t * int) array -> int list

@@ -17,8 +17,6 @@ type config = {
   jobs : int;
   ball_cache_mb : int;
   trace_file : string option;
-  stats_buckets : int;
-  adaptive : bool;
 }
 
 let default_config =
@@ -31,8 +29,6 @@ let default_config =
     jobs = Foc_par.default_jobs ();
     ball_cache_mb = 64;
     trace_file = None;
-    stats_buckets = 64;
-    adaptive = true;
   }
 
 type stats = {
@@ -129,37 +125,23 @@ let fork t =
   { t with cfg = { t.cfg with trace_file = None }; fresh = 0; art = None;
     rctx = None }
 
-(* The planning context handed to every baseline fallback. Statistics
-   resolve through the [art_stats] hook when a session installed one;
-   otherwise a two-entry physical-identity memo amortises one
-   [Stats.collect] per structure (the per-atom row-count guard inside
-   [Relalg] falls back to scanning whenever a memoised entry went stale,
-   so a mutated structure can cost plan quality, never correctness). *)
+(* The planning context handed to every baseline fallback, made on first
+   use. Statistics resolve through the [art_stats] hook when a session
+   installed one; otherwise the ctx collects and memoises its own. *)
 let relalg_ctx t =
   match t.rctx with
   | Some c -> c
   | None ->
-      let memo = ref [] in
-      let stats_for a =
-        match t.art with
-        | Some { art_stats = Some f; _ } -> f a
-        | _ -> (
-            match List.assq_opt a !memo with
-            | Some s -> s
-            | None ->
-                let s = Foc_stats.Stats.collect ~buckets:t.cfg.stats_buckets a in
-                (memo :=
-                   (a, s) :: (match !memo with e :: _ -> [ e ] | [] -> []));
-                s)
-      in
-      let c =
-        Foc_eval.Relalg.make_ctx ~stats_for ~buckets:t.cfg.stats_buckets
-          ~adaptive:t.cfg.adaptive ()
-      in
+      let stats_for = Option.bind t.art (fun art -> art.art_stats) in
+      let c = Foc_eval.Relalg.make_ctx ?stats_for () in
       t.rctx <- Some c;
       c
 
-let set_artifacts t art = t.art <- art
+(* hooks are installed before the first evaluation; a new set of hooks
+   gets a ctx that reads its statistics through them *)
+let set_artifacts t art =
+  t.art <- art;
+  t.rctx <- None
 
 let stats t =
   let cv = Foc_obs.Metrics.Counter.value

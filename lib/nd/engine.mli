@@ -68,17 +68,6 @@ type config = {
           Chrome trace_event JSON (chrome://tracing / Perfetto) on
           completion. [None] (the default) records nothing and costs one
           atomic read per would-be span. Never affects results *)
-  stats_buckets : int;
-      (** equi-depth histogram resolution of the statistics
-          ({!Foc_stats}) fed to baseline-fallback join planning; [<= 0]
-          disables summaries (distinct counts and row counts remain).
-          Never affects results *)
-  adaptive : bool;
-      (** when true (the default), baseline fallbacks compare the
-          planner's predicted join cardinalities against the actual ones
-          and re-plan repeated conjunctions whose estimates were off by
-          more than 8x (see {!Foc_eval.Relalg.make_ctx}). Never affects
-          results *)
 }
 
 val default_config : config
@@ -154,7 +143,8 @@ type artifacts = {
       (** statistics for baseline-fallback join planning; must describe
           the structure's {e current} contents (collected fresh,
           incrementally maintained, or cached per version). [None] makes
-          the engine collect and memoise its own *)
+          the planner collect and memoise its own
+          ({!Foc_eval.Relalg.make_ctx}) *)
 }
 
 val set_artifacts : t -> artifacts option -> unit

@@ -27,7 +27,7 @@ let basic_vector ~jobs ?cache_bytes ~classes_for preds a (b : Clterm.basic) =
         match snd cls.(i) with
         | [] -> 0
         | rep :: _ ->
-            Pattern_count.at ~plan ctx ~pattern:b.Clterm.pattern
+            Pattern_count.at ~sweep_plan:plan ctx ~pattern:b.Clterm.pattern
               ~vars:b.Clterm.vars ~body:b.Clterm.body ~anchor:rep)
   in
   let out = Array.make (Structure.order a) 0 in

@@ -125,7 +125,8 @@ let apply t name tup ~insert =
           Hashtbl.iter
             (fun anchor () ->
               per_anchor.(anchor) <-
-                Pattern_count.at ~plan ctx ~pattern ~vars ~body ~anchor)
+                Pattern_count.at ~sweep_plan:plan ctx ~pattern ~vars ~body
+                  ~anchor)
             affected)
         t.leaves;
       evaluate t;

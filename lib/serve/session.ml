@@ -182,8 +182,7 @@ let stats_for t a =
       Counter.inc t.stats_misses;
       let s =
         Foc_obs.Scope.cue Foc_obs.Scope.Artifact (fun () ->
-            Foc_stats.Stats.collect
-              ~buckets:(Engine.config t.eng).Engine.stats_buckets a)
+            Foc_stats.Stats.collect a)
       in
       Budget_cache.insert t.cache key (VStats s);
       s
@@ -606,8 +605,7 @@ let load ?budget_mb ?config ~dir () =
         (* a snapshot written under a different histogram resolution
            would poison the planner's summaries; drop it and recollect *)
         | Some s
-          when Foc_stats.Stats.buckets s
-               = (Engine.config t.eng).Engine.stats_buckets ->
+          when Foc_stats.Stats.buckets s = Foc_stats.Stats.default_buckets ->
             Budget_cache.insert t.cache (KStats sid) (VStats s)
         | _ -> ());
         Budget_cache.trim t.cache;

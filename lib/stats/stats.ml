@@ -27,7 +27,9 @@ let col_bump c v delta =
   | Some s when c.stale > 16 + (s.Summary.rows / 8) -> c.summ <- None
   | _ -> ()
 
-let collect ?(buckets = 64) a =
+let default_buckets = 64
+
+let collect ?(buckets = default_buckets) a =
   let rels = Hashtbl.create 16 in
   List.iter
     (fun (name, arity) ->

@@ -18,9 +18,13 @@
 
 type t
 
+val default_buckets : int
+(** 64: the histogram resolution every planner and session uses. *)
+
 val collect : ?buckets:int -> Foc_data.Structure.t -> t
 (** [collect ?buckets a] scans every relation of [a]. [buckets] (default
-    64) bounds each histogram; [<= 0] keeps row/distinct counts only. *)
+    {!default_buckets}) bounds each histogram; [<= 0] keeps row/distinct
+    counts only. *)
 
 val buckets : t -> int
 

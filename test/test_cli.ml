@@ -134,6 +134,27 @@ let test_parse_error_exit () =
   let rc, _ = run (Printf.sprintf "check -s %s \"E(x\"" structure_file) in
   Alcotest.(check bool) "nonzero exit on parse error" true (rc <> 0)
 
+(* an open sentence, a non-ground term and a repeated bound variable are
+   usage errors on every engine: exit 2 with one line, not an uncaught
+   exception *)
+let test_malformed_questions () =
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun args ->
+          let rc, out =
+            run (Printf.sprintf "%s -s %s -e %s" args structure_file engine)
+          in
+          let name = Printf.sprintf "-e %s %s" engine args in
+          Alcotest.(check int) (name ^ ": exit code") 2 rc;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: one line (got %S)" name out)
+            true
+            (out <> "" && not (String.contains (String.trim out) '\n')))
+        [ "check \"R(y)\""; "count \"#(x). E(x,y)\""; "count \"#(x,x). R(x)\"";
+          "query --head x --body \"E(x,y)\"" ])
+    [ "direct"; "relalg"; "naive" ]
+
 let () =
   Alcotest.run "foc CLI"
     [
@@ -147,5 +168,7 @@ let () =
           Alcotest.test_case "gendb + sql" `Quick test_sql_pipeline;
           Alcotest.test_case "batch round-trip" `Quick test_batch;
           Alcotest.test_case "parse error exit" `Quick test_parse_error_exit;
+          Alcotest.test_case "malformed questions exit 2" `Quick
+            test_malformed_questions;
         ] );
     ]

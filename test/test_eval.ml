@@ -115,6 +115,22 @@ let test_relalg_query () =
   let naive_rows = Foc_eval.Naive.query preds cyc4 q in
   Alcotest.(check bool) "naive query agrees" true (naive_rows = rows)
 
+(* an open input is rejected, as by Naive and the engine, instead of
+   answering its existential closure or leaking Naive.Unbound *)
+let test_relalg_open_inputs () =
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "holds E(x,y)" (fun () ->
+      Foc_eval.Relalg.holds preds cyc4 [] (parse "E(x,y)"));
+  rejects "holds with a partial binding" (fun () ->
+      Foc_eval.Relalg.holds preds cyc4 [ ("x", 0) ] (parse "E(x,y)"));
+  rejects "term_value #(x). E(x,y)" (fun () ->
+      Foc_eval.Relalg.term_value preds cyc4 [] (parse_t "#(x). E(x,y)"));
+  Alcotest.(check bool) "a covering binding still answers" true
+    (Foc_eval.Relalg.holds preds cyc4 [ ("x", 0); ("y", 1) ] (parse "E(x,y)"))
+
 (* --- the agreement property: random small structures, random formulas --- *)
 
 let sign_rand = Signature.of_list [ ("E", 2); ("P", 1) ]
@@ -236,6 +252,8 @@ let () =
         [
           Alcotest.test_case "fixed agreement" `Quick test_relalg_matches_naive_fixed;
           Alcotest.test_case "query" `Quick test_relalg_query;
+          Alcotest.test_case "open inputs rejected" `Quick
+            test_relalg_open_inputs;
         ] );
       ( "agreement",
         [

@@ -105,6 +105,17 @@ let test_int_out_of_range () =
        (Parser.formula_result Pred.standard
           (Printf.sprintf "#(x). E(x,x) >= %d" max_int)))
 
+(* a repeated bound variable is a parse error at its second occurrence,
+   through the exception and the Result entry points alike *)
+let test_repeated_bound_variable () =
+  (match Parser.formula Pred.standard "#(x,y,x). E(x,y) >= 1" with
+  | _ -> Alcotest.fail "a repeated bound variable parsed"
+  | exception Parser.Error (msg, pos) ->
+      Alcotest.(check string) "message" "repeated bound variable x" msg;
+      Alcotest.(check int) "position of the repeat" 6 pos);
+  Alcotest.(check bool) "term_result is an Error" true
+    (Result.is_error (Parser.term_result Pred.standard "#(x,x). R(x)"))
+
 let gen_var = QCheck.Gen.oneofl [ "x"; "y"; "z"; "u"; "v" ]
 
 let gen_formula =
@@ -188,6 +199,8 @@ let () =
           Alcotest.test_case "rejections" `Quick test_errors;
           Alcotest.test_case "integer literal out of range" `Quick
             test_int_out_of_range;
+          Alcotest.test_case "repeated bound variable" `Quick
+            test_repeated_bound_variable;
         ] );
       ("roundtrip", [ QCheck_alcotest.to_alcotest prop_roundtrip ]);
     ]

@@ -358,6 +358,28 @@ let test_int_literal_out_of_range () =
         (Foc.Server_client.rpc c P.Ping = P.Pong);
       Foc.Server_client.close c)
 
+(* malformed questions — a repeated bound variable, an open sentence, a
+   non-ground term — are ok:false replies, and the connection lives on *)
+let test_malformed_questions () =
+  with_server (fun srv _ ->
+      let c = connect srv in
+      List.iter
+        (fun (req, why) ->
+          Foc.Server_client.send_raw c req;
+          let line = Foc.Server_client.recv_raw c in
+          Alcotest.(check bool) ("answered ok:false: " ^ line) true
+            (contains line "\"ok\":false");
+          Alcotest.(check bool) ("names the fault: " ^ line) true
+            (contains line why);
+          Alcotest.(check bool)
+            "same connection answers ping" true
+            (Foc.Server_client.rpc c P.Ping = P.Pong))
+        [ ( "{\"op\":\"check\",\"query\":\"#(x,x). R(x) >= 1\"}",
+            "repeated bound variable" );
+          ("{\"op\":\"check\",\"query\":\"R(y)\"}", "");
+          ("{\"op\":\"count\",\"term\":\"#(x). E(x,y)\"}", "") ];
+      Foc.Server_client.close c)
+
 (* a conjunctive counting sentence too wide for the decomposition kernels
    (5 counted variables > max_width): the engine falls back to the
    relational-algebra baseline, so plan_and runs and Eval_obs records a
@@ -956,6 +978,8 @@ let () =
             test_malformed_survives;
           Alcotest.test_case "out-of-range integer literal" `Quick
             test_int_literal_out_of_range;
+          Alcotest.test_case "malformed questions answered" `Quick
+            test_malformed_questions;
           Alcotest.test_case "hostile lines rejected" `Quick
             test_hostile_lines;
           Alcotest.test_case "concurrent clients agree" `Quick

@@ -205,7 +205,9 @@ let prop_stats_neutral =
     (QCheck.make ~print:print_formula_case
        QCheck.Gen.(pair gen_conj gen_small_structure))
     (fun (phi, a) ->
-      let unplanned = Relalg.count ~plan:false preds a fvars phi in
+      let uniform =
+        Relalg.count ~ctx:(Relalg.make_ctx ~buckets:0 ()) preds a fvars phi
+      in
       let planned = Relalg.count preds a fvars phi in
       let ctx =
         Relalg.make_ctx ~stats_for:(fun a -> Stats.collect a) ~buckets:4 ()
@@ -217,9 +219,8 @@ let prop_stats_neutral =
       let naive =
         Foc_eval.Naive.ground_term preds a (Ast.Count (fvars, phi))
       in
-      if unplanned <> planned then
-        QCheck.Test.fail_reportf "planned %d vs unplanned %d" planned
-          unplanned
+      if uniform <> planned then
+        QCheck.Test.fail_reportf "planned %d vs uniform %d" planned uniform
       else if with_stats <> planned then
         QCheck.Test.fail_reportf "stats %d vs planned %d" with_stats planned
       else if again <> with_stats then
@@ -260,16 +261,23 @@ let test_adaptive_replan () =
             Ast.Rel ("C", [| "x"; "z" |]) ),
         Ast.Rel ("B", [| "x"; "y" |]) )
   in
-  let expected = Relalg.count ~plan:false preds a fvars phi in
+  let expected =
+    Foc_eval.Naive.ground_term preds a (Ast.Count (fvars, phi))
+  in
   Alcotest.(check int) "scenario sanity" 16 expected;
   Eval_obs.reset ();
-  (* statistics off (buckets 0), adaptive on: run 1 plans with uniform
-     estimates and must misjudge the correlated join *)
+  (* statistics off (buckets 0): run 1 plans with uniform estimates and
+     must misjudge the correlated join *)
+  let orders () =
+    List.map
+      (fun (p : Eval_obs.plan_record) -> p.order)
+      (Eval_obs.plans_since 0)
+  in
   let ctx = Relalg.make_ctx ~buckets:0 () in
   let r1 = Relalg.count ~ctx preds a fvars phi in
-  let orders1 = Eval_obs.plan_orders () in
+  let orders1 = orders () in
   let r2 = Relalg.count ~ctx preds a fvars phi in
-  let orders2 = Eval_obs.plan_orders () in
+  let orders2 = orders () in
   Alcotest.(check int) "run 1 result" expected r1;
   Alcotest.(check int) "run 2 result" expected r2;
   Alcotest.(check bool) "estimation error observed" true
@@ -280,35 +288,6 @@ let test_adaptive_replan () =
   Alcotest.(check bool) "order flip" true
     (List.length orders2 > List.length orders1
     && last orders2 <> last orders1)
-
-let test_adaptive_off () =
-  (* same scenario, adaptive disabled: no feedback, no replan *)
-  let n = 60 in
-  let sg = Foc_data.Signature.of_list [ ("S", 1); ("A", 2); ("B", 2) ] in
-  let a =
-    Structure.create sg ~order:n
-      [
-        ("S", List.init 16 (fun i -> [| i |]));
-        ("A", List.init 32 (fun i -> [| i; i |]));
-        ( "B",
-          List.concat_map
-            (fun i -> [ [| i; i |]; [| i; (i + 1) mod 32 |] ])
-            (List.init 32 Fun.id) );
-      ]
-  in
-  let phi =
-    Ast.And
-      ( Ast.And (Ast.Rel ("S", [| "x" |]), Ast.Rel ("A", [| "x"; "y" |])),
-        Ast.Rel ("B", [| "x"; "y" |]) )
-  in
-  let expected = Relalg.count ~plan:false preds a [ "x"; "y" ] phi in
-  Eval_obs.reset ();
-  let ctx = Relalg.make_ctx ~buckets:0 ~adaptive:false () in
-  let r1 = Relalg.count ~ctx preds a [ "x"; "y" ] phi in
-  let r2 = Relalg.count ~ctx preds a [ "x"; "y" ] phi in
-  Alcotest.(check int) "run 1 result" expected r1;
-  Alcotest.(check int) "run 2 result" expected r2;
-  Alcotest.(check int) "no replans" 0 (Eval_obs.replans ())
 
 (* ---------------- stats through the session layer --------------------- *)
 
@@ -360,7 +339,6 @@ let () =
         [
           Alcotest.test_case "replan on misestimate" `Quick
             test_adaptive_replan;
-          Alcotest.test_case "adaptive off" `Quick test_adaptive_off;
         ] );
       ( "session",
         [

@@ -1,11 +1,10 @@
 (* The columnar table kernel and the conjunction planner against the
    reference evaluator: random (unguarded) formulas — repeated-variable
    atoms, Neg under And, Forall, Eq chains, empty relations — must give
-   the same counts through the planned Relalg, the unplanned (seed
-   strategy) Relalg and brute-force Naive enumeration; plus unit tests
-   for the kernels themselves (the leapfrog joins against a nested-loop
-   reference, anti-join vs complement, division, merges) and the planner
-   helpers. *)
+   the same counts and tables through the planned Relalg as brute-force
+   Naive enumeration; plus unit tests for the kernels themselves (the
+   leapfrog joins against a nested-loop reference, anti-join vs
+   complement, division, merges) and the planner helpers. *)
 
 open Foc_logic
 open QCheck.Gen
@@ -73,45 +72,29 @@ let print_case (phi, a) =
   Format.asprintf "%s@.on order-%d structure" (Pp.formula_to_string phi)
     (Foc_data.Structure.order a)
 
-(* brute-force count of satisfying assignments over the listed variables *)
-let naive_count a phi vars =
-  let n = Foc_data.Structure.order a in
+(* the brute-force table of satisfying assignments over [vars] *)
+let naive_table a phi vars =
   let vs = Array.of_list vars in
-  let count = ref 0 in
-  Foc_util.Combi.iter_tuples n (Array.length vs) (fun tup ->
+  let rows = ref [] in
+  Foc_util.Combi.iter_tuples (Foc_data.Structure.order a) (Array.length vs)
+    (fun tup ->
       let env =
         Array.to_seq (Array.mapi (fun i x -> (x, tup.(i))) vs)
         |> Var.Map.of_seq
       in
-      if Foc_eval.Naive.formula preds a env phi then incr count);
-  !count
+      if Foc_eval.Naive.formula preds a env phi then
+        rows := Array.copy tup :: !rows);
+  Table.of_rows vs !rows
 
 let prop_planned_vs_naive =
   QCheck.Test.make ~name:"planned Relalg = Naive on random formulas"
     ~count:300
-    (QCheck.make ~print:print_case (pair (gen_formula ~depth:3) gen_structure))
-    (fun (phi, a) ->
-      let vars = Var.Set.elements (Ast.free_formula phi) in
-      Foc_eval.Relalg.count preds a vars phi = naive_count a phi vars)
-
-let prop_planned_vs_unplanned =
-  QCheck.Test.make ~name:"planned Relalg = unplanned (seed) Relalg"
-    ~count:300
     (QCheck.make ~print:print_case (pair (gen_formula ~depth:4) gen_structure))
     (fun (phi, a) ->
       let vars = Var.Set.elements (Ast.free_formula phi) in
-      Foc_eval.Relalg.count preds a vars phi
-      = Foc_eval.Relalg.count ~plan:false preds a vars phi)
-
-let prop_tables_equal =
-  QCheck.Test.make
-    ~name:"planned and unplanned formula tables are equal as tables"
-    ~count:200
-    (QCheck.make ~print:print_case (pair (gen_formula ~depth:3) gen_structure))
-    (fun (phi, a) ->
-      Table.equal
-        (Foc_eval.Relalg.formula_table preds a phi)
-        (Foc_eval.Relalg.formula_table ~plan:false preds a phi))
+      let want = naive_table a phi vars in
+      Foc_eval.Relalg.count preds a vars phi = Table.cardinal want
+      && Table.equal (Foc_eval.Relalg.formula_table preds a phi) want)
 
 (* ---------------- kernel unit tests ---------------- *)
 
@@ -211,8 +194,23 @@ let prop_join_kernels =
       in
       check "join" j out_vars joined;
       check "semijoin" (Table.semijoin t1 t2) v1 (List.filter matched r1);
-      check "antijoin" (Table.antijoin t1 t2) v1
-        (List.filter (fun a -> not (matched a)) r1);
+          (* [t1 ∧ ¬t2]: the columns [t1] lacks range over the domain [0..n-1] *)
+      let n = 3 in
+      let rec pad = function
+        | 0 -> [ [] ]
+        | k ->
+            List.concat_map (fun r -> List.init n (fun v -> v :: r)) (pad (k - 1))
+      in
+      let padded =
+        List.concat_map
+          (fun a ->
+            List.map
+              (fun p -> Array.append a (Array.of_list p))
+              (pad (List.length fresh)))
+          r1
+      in
+      check "antijoin" (Table.antijoin ~n t1 t2) out_vars
+        (List.filter (fun a -> not (List.exists (agree out_vars a v2) r2)) padded);
       (* either argument order gives the same rows *)
       Table.equal j (Table.join t2 t1))
 
@@ -223,7 +221,7 @@ let test_antijoin_vs_complement () =
     t_of [| "x"; "y" |] [ [| 0; 0 |]; [| 0; 3 |]; [| 1; 2 |]; [| 2; 1 |] ]
   in
   let t2 = t_of [| "y" |] [ [| 0 |]; [| 2 |] ] in
-  let anti = Table.antijoin t1 t2 in
+  let anti = Table.antijoin ~n:4 t1 t2 in
   let via_complement = Table.join t1 (Table.complement t2 4) in
   Alcotest.(check bool) "antijoin = join with complement" true
     (Table.equal anti via_complement);
@@ -231,7 +229,7 @@ let test_antijoin_vs_complement () =
   (* empty right side: keep everything / drop nothing symmetric checks *)
   let none = t_of [| "y" |] [] in
   Alcotest.(check bool) "antijoin with empty keeps all" true
-    (Table.equal (Table.antijoin t1 none) t1);
+    (Table.equal (Table.antijoin ~n:4 t1 none) t1);
   Alcotest.(check bool) "semijoin with empty drops all" true
     (Table.is_empty (Table.semijoin t1 none))
 
@@ -292,13 +290,11 @@ let test_conjuncts () =
       Alcotest.failf "expected two negated conjuncts, got %d"
         (List.length other))
 
-let test_greedy_order () =
-  let vs l = Var.Set.of_list l in
+let test_join_order () =
+  let inp l card = Planner.input (Var.Set.of_list l) card in
   (* three tables: tiny disconnected, medium connected, huge connected *)
-  let inputs =
-    [| (vs [ "a" ], 1000); (vs [ "a"; "b" ], 10); (vs [ "c" ], 3) |]
-  in
-  match Planner.greedy_order ~n:100 inputs with
+  let inputs = [| inp [ "a" ] 1000; inp [ "a"; "b" ] 10; inp [ "c" ] 3 |] in
+  match (Planner.plan_joins ~n:100 inputs).order with
   | [ first; second; third ] ->
       Alcotest.(check int) "starts from the smallest" 2 first;
       (* after {c}, both others are disconnected; the estimate picks the
@@ -334,11 +330,40 @@ let test_planner_avoids_complement () =
   Alcotest.(check int) "no full complement" 0 (Foc_eval.Eval_obs.complements ());
   Alcotest.(check bool) "negation became an anti-join" true
     (Foc_eval.Eval_obs.antijoins () > 0);
-  Foc_eval.Eval_obs.reset ();
-  let unplanned = Foc_eval.Relalg.count ~plan:false preds a [ "x"; "y" ] phi in
-  Alcotest.(check bool) "seed strategy does take the complement" true
-    (Foc_eval.Eval_obs.complements () > 0);
-  Alcotest.(check int) "same count either way" unplanned planned
+  Alcotest.(check int) "count = Naive"
+    (Table.cardinal (naive_table a phi [ "x"; "y" ]))
+    planned
+
+(* Negated conjuncts over variables no positive conjunct binds: the kernel
+   ranges those variables over the domain, so the tables built are the
+   relations (|R| = 3, |E| = 4), the conjunction's answer and, under
+   [exists], its projection — no padded |R|·6^missing intermediate (18,
+   108 and 18 more rows) and no complement *)
+let test_uncovered_negation () =
+  let a =
+    Foc_data.Structure.create sign ~order:6
+      [ ("E", [ [| 0; 1 |]; [| 1; 2 |]; [| 2; 2 |]; [| 4; 0 |] ]);
+        ("B", []);
+        ("R", [ [| 1 |]; [| 2 |]; [| 5 |] ]) ]
+  in
+  let r x = Ast.Rel ("R", [| x |]) in
+  let ne x y = Ast.Neg (Ast.Rel ("E", [| x; y |])) in
+  List.iter
+    (fun (name, phi, rows_built) ->
+      let vars = Var.Set.elements (Ast.free_formula phi) in
+      Foc_eval.Eval_obs.reset ();
+      let got = Foc_eval.Relalg.formula_table preds a phi in
+      Alcotest.(check int) (name ^ ": rows built") rows_built
+        (Foc_eval.Eval_obs.rows_built ());
+      Alcotest.(check int) (name ^ ": no complement") 0
+        (Foc_eval.Eval_obs.complements ());
+      Alcotest.(check bool) (name ^ " = Naive") true
+        (Table.equal got (naive_table a phi vars)))
+    [ ("R(x) & !E(x,y)", Ast.And (r "x", ne "x" "y"), 3 + 4 + 16);
+      ("R(x) & !E(y,z)", Ast.And (r "x", ne "y" "z"), 3 + 4 + 96);
+      ( "exists y. (R(x) & !E(x,y))",
+        Ast.Exists ("y", Ast.And (r "x", ne "x" "y")),
+        3 + 4 + 16 + 3 ) ]
 
 let () =
   Alcotest.run "table kernel & planner"
@@ -346,8 +371,6 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest prop_planned_vs_naive;
-          QCheck_alcotest.to_alcotest prop_planned_vs_unplanned;
-          QCheck_alcotest.to_alcotest prop_tables_equal;
           QCheck_alcotest.to_alcotest prop_join_kernels;
         ] );
       ( "kernels",
@@ -363,8 +386,10 @@ let () =
       ( "planner",
         [
           Alcotest.test_case "conjuncts" `Quick test_conjuncts;
-          Alcotest.test_case "greedy order" `Quick test_greedy_order;
+          Alcotest.test_case "greedy order" `Quick test_join_order;
           Alcotest.test_case "complement avoidance" `Quick
             test_planner_avoids_complement;
+          Alcotest.test_case "uncovered negation" `Quick
+            test_uncovered_negation;
         ] );
     ]
