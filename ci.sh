@@ -87,7 +87,8 @@ done
 # Every back-end, Splitter included, supplies only its basic-term sweep to
 # the one cl-term evaluator: the four must print the same answer on a
 # two-variable term and on a term with a width-0 ground leaf (#(). (true)),
-# and Splitter must really play removal rounds on the first.
+# Splitter must really play removal rounds on the first, and the covers
+# Cover and Splitter sweep over must show in engine.covers_built.
 for q in '#(x,y). (R(x) & !E(x,y) & B(y))' '#(x). (R(x)) + #(). (true)'; do
   want=""
   for e in direct cover splitter hanf; do
@@ -99,6 +100,14 @@ for q in '#(x,y). (R(x) & !E(x,y) & B(y))' '#(x). (R(x)) + #(). (true)'; do
       exit 1
     }
     want=$got
+    if [ "$e" = cover ] || [ "$e" = splitter ]; then
+      covers=$(tr ' ' '\n' < /tmp/ci_backend_out.txt \
+        | awk -F= '$1 == "engine.covers_built" { print $2 }')
+      [ "${covers:-0}" -gt 0 ] || {
+        echo "ci: $e counted no covers on '$q'"
+        exit 1
+      }
+    fi
     if [ "$e" = splitter ] && [ "$q" = '#(x,y). (R(x) & !E(x,y) & B(y))' ]
     then
       removals=$(tr ' ' '\n' < /tmp/ci_backend_out.txt \

@@ -198,28 +198,46 @@ let new_of_old old_of_new v =
   done;
   if !l < Array.length old_of_new && old_of_new.(!l) = v then !l else -1
 
-(* whether the row at [b] is kept when member [v] visits it: every entry
-   is a member and none is below [v], so a row is kept once, at its
-   smallest entry *)
-let rec kept_at old_of_new v data b i =
-  i < 0
-  || data.(b + i) >= v
-     && new_of_old old_of_new data.(b + i) >= 0
-     && kept_at old_of_new v data b (i - 1)
+(* The renumbering table of [induced]: one per domain, so parallel cluster
+   sweeps never share it, grown to the largest order seen and kept for the
+   domain's life. During an induction of [m] members, entry [v] is
+   [base + new id] for a member and below [base] otherwise: [base] then
+   grows by [m], so every stamp of an earlier induction is stale without
+   clearing the table. *)
+type renumbering = { mutable slot : int array; mutable base : int }
 
-(* A[X] as a slice of the incidence indexes: each member's incident rows
-   are visited, a row is kept at its smallest entry when every entry is a
-   member, and the kept rows — in original row order, which the
-   monotone renumbering preserves — are translated by binary search.
-   O(Σ_{v∈X} deg v · arity · log |X|); nothing is sized by [order a]. *)
+let renumbering =
+  Domain.DLS.new_key (fun () -> { slot = [||]; base = 0 })
+
+(* the sorted, deduplicated members; ascending lists (clusters, balls) are
+   taken as they are *)
+let sorted_members vs =
+  let a = Array.of_list vs in
+  let rec ascending i = i >= Array.length a || (a.(i - 1) < a.(i) && ascending (i + 1)) in
+  if ascending 1 then a
+  else begin
+    Foc_util.Int_sort.sort a;
+    Array.sub a 0
+      (Foc_util.Int_sort.dedup_sorted_range a ~pos:0 ~len:(Array.length a))
+  end
+
+(* A[X] as a slice of the incidence indexes. Each member is stamped once;
+   then each row is visited at its first entry and kept when every entry
+   carries a current stamp. The members ascend, and so do the rows with a
+   given first entry, so the kept rows come out in row order, which the
+   monotone renumbering preserves: no sort and no search per entry.
+   O(|X| + Σ_{v∈X} deg v · arity); nothing is sized by [order a] except the
+   per-domain table. *)
 let induced a vs =
-  let old_of_new = Array.of_list vs in
-  Foc_util.Int_sort.sort old_of_new;
+  let old_of_new = sorted_members vs in
   let m = Array.length old_of_new in
-  let m = Foc_util.Int_sort.dedup_sorted_range old_of_new ~pos:0 ~len:m in
-  let old_of_new = Array.sub old_of_new 0 m in
   if m > 0 && (old_of_new.(0) < 0 || old_of_new.(m - 1) >= a.order) then
     invalid_arg "Structure.induced: element out of range";
+  let tbl = Domain.DLS.get renumbering in
+  if Array.length tbl.slot < a.order then tbl.slot <- Array.make a.order (-1);
+  let slot = tbl.slot and base = tbl.base in
+  tbl.base <- base + m;
+  Array.iteri (fun i v -> slot.(v) <- base + i) old_of_new;
   let slice r =
     let ({ TS.width = w; data; _ } as s) = r.rows in
     if w = 0 then fresh s
@@ -227,21 +245,22 @@ let induced a vs =
       let { off; ids } = incidence a r in
       let cap = Array.fold_left (fun c v -> c + off.(v + 1) - off.(v)) 0 old_of_new in
       let kept = Array.make cap 0 and n = ref 0 in
+      let rec members b i = i = w || (slot.(data.(b + i)) >= base && members b (i + 1)) in
       Array.iter
         (fun v ->
           for p = off.(v) to off.(v + 1) - 1 do
-            if kept_at old_of_new v data (ids.(p) * w) (w - 1) then begin
+            let b = ids.(p) * w in
+            if data.(b) = v && members b 1 then begin
               kept.(!n) <- ids.(p);
               incr n
             end
           done)
         old_of_new;
       let n = !n in
-      Foc_util.Int_sort.sort_range kept ~pos:0 ~len:n;
       let out = Array.make (n * w) 0 in
       for j = 0 to n - 1 do
         for i = 0 to w - 1 do
-          out.((j * w) + i) <- new_of_old old_of_new data.((kept.(j) * w) + i)
+          out.((j * w) + i) <- slot.(data.((kept.(j) * w) + i)) - base
         done
       done;
       fresh (TS.of_sorted w out n)

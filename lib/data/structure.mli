@@ -85,8 +85,12 @@ val ball : t -> centres:int list -> radius:int -> int list
 
 (** [induced a vs] is A[vs] (tuples entirely inside [vs]), with elements
     renumbered in sorted order, plus the sorted [old_of_new] injection. A
-    slice of the incidence indexes: O(Σ_{v∈vs} deg v · arity · log |vs|),
-    independent of [order a]. *)
+    slice of the incidence indexes: O(|vs| + Σ_{v∈vs} deg v · arity) when
+    [vs] ascends (clusters and balls do), plus a sort of [vs] otherwise,
+    independent of [order a]. Members are renumbered through a table kept
+    by the calling domain for its whole life and sized to the largest
+    order it has induced from, so concurrent calls from several domains
+    (after {!prepare}) never share it. *)
 val induced : t -> int list -> t * int array
 
 (** [new_of_old old_of_new v] — the new id of old element [v] under the

@@ -5,41 +5,6 @@ let basic_cover_radius (b : Clterm.basic) =
 let required_cover_radius t =
   List.fold_left (fun s b -> max s (basic_cover_radius b)) 0 (Clterm.basics t)
 
-(* Per-element counts of one basic term via the cluster sweep. Every element
-   is evaluated exactly once, inside the cluster its kernel assignment points
-   to; ball arguments above show the count computed in A[X] equals the count
-   in A. *)
-let basic_vector ?(jobs = 1) ?cache_bytes preds a cover (b : Clterm.basic) =
-  let out = Array.make (Foc_data.Structure.order a) 0 in
-  (* clusters are independent: each sweep builds its own induced
-     substructure and context, and the kernels partition the universe, so
-     parallel cluster tasks write disjoint slots of [out] *)
-  let eval_cluster i =
-    let kernel = Foc_graph.Cover.kernel cover i in
-    if Array.length kernel > 0 then begin
-      let members = Array.to_list (Foc_graph.Cover.cluster cover i) in
-      let sub, old_of_new = Foc_data.Structure.induced a members in
-      let ctx = Pattern_count.make_ctx ?cache_bytes preds sub ~r:b.radius in
-      let plan =
-        Pattern_count.make_plan ctx ~pattern:b.pattern ~vars:b.vars
-          ~body:b.body
-      in
-      Array.iter
-        (fun old_elt ->
-          let anchor = Foc_data.Structure.new_of_old old_of_new old_elt in
-          out.(old_elt) <-
-            Pattern_count.at ~sweep_plan:plan ctx ~pattern:b.pattern
-              ~vars:b.vars ~body:b.body ~anchor)
-        kernel
-    end
-  in
-  (* induced reads the incidence indexes: build them before the fork *)
-  Foc_data.Structure.prepare a;
-  Foc_par.parallel_for ~jobs ~label:"sweep.clusters"
-    (Foc_graph.Cover.cluster_count cover)
-    eval_cluster;
-  out
-
 let check_radius cover t =
   let needed = required_cover_radius t in
   if Foc_graph.Cover.radius_param cover < needed then
@@ -49,6 +14,69 @@ let check_radius cover t =
          (Foc_graph.Cover.radius_param cover)
          needed)
 
-let sweep ?jobs ?cache_bytes preds a cover t =
+(* One pass over the kernel-bearing clusters for every width >= 1 basic
+   term: each cluster is induced once, one context per radius (in practice
+   the cl-term's one radius) lets the terms share its ball cache, and each
+   term's count at every kernel element goes to that term's vector. Every
+   element is evaluated exactly once per term, inside the cluster its kernel
+   assignment points to; the ball arguments above show the count computed
+   in A[X] equals the count in A. Width-0 basics are sentences, decided by
+   {!Clterm}, and never swept. *)
+let sweep ?(jobs = 1) ?cache_bytes preds a cover t =
   check_radius cover t;
-  Clterm.sweep preds a (basic_vector ?jobs ?cache_bytes preds a cover)
+  let n = Foc_data.Structure.order a in
+  let vectors =
+    List.fold_left
+      (fun acc (b : Clterm.basic) ->
+        if Foc_graph.Pattern.k b.pattern = 0 || List.mem_assq b acc then acc
+        else (b, Array.make n 0) :: acc)
+      [] (Clterm.basics t)
+  in
+  let radii =
+    List.sort_uniq Int.compare
+      (List.map (fun ((b : Clterm.basic), _) -> b.radius) vectors)
+  in
+  (* clusters are independent: each builds its own induced substructure
+     and contexts, and the kernels partition the universe, so parallel
+     cluster tasks write disjoint slots of every vector *)
+  let eval_cluster i =
+    let kernel = Foc_graph.Cover.kernel cover i in
+    if Array.length kernel > 0 then begin
+      let sub, old_of_new =
+        Foc_obs.span ~name:"induce" (fun () ->
+            Foc_data.Structure.induced a
+              (Array.to_list (Foc_graph.Cover.cluster cover i)))
+      in
+      let ctxs =
+        List.map
+          (fun r -> (r, Pattern_count.make_ctx ?cache_bytes preds sub ~r))
+          radii
+      in
+      let anchors = Array.map (Foc_data.Structure.new_of_old old_of_new) kernel in
+      List.iter
+        (fun ((b : Clterm.basic), out) ->
+          let ctx = List.assoc b.radius ctxs in
+          let plan =
+            Pattern_count.make_plan ctx ~pattern:b.pattern ~vars:b.vars
+              ~body:b.body
+          in
+          Array.iteri
+            (fun j old_elt ->
+              out.(old_elt) <-
+                Pattern_count.at ~sweep_plan:plan ctx ~pattern:b.pattern
+                  ~vars:b.vars ~body:b.body ~anchor:anchors.(j))
+            kernel)
+        vectors
+    end
+  in
+  if vectors <> [] then begin
+    (* induced reads the incidence indexes: build them before the fork *)
+    Foc_data.Structure.prepare a;
+    Foc_par.parallel_for ~jobs ~label:"sweep.clusters"
+      (Foc_graph.Cover.cluster_count cover)
+      eval_cluster
+  end;
+  Clterm.sweep preds a (fun b ->
+      match List.assq_opt b vectors with
+      | Some v -> v
+      | None -> invalid_arg "Cover_term.sweep: basic term outside the cl-term")

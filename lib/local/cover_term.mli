@@ -22,17 +22,24 @@ open Foc_logic
     term in [t] sound: [max over basics of k(2r+1)]. *)
 val required_cover_radius : Clterm.t -> int
 
-(** [sweep preds a cover t] — the cluster sweep of one basic term, for
-    {!Clterm.eval_ground}/{!Clterm.eval_unary}: each cluster with a
-    non-empty kernel is induced once, and the basic term is counted at its
-    kernel elements inside [A\[X\]]. Raises [Invalid_argument] if the
-    cover's parameter is smaller than {!required_cover_radius}[ t], the
-    term the sweep is built for.
+(** [sweep preds a cover t] — the cluster sweep of the cl-term [t], for
+    {!Clterm.eval_ground}/{!Clterm.eval_unary}. One pass over the clusters
+    with a non-empty kernel serves every basic term of width ≥ 1: each
+    cluster is induced once, one {!Pattern_count} context per cluster and
+    radius (a decomposition gives all its basic terms one radius) lets the
+    terms share its ball cache, and
+    each term is counted at the kernel elements inside [A\[X\]] into its
+    own vector, which the returned sweep hands back. Width-0 basic terms
+    (sentences) are never swept: {!Clterm} decides them. Raises
+    [Invalid_argument] if the cover's parameter is smaller than
+    {!required_cover_radius}[ t]; the sweep answers only for basic terms
+    of [t].
 
     [jobs > 1] evaluates clusters in parallel ({!Foc_par}): each cluster
-    task owns its induced substructure and context, and the kernels
-    partition the universe, so the sweep is race-free and bit-identical to
-    [jobs = 1].
+    task owns its induced substructure and contexts, and the kernels
+    partition the universe, so the tasks write disjoint slots of every
+    vector and the sweep is bit-identical to [jobs = 1]. Each induction
+    runs under an [induce] span ({!Foc_obs.span}).
 
     [cache_bytes] bounds each cluster context's ball cache (see
     {!Pattern_count.make_ctx}); the cluster contexts record their ball

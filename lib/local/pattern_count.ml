@@ -96,6 +96,9 @@ type ctx = {
   m : meters;
 }
 
+(* a context never holds more balls than its structure has elements *)
+let table_size structure = min 1024 (max 16 (Foc_data.Structure.order structure))
+
 let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
   if r < 0 then invalid_arg "Pattern_count.make_ctx: negative radius";
   let reg = Foc_obs.Metrics.current () in
@@ -106,7 +109,7 @@ let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
     threshold = (2 * r) + 1;
     cache =
       {
-        tbl = Hashtbl.create 1024;
+        tbl = Hashtbl.create (table_size structure);
         fifo = Queue.create ();
         capacity = max cache_bytes 0;
         bytes_used = 0;
@@ -130,7 +133,7 @@ let clone_ctx ctx =
     ctx with
     cache =
       {
-        tbl = Hashtbl.create 1024;
+        tbl = Hashtbl.create (table_size ctx.structure);
         fifo = Queue.create ();
         capacity = ctx.cache.capacity;
         bytes_used = 0;

@@ -86,6 +86,7 @@ and basic_vector preds a ~rounds ~small (b : Clterm.basic) wanted =
       Foc_obs.span ~name:"cover" (fun () ->
           Foc_graph.Cover.make (Structure.gaifman a) ~r:rc)
     in
+    Foc_obs.Metrics.(Counter.inc (counter (current ()) "engine.covers_built"));
     (* positions of the wanted elements, grouped by assigned cluster *)
     let by_cluster = Hashtbl.create 16 in
     Array.iteri
@@ -101,7 +102,9 @@ and basic_vector preds a ~rounds ~small (b : Clterm.basic) wanted =
         let members =
           Array.to_list (Foc_graph.Cover.cluster cover cluster_id)
         in
-        let sub, old_of_new = Structure.induced a members in
+        let sub, old_of_new =
+          Foc_obs.span ~name:"induce" (fun () -> Structure.induced a members)
+        in
         let values =
           in_cluster preds sub ~rounds ~small ~vars theta
             (Array.map

@@ -112,6 +112,64 @@ let with_sentence cl =
   in
   Clterm.(Add (Mul (Const 3, Ground sentence), cl))
 
+(* The sweep-cold term decomposes into several basic terms; the Cover
+   sweep induces each kernel-bearing cluster once for all of them, and
+   agrees with Direct at every jobs setting. *)
+let test_one_pass () =
+  let rng = Random.State.make [| 12 |] in
+  let a = coloured 12 (Foc_graph.Gen.random_tree rng 300) in
+  let cl =
+    match
+      Decompose.ground_count ~r:1 ~vars:[ "x"; "y" ]
+        (parse "R(x) & !E(x,y) & B(y)")
+    with
+    | Some cl -> cl
+    | None -> Alcotest.fail "decomposition failed"
+  in
+  Alcotest.(check bool) "several basic terms" true (Clterm.basic_count cl > 1);
+  let cover =
+    Foc_graph.Cover.make (Structure.gaifman a)
+      ~r:(Cover_term.required_cover_radius cl)
+  in
+  let kernel_bearing =
+    List.length
+      (List.filter
+         (fun i -> Array.length (Foc_graph.Cover.kernel cover i) > 0)
+         (List.init (Foc_graph.Cover.cluster_count cover) Fun.id))
+  in
+  (* the vector of every swept basic term, then the ground count *)
+  let answers s =
+    ( List.filter_map
+        (fun (b : Clterm.basic) ->
+          if Foc_graph.Pattern.k b.pattern = 0 then None
+          else Some (Clterm.eval_unary s (Clterm.Unary b)))
+        (Clterm.basics cl),
+      Clterm.eval_ground s cl )
+  in
+  let want = answers (direct_sweep a cl) in
+  List.iter
+    (fun jobs ->
+      Foc_obs.Trace.clear ();
+      Foc_obs.Trace.enable ();
+      let got =
+        Fun.protect ~finally:Foc_obs.Trace.disable (fun () ->
+            answers (Cover_term.sweep ~jobs preds a cover cl))
+      in
+      let induced =
+        List.length
+          (List.filter
+             (fun (e : Foc_obs.Trace.event) -> e.name = "induce")
+             (Foc_obs.Trace.events ()))
+      in
+      Foc_obs.Trace.clear ();
+      Alcotest.(check (pair (list (array int)) int))
+        (Printf.sprintf "jobs %d: = direct" jobs)
+        want got;
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d: one induction per cluster" jobs)
+        kernel_bearing induced)
+    [ 1; 4 ]
+
 let prop_cover_vs_direct =
   (* the Hanf sweep is checked against the same reference *)
   QCheck.Test.make ~name:"cover sweep = direct sweep on random graphs"
@@ -144,6 +202,7 @@ let () =
           Alcotest.test_case "tree" `Quick test_agreement_tree;
           Alcotest.test_case "grid" `Quick test_agreement_grid;
           Alcotest.test_case "ground" `Quick test_ground_agreement;
+          Alcotest.test_case "one pass" `Quick test_one_pass;
           QCheck_alcotest.to_alcotest prop_cover_vs_direct;
         ] );
       ( "contracts",

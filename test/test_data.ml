@@ -236,21 +236,54 @@ let seeded name count prop =
     QCheck.(pair (int_range 1 9) small_nat)
     (fun (n, seed) -> prop (Random.State.make [| n; seed; 15 |]) n)
 
+(* [induced a members] against the reference, down to the packed rows,
+   which fill the induced cores exactly *)
+let induced_matches a members =
+  let n = Structure.order a in
+  let sub, old_of_new = Structure.induced a members in
+  let want, want_map = reference_induced a members in
+  let rows s name =
+    let ({ Tuple.Set.width; nrows; data } : Tuple.Set.t) = Structure.rel s name in
+    (Array.length data = width * nrows, Array.sub data 0 (width * nrows))
+  in
+  Structure.equal sub want
+  && List.for_all
+       (fun (name, _) ->
+         let exact, got = rows sub name in
+         exact && got = snd (rows want name))
+       (Signature.to_list (Structure.signature a))
+  && old_of_new = want_map
+  && Array.for_all
+       (fun v -> old_of_new.(Structure.new_of_old old_of_new v) = v)
+       old_of_new
+  && List.for_all
+       (fun v -> List.mem v members || Structure.new_of_old old_of_new v = -1)
+       (List.init (n + 2) (fun v -> v - 1))
+
+(* inductions alternate between two structures of different orders, so
+   the renumbering table is regrown and read with stale stamps left by
+   the other structure *)
 let prop_induced =
   seeded "induced = filter-and-renumber reference" 300 (fun rng n ->
       let a = random_structure rng n in
+      let b = random_structure rng (n + 1 + Random.State.int rng 12) in
       if Random.State.bool rng then Structure.prepare a;
-      let members = random_members rng n in
-      let sub, old_of_new = Structure.induced a members in
-      let want, want_map = reference_induced a members in
-      Structure.equal sub want
-      && old_of_new = want_map
-      && Array.for_all
-           (fun v -> old_of_new.(Structure.new_of_old old_of_new v) = v)
-           old_of_new
-      && List.for_all
-           (fun v -> List.mem v members || Structure.new_of_old old_of_new v = -1)
-           (List.init (n + 2) (fun v -> v - 1)))
+      List.for_all
+        (fun s -> induced_matches s (random_members rng (Structure.order s)))
+        [ a; b; a; b; a ])
+
+(* one prepared structure induced concurrently on four domains, each with
+   its own renumbering table *)
+let prop_induced_parallel =
+  seeded "induced on four domains = reference" 20 (fun rng n ->
+      let a = random_structure rng (8 * n) in
+      Structure.prepare a;
+      let lists =
+        Array.init 64 (fun _ -> random_members rng (Structure.order a))
+      in
+      Array.for_all Fun.id
+        (Foc_par.tabulate ~jobs:4 (Array.length lists) (fun i ->
+             induced_matches a lists.(i))))
 
 let prop_tuples_with =
   seeded "tuples_with = filtering rel" 200 (fun rng n ->
@@ -346,7 +379,13 @@ let () =
         ] );
       ( "packed core",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_induced; prop_tuples_with; prop_updates; prop_store_roundtrip ] );
+          [
+            prop_induced;
+            prop_induced_parallel;
+            prop_tuples_with;
+            prop_updates;
+            prop_store_roundtrip;
+          ] );
       ("strings", [ Alcotest.test_case "roundtrip" `Quick test_strings_roundtrip ]);
       ( "db_gen",
         [
