@@ -119,6 +119,25 @@ for q in '#(x,y). (R(x) & !E(x,y) & B(y))' '#(x). (R(x)) + #(). (true)'; do
     fi
   done
 done
+# The compiled body is checked at the placement level where its variables
+# are bound: R(x) rejects an anchor before its ball is computed, so Direct
+# computes exactly one ball per R-element on the sweep term.
+PQ='#(x,y). (R(x) & !E(x,y) & B(y))'
+balls=$(dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc "$PQ" \
+  -e direct --jobs 1 --stats 2>&1 | tr ' ' '\n' \
+  | awk -F= '$1 == "ball.computed" { print $2 }')
+reds=$(dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc '#(x). (R(x))' \
+  -e direct | grep -E '^[0-9]+$')
+[ -n "$reds" ] && [ "$balls" = "$reds" ] || {
+  echo "ci: direct computed '$balls' balls on '$PQ', |R| is '$reds'"
+  exit 1
+}
+# A cl-term with only a sentence leaf needs no cover.
+dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc '#(). (true)' \
+  -e cover --jobs 1 --stats 2>&1 | grep -q 'engine.covers_built=0' || {
+  echo "ci: cover built a cover for '#(). (true)'"
+  exit 1
+}
 # Hanf partitions are memoised per evaluation: the sweep term needs two
 # type radii, so a cold Hanf count builds exactly two partitions, and its
 # answer must equal Direct's.

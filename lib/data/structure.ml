@@ -99,7 +99,7 @@ let build_incidence order ({ TS.width = w; nrows; data = d } : TS.t) =
       fill.(v) <- fill.(v) + 1);
   { off; ids }
 
-let incidence a r =
+let rel_incidence a r =
   match r.inc with
   | Some inc -> inc
   | None ->
@@ -107,12 +107,14 @@ let incidence a r =
       r.inc <- Some inc;
       inc
 
+let incidence a name = rel_incidence a (find a name)
+
 let tuples_with a name ~pos ~value f =
   let r = find a name in
   if pos < 0 || pos >= r.rows.width then
     invalid_arg "Structure.tuples_with: position out of range";
   if value >= 0 && value < a.order then begin
-    let { off; ids } = incidence a r in
+    let { off; ids } = rel_incidence a r in
     for p = off.(value) to off.(value + 1) - 1 do
       if TS.cell r.rows ids.(p) pos = value then f ids.(p)
     done
@@ -184,7 +186,7 @@ let set_gaifman a g =
    [prepare], [gaifman], [tuples_with] and [induced] only read. *)
 let prepare a =
   ignore (gaifman a);
-  M.iter (fun _ r -> ignore (incidence a r)) a.rels
+  M.iter (fun _ r -> ignore (rel_incidence a r)) a.rels
 
 let dist a u v = Foc_graph.Bfs.dist (gaifman a) u v
 let dist_le a u v r = Foc_graph.Bfs.dist_le (gaifman a) u v r
@@ -242,7 +244,7 @@ let induced a vs =
     let ({ TS.width = w; data; _ } as s) = r.rows in
     if w = 0 then fresh s
     else begin
-      let { off; ids } = incidence a r in
+      let { off; ids } = rel_incidence a r in
       let cap = Array.fold_left (fun c v -> c + off.(v + 1) - off.(v)) 0 old_of_new in
       let kept = Array.make cap 0 and n = ref 0 in
       let rec members b i = i = w || (slot.(data.(b + i)) >= base && members b (i + 1)) in

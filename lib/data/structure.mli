@@ -45,6 +45,16 @@ val mem : t -> string -> int array -> bool
     matching tuples rather than to neighbourhood balls. *)
 val tuples_with : t -> string -> pos:int -> value:int -> (int -> unit) -> unit
 
+(** A CSR incidence index: the rows (indices into the relation's core)
+    containing element [v] are [ids.(off.(v)) .. ids.(off.(v+1) - 1)],
+    each once, ascending. *)
+type incidence = private { off : int array; ids : int array }
+
+(** [incidence a name] is the incidence index of [name], built on first
+    use and memoised — the allocation-free form of {!tuples_with} for
+    compiled seeks. *)
+val incidence : t -> string -> incidence
+
 (** [add_tuples a name tups] is [a] with the tuples added (functional):
     one linear merge into the relation's core, whose incidence index is
     rebuilt on demand; the other relations and their indexes are shared.

@@ -65,7 +65,7 @@ let direct ?jobs ctx =
    as {!Foc_eval.Naive} does). *)
 let ground_leaf s b =
   if Foc_graph.Pattern.k b.pattern = 0 then
-    if Local_eval.holds s.preds s.structure Var.Map.empty b.body then 1 else 0
+    if Local_eval.sentence s.preds s.structure b.body then 1 else 0
   else s.ground b
 
 let rec eval_ground s = function

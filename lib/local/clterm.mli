@@ -53,7 +53,7 @@ val width : t -> int
     ball type (Hanf). A back-end therefore supplies a {!sweep}, and
     {!eval_ground}/{!eval_unary} do the rest in one place: constants,
     sums and products, ground leaves inside unary terms, and width-0
-    ground leaves (sentences), which are decided by {!Local_eval.holds} on
+    ground leaves (sentences), which are decided by {!Local_eval.sentence} on
     the sweep's structure and so raise [Invalid_argument] on an empty
     universe, as {!Foc_eval.Naive} does. *)
 

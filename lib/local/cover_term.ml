@@ -61,10 +61,7 @@ let sweep ?(jobs = 1) ?cache_bytes preds a cover t =
               ~body:b.body
           in
           Array.iteri
-            (fun j old_elt ->
-              out.(old_elt) <-
-                Pattern_count.at ~sweep_plan:plan ctx ~pattern:b.pattern
-                  ~vars:b.vars ~body:b.body ~anchor:anchors.(j))
+            (fun j old_elt -> out.(old_elt) <- Pattern_count.at ctx plan anchors.(j))
             kernel)
         vectors
     end

@@ -1,54 +1,113 @@
-(** Ball-restricted evaluation of guarded formulas and counting terms.
+(** The compiled local evaluator of guarded formulas and counting terms.
 
-    Semantically identical to {!Foc_eval.Naive} — it implements the same
-    Definition 3.1 semantics — but quantified and counted variables whose
-    guard the {!Locality} calculus can certify range over the δ-ball around
-    their anchors instead of the whole universe. On certified-local
-    expressions every quantifier is guarded, making the cost per evaluation
-    proportional to ball sizes (the "evaluate inside the cluster" step of
-    Remark 6.3 and Section 8.2), not to ‖A‖.
+    A formula or term is compiled once, against one structure, into
+    closures over an [int array] environment with one slot per variable:
+    the listed parameters take slots [0 .. k-1], each binder the next slot
+    by depth. Semantically identical to {!Foc_eval.Naive} (the Definition
+    3.1 semantics), but:
 
-    Unguarded positions fall back to a full scan — still correct, and
-    counted in {!stats} so the engine can report when an input left the
-    certified fragment. *)
+    - a relational atom is a binary search of the packed core, its key read
+      from the slots — no map and no tuple per test;
+    - the variables of an ∃-chain or a counting term are placed one per
+      level in an order fixed at compile time, each from a candidate source
+      fixed at compile time: an indexed atom (a seek on the CSR incidence
+      index, {!Foc_data.Structure.incidence}), else the δ-ball the
+      {!Locality} guard calculus certifies around the bound variables, else
+      a scan of the universe;
+    - each conjunct of the body is tested at the first level where all its
+      variables are bound.
+
+    On certified-local expressions every position is indexed or guarded,
+    so the cost is proportional to ball sizes (Remark 6.3, Section 8.2),
+    not to ‖A‖. Unguarded positions scan — still correct — and are counted
+    statically ({!unguarded}).
+
+    A compiled program is immutable and may be shared across domains; its
+    mutable working space is a {!scratch}, one per domain. *)
 
 open Foc_logic
 
-type stats = {
-  mutable unguarded_scans : int;
-      (** quantifier/count positions that scanned the whole universe *)
-  mutable candidates_tried : int;  (** total candidate values examined *)
-}
+(** Per-domain working space over one structure: a BFS arena (guard balls,
+    distance atoms), dedup marks and candidate buffers. *)
+type scratch
 
-val create_stats : unit -> stats
+val scratch : Foc_data.Structure.t -> scratch
 
-(** [candidate_values a env φ y] — a sound candidate set for [y]: every
-    value of [y] that can satisfy [φ] under [env] is included. Derived from
-    positive relational atoms through the structure's position indexes;
-    [None] when no indexed atom constrains [y]. Exposed for the pattern
-    counting sweep, which combines it with the δ-pattern balls. *)
-val candidate_values :
-  Foc_data.Structure.t ->
-  int Var.Map.t ->
-  Ast.formula ->
-  Var.t ->
-  int list option
+(** The scratch's BFS arena over the structure's Gaifman graph (built on
+    first use). A caller that runs it reads the result before the next
+    evaluation on the same scratch. *)
+val searcher : scratch -> Foc_graph.Bfs.searcher
 
-(** [holds ?stats preds a env φ] — truth under [env] (which must bind
-    [free φ]). *)
-val holds :
-  ?stats:stats ->
+(** {1 Formulas and terms} *)
+
+type formula
+
+(** [compile preds a ~vars φ] — [free φ ⊆ vars] (raises
+    [Invalid_argument] otherwise); [vars] take slots [0 .. k-1]. *)
+val compile :
+  Pred.collection -> Foc_data.Structure.t -> vars:Var.t list -> Ast.formula -> formula
+
+(** Slots the environment must have. *)
+val width : formula -> int
+
+(** Quantifier/count positions compiled to a scan of the universe. *)
+val unguarded : formula -> int
+
+(** [holds f s env] — truth under the parameters in [env]'s first slots
+    ([env] has at least [width f] slots; the others are overwritten).
+    Raises [Invalid_argument] on an empty universe, as
+    {!Foc_eval.Naive.formula} does. *)
+val holds : formula -> scratch -> int array -> bool
+
+(** [sentence preds a φ] — compile and decide a sentence. *)
+val sentence : Pred.collection -> Foc_data.Structure.t -> Ast.formula -> bool
+
+type term
+
+val compile_term :
+  Pred.collection -> Foc_data.Structure.t -> vars:Var.t list -> Ast.term -> term
+
+val term_width : term -> int
+
+(** [value t s env] — the term's value, as {!holds}. *)
+val value : term -> scratch -> int array -> int
+
+(** {1 Staged bodies}
+
+    The pattern sweep ({!Pattern_count}) places its variables in its own
+    order, from its own balls; it uses the body split by level. *)
+
+(** A test over the scratch and the environment. *)
+type test = scratch -> int array -> bool
+
+type stage
+
+(** [stage preds a ~vars ~order body] — [order] is a permutation of the
+    positions of [vars] (slots [0 .. k-1]), the placement order. *)
+val stage :
   Pred.collection ->
   Foc_data.Structure.t ->
-  int Var.Map.t ->
+  vars:Var.t list ->
+  order:int array ->
   Ast.formula ->
-  bool
+  stage
 
-(** [term ?stats preds a env t] — value of a counting term. *)
-val term :
-  ?stats:stats ->
-  Pred.collection ->
-  Foc_data.Structure.t ->
-  int Var.Map.t ->
-  Ast.term ->
-  int
+(** [check st l] — the conjuncts of the body whose variables are all placed
+    once level [l] is (level 0 also takes the variable-free conjuncts). *)
+val check : stage -> int -> test
+
+(** An indexed candidate source. *)
+type seek
+
+(** [seek st l] — an indexed source for the variable placed at level [l]
+    from the positive atoms of the body over the variables placed before
+    it; [None] at level 0 or when no atom qualifies. *)
+val seek : stage -> int -> seek option
+
+val stage_width : stage -> int
+
+(** An upper bound on the candidates of the seek under [env]. *)
+val seek_estimate : seek -> int array -> int
+
+(** [seek_iter sk s env f] — [f] on every candidate, each once. *)
+val seek_iter : seek -> scratch -> int array -> (int -> unit) -> unit

@@ -89,9 +89,8 @@ type ctx = {
   r : int;
   threshold : int;  (* 2r+1 *)
   cache : cache;
-  mutable searcher : Foc_graph.Bfs.searcher option;  (* lazy: forces gaifman *)
-  seen : int array;  (* epoch-stamped candidate-dedup scratch *)
-  mutable seen_epoch : int;
+  scratch : Local_eval.scratch;  (* BFS arena and the compiled bodies' space *)
+  mutable env : int array;  (* the placement slots, grown to the widest plan *)
   reg : Foc_obs.Metrics.t;  (* the registry in scope at [make_ctx] *)
   m : meters;
 }
@@ -114,9 +113,8 @@ let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
         capacity = max cache_bytes 0;
         bytes_used = 0;
       };
-    searcher = None;
-    seen = Array.make (max (Foc_data.Structure.order structure) 1) 0;
-    seen_epoch = 0;
+    scratch = Local_eval.scratch structure;
+    env = [||];
     reg;
     m = meters reg;
   }
@@ -138,9 +136,8 @@ let clone_ctx ctx =
         capacity = ctx.cache.capacity;
         bytes_used = 0;
       };
-    searcher = None;
-    seen = Array.make (Array.length ctx.seen) 0;
-    seen_epoch = 0;
+    scratch = Local_eval.scratch ctx.structure;
+    env = [||];
     m = meters ctx.reg;
   }
 
@@ -180,19 +177,9 @@ let rebind_ctx ctx structure ~drop =
       ctx with
       structure;
       cache = { tbl; fifo; capacity = c.capacity; bytes_used = !bytes };
-      searcher = None;
+      scratch = Local_eval.scratch structure;
     },
     !dropped )
-
-let searcher ctx =
-  match ctx.searcher with
-  | Some s -> s
-  | None ->
-      let s =
-        Foc_graph.Bfs.searcher (Foc_data.Structure.gaifman ctx.structure)
-      in
-      ctx.searcher <- Some s;
-      s
 
 let cache_evict ctx =
   let c = ctx.cache in
@@ -220,7 +207,7 @@ let ball_of ctx v =
       Counter.bump ctx.m.hits 1;
       e.ball
   | None ->
-      let s = searcher ctx in
+      let s = Local_eval.searcher ctx.scratch in
       let count =
         Foc_graph.Bfs.run s ~centres:[ v ] ~radius:ctx.threshold
       in
@@ -252,21 +239,6 @@ let ball_of ctx v =
 
 let close ctx u v = u = v || ball_mem (ball_of ctx u) v
 
-(* Epoch-stamped dedup of an indexed candidate list: O(length), no sorting,
-   no polymorphic compare. Collected eagerly (before any recursion) because
-   the scratch array is shared across placement levels. *)
-let dedup_candidates ctx l =
-  ctx.seen_epoch <- ctx.seen_epoch + 1;
-  let e = ctx.seen_epoch in
-  List.filter
-    (fun v ->
-      if ctx.seen.(v) = e then false
-      else begin
-        ctx.seen.(v) <- e;
-        true
-      end)
-    l
-
 (* BFS enumeration order over the pattern's positions starting at 0: each
    later position comes with a previously-placed pattern-neighbour whose
    (2r+1)-ball supplies its candidates. *)
@@ -289,150 +261,139 @@ let bfs_order pattern =
   done;
   if Array.exists not seen then
     invalid_arg "Pattern_count: pattern not connected";
-  List.rev !order
+  Array.of_list (List.rev !order)
 
-(* Pairwise closeness entailed by the body (guard-edge closure): when the
-   body itself forces dist(v_i, v_j) ≤ 2r+1, the δ-pattern edge-check is
-   free — no ball is ever computed. On low-diameter structures (hub-heavy
-   databases) this is the difference between linear and quadratic sweeps.
-   The plan also carries the BFS placement order of the pattern positions,
-   computed once per sweep rather than once per anchor. *)
+(* One placement level of the sweep: the pattern position it places, the
+   placed neighbour whose ball bounds its candidates, an indexed source
+   from the body's atoms, the earlier positions whose δ-relation (close iff
+   a pattern edge) it must check, and the body's conjuncts that become
+   decidable here. *)
+type level = {
+  pos : int;
+  parent : int;  (* -1 at the anchor *)
+  implied : bool;  (* the body entails closeness to the parent *)
+  seek : Local_eval.seek option;
+  far : int array;  (* earlier positions to check, bar the parent *)
+  edge : bool array;  (* per [far]: must it be close? *)
+  check : Local_eval.test;
+}
+
+(* The per-sweep plan: the levels in the pattern's BFS order, with the body
+   compiled once. Pairwise closeness entailed by the body (guard-edge
+   closure) makes a δ edge-check free — no ball is ever computed for it; on
+   low-diameter structures (hub-heavy databases) this is the difference
+   between linear and quadratic sweeps. *)
 type plan = {
   impossible : bool;
       (* the body entails closeness across a pattern non-edge: count is 0 *)
-  implied_close : bool array array;
-      (* (i,j) true: skip the ball check for this pattern edge *)
-  order : (int * int) list;  (* bfs_order of the pattern, minus the root *)
+  width : int;  (* environment slots *)
+  levels : level array;
 }
 
 let make_plan ctx ~pattern ~vars ~body =
-  let k = Foc_graph.Pattern.k pattern in
-  let bounds = Locality.pairwise_bounds body vars in
-  let implied_close = Array.make_matrix k k false in
-  let impossible = ref false in
-  for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      match bounds.(i).(j) with
-      | Some d when d <= ctx.threshold ->
-          if Foc_graph.Pattern.mem_edge pattern i j then begin
-            implied_close.(i).(j) <- true;
-            implied_close.(j).(i) <- true
-          end
-          else impossible := true
-      | _ -> ()
-    done
-  done;
-  let order =
-    match bfs_order pattern with
-    | (0, -1) :: rest -> rest
-    | _ -> assert false
-  in
-  { impossible = !impossible; implied_close; order }
+  Foc_obs.span ~name:"plan" (fun () ->
+      let k = Foc_graph.Pattern.k pattern in
+      if k = 0 then invalid_arg "Pattern_count: empty pattern has no anchor";
+      if List.length vars <> k then
+        invalid_arg "Pattern_count: variable/pattern arity mismatch";
+      let bounds = Locality.pairwise_bounds body vars in
+      let implied_close = Array.make_matrix k k false in
+      let impossible = ref false in
+      for i = 0 to k - 1 do
+        for j = i + 1 to k - 1 do
+          match bounds.(i).(j) with
+          | Some d when d <= ctx.threshold ->
+              if Foc_graph.Pattern.mem_edge pattern i j then begin
+                implied_close.(i).(j) <- true;
+                implied_close.(j).(i) <- true
+              end
+              else impossible := true
+          | _ -> ()
+        done
+      done;
+      let order = bfs_order pattern in
+      let st =
+        Local_eval.stage ctx.preds ctx.structure ~vars ~order:(Array.map fst order)
+          body
+      in
+      let levels =
+        Array.mapi
+          (fun l (pos, parent) ->
+            let far =
+              List.filter
+                (fun i -> i <> parent && not implied_close.(i).(pos))
+                (List.init l (fun l' -> fst order.(l')))
+            in
+            {
+              pos;
+              parent;
+              implied = parent >= 0 && implied_close.(parent).(pos);
+              seek = Local_eval.seek st l;
+              far = Array.of_list far;
+              edge =
+                Array.of_list
+                  (List.map (fun i -> Foc_graph.Pattern.mem_edge pattern i pos) far);
+              check = Local_eval.check st l;
+            })
+          order
+      in
+      { impossible = !impossible; width = Local_eval.stage_width st; levels })
 
-let count_at ?sweep_plan ctx ~pattern ~vars ~body anchor =
-  let k = Foc_graph.Pattern.k pattern in
-  let plan =
-    match sweep_plan with
-    | Some p -> p
-    | None -> make_plan ctx ~pattern ~vars ~body
-  in
-  let vars = Array.of_list vars in
-  if Array.length vars <> k then
-    invalid_arg "Pattern_count: variable/pattern arity mismatch";
-  let placed = Array.make k (-1) in
-  let count = ref 0 in
-  let realises_exactly () =
-    let ok = ref true in
-    for i = 0 to k - 1 do
-      for j = i + 1 to k - 1 do
-        if !ok && not plan.implied_close.(i).(j) then begin
-          let is_close = close ctx placed.(i) placed.(j) in
-          if is_close <> Foc_graph.Pattern.mem_edge pattern i j then ok := false
-        end
-      done
-    done;
-    !ok
-  in
-  let current_env () =
-    (* environment of the already-placed positions *)
-    let env = ref Var.Map.empty in
-    Array.iteri
-      (fun i x -> if placed.(i) >= 0 then env := Var.Map.add x placed.(i) !env)
-      vars;
-    !env
-  in
-  let rec place = function
-    | [] ->
-        if realises_exactly () then begin
-          let env =
-            Array.to_seq (Array.mapi (fun i x -> (x, placed.(i))) vars)
-            |> Var.Map.of_seq
-          in
-          if Local_eval.holds ctx.preds ctx.structure env body then incr count
-        end
-    | (j, parent) :: rest ->
-        assert (parent >= 0);
+(* the placed value at [lv.pos] against the earlier positions' balls *)
+let realises ctx env lv =
+  let v = env.(lv.pos) in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length lv.far do
+    ok := close ctx env.(lv.far.(!i)) v = lv.edge.(!i);
+    incr i
+  done;
+  !ok
+
+let at ctx plan anchor =
+  if plan.impossible then 0
+  else begin
+    if Array.length ctx.env < plan.width then ctx.env <- Array.make plan.width 0;
+    let env = ctx.env and s = ctx.scratch and levels = plan.levels in
+    let rec go l =
+      if l = Array.length levels then 1
+      else begin
+        let lv = levels.(l) in
+        let total = ref 0 in
+        let try_value v =
+          env.(lv.pos) <- v;
+          if lv.check s env && realises ctx env lv then
+            total := !total + go (l + 1)
+        in
         (* candidates: indexed body atoms when available; the parent's
            (2r+1)-ball (required by δ) otherwise. When the body already
            entails closeness to the parent, indexed candidates need no ball
            filtering — and no ball is ever computed. *)
-        let indexed =
-          Local_eval.candidate_values ctx.structure (current_env ()) body
-            vars.(j)
-        in
-        let implied = plan.implied_close.(parent).(j) in
-        (match indexed with
-        | Some l when implied ->
-            List.iter
-              (fun v ->
-                placed.(j) <- v;
-                place rest)
-              (dedup_candidates ctx l)
-        | Some l
-          when List.length l < ball_card (ball_of ctx placed.(parent)) ->
-            let parent_ball = ball_of ctx placed.(parent) in
-            List.iter
-              (fun v ->
-                if ball_mem parent_ball v then begin
-                  placed.(j) <- v;
-                  place rest
-                end)
-              (dedup_candidates ctx l)
-        | _ ->
-            ball_iter
-              (fun v ->
-                placed.(j) <- v;
-                place rest)
-              (ball_of ctx placed.(parent)));
-        placed.(j) <- -1
-  in
-  if plan.impossible then 0
-  else begin
-    placed.(0) <- anchor;
-    place plan.order;
-    !count
+        (match lv.seek with
+        | Some sk when lv.implied -> Local_eval.seek_iter sk s env try_value
+        | Some sk ->
+            let b = ball_of ctx env.(lv.parent) in
+            if Local_eval.seek_estimate sk env < ball_card b then
+              Local_eval.seek_iter sk s env (fun v ->
+                  if ball_mem b v then try_value v)
+            else ball_iter try_value b
+        | None -> ball_iter try_value (ball_of ctx env.(lv.parent)));
+        !total
+      end
+    in
+    env.(levels.(0).pos) <- anchor;
+    if levels.(0).check s env then go 1 else 0
   end
 
-let at ?sweep_plan ctx ~pattern ~vars ~body ~anchor =
-  if Foc_graph.Pattern.k pattern = 0 then
-    invalid_arg "Pattern_count.at: empty pattern has no anchor";
-  count_at ?sweep_plan ctx ~pattern ~vars ~body anchor
-
 let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
-  let k = Foc_graph.Pattern.k pattern in
-  if k = 0 then
-    invalid_arg "Pattern_count.per_anchor: empty pattern has no anchor";
-  let n = Foc_data.Structure.order ctx.structure in
   let plan = make_plan ctx ~pattern ~vars ~body in
-  if jobs <= 1 then
-    Array.init n (fun a ->
-        count_at ~sweep_plan:plan ctx ~pattern ~vars ~body a)
+  let n = Foc_data.Structure.order ctx.structure in
+  if jobs <= 1 then Array.init n (at ctx plan)
   else begin
     (* the anchors are independent; the plan is immutable and shared, the
-       ball caches are per-domain clones *)
+       ball caches and evaluator scratch are per-domain clones *)
     Foc_data.Structure.prepare ctx.structure;
     Foc_par.tabulate_ctx ~jobs ~label:"sweep.anchors"
       ~make_ctx:(fun () -> clone_ctx ctx)
       n
-      (fun c a -> count_at ~sweep_plan:plan c ~pattern ~vars ~body a)
+      (fun c a -> at c plan a)
   end

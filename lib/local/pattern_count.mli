@@ -16,7 +16,7 @@
     cache with second-chance eviction, so huge structures no longer retain
     O(n·ball) memory. Counts are bit-identical for every cache capacity.
 
-    [body] is evaluated with {!Local_eval}, so its guarded quantifiers also
+    [body] is compiled by {!Local_eval}, so its guarded quantifiers also
     stay inside balls. *)
 
 open Foc_logic
@@ -59,10 +59,15 @@ val structure : ctx -> Foc_data.Structure.t
 
 val preds : ctx -> Pred.collection
 
-(** A per-sweep evaluation plan: the pattern's BFS placement order plus the
-    pairwise-closeness facts entailed by the body. Computing it once per
-    sweep (instead of once per anchor) is significant on large
-    structures. *)
+(** A per-sweep evaluation plan: the pattern's BFS placement order, the
+    pairwise-closeness facts entailed by the body, and the body compiled
+    once by {!Local_eval.stage} — each conjunct tested at the first
+    placement level where all its variables are placed (a conjunct on the
+    anchor alone, such as [R(x)], rejects an anchor before any ball is
+    computed), each position's candidates from an indexed body atom when
+    one applies, else from its parent's ball. The plan is immutable and
+    may be shared by the domains of a parallel sweep; it is bound to the
+    context's structure. Compiling runs under a [plan] span. *)
 type plan
 
 val make_plan :
@@ -78,8 +83,8 @@ val make_plan :
     connected and non-empty; [free body ⊆ vars].
 
     [jobs > 1] sweeps the anchors on that many domains ({!Foc_par}); each
-    domain uses a private ball-cache/arena clone of [ctx] that records
-    into [ctx]'s registry, and the result is bit-identical to
+    domain uses a private ball-cache/arena/scratch clone of [ctx] that
+    records into [ctx]'s registry, and the result is bit-identical to
     [jobs = 1]. *)
 val per_anchor :
   ?jobs:int ->
@@ -89,15 +94,9 @@ val per_anchor :
   body:Ast.formula ->
   int array
 
-(** [at ctx ~pattern ~vars ~body ~anchor] — the count for a single anchor
-    element (used by the cluster sweep of Section 8.2, which only needs the
-    kernel elements of each cluster). Pass [?sweep_plan] when calling
-    repeatedly with the same pattern/body to share the per-sweep plan. *)
-val at :
-  ?sweep_plan:plan ->
-  ctx ->
-  pattern:Foc_graph.Pattern.t ->
-  vars:Var.t list ->
-  body:Ast.formula ->
-  anchor:int ->
-  int
+(** [at ctx plan anchor] — the count for a single anchor element (used by
+    the cluster sweep of Section 8.2, which only needs the kernel elements
+    of each cluster, by Hanf's class representatives and by incremental
+    updates). [plan] must come from [make_plan] on [ctx] or on a context
+    over the same structure. *)
+val at : ctx -> plan -> int -> int

@@ -293,12 +293,18 @@ let with_artifacts t f =
 
 (* The one back-end match: each back-end supplies its basic-term sweep and
    {!Clterm} evaluates the polynomial. Covers are built (or fetched) ahead
-   of the sweep span, so the [cover] phase stays separate from [sweep]. *)
+   of the sweep span, so the [cover] phase stays separate from [sweep]. A
+   cl-term of width 0 has only sentence leaves, which {!Clterm} decides
+   itself: no back-end artifact is built for it. *)
 let eval_cl t a cl eval =
   count_cl t cl;
   let jobs = t.cfg.jobs and cache_bytes = cache_bytes t in
   let backend_sweep =
     match t.cfg.backend with
+    | _ when Clterm.width cl = 0 ->
+        fun () ->
+          Clterm.sweep t.cfg.preds a (fun _ ->
+              invalid_arg "Engine: no basic term of width >= 1")
     | Direct -> fun () -> Clterm.direct ~jobs (ctx_for t a ~r:(cl_radius cl))
     | Cover ->
         let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in

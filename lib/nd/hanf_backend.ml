@@ -26,9 +26,7 @@ let basic_vector ~jobs ?cache_bytes ~classes_for preds a (b : Clterm.basic) =
       (fun (ctx, plan) i ->
         match snd cls.(i) with
         | [] -> 0
-        | rep :: _ ->
-            Pattern_count.at ~sweep_plan:plan ctx ~pattern:b.Clterm.pattern
-              ~vars:b.Clterm.vars ~body:b.Clterm.body ~anchor:rep)
+        | rep :: _ -> Pattern_count.at ctx plan rep)
   in
   let out = Array.make (Structure.order a) 0 in
   Array.iteri

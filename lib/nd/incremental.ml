@@ -123,10 +123,7 @@ let apply t name tup ~insert =
           and body = b.Clterm.body in
           let plan = Pattern_count.make_plan ctx ~pattern ~vars ~body in
           Hashtbl.iter
-            (fun anchor () ->
-              per_anchor.(anchor) <-
-                Pattern_count.at ~sweep_plan:plan ctx ~pattern ~vars ~body
-                  ~anchor)
+            (fun anchor () -> per_anchor.(anchor) <- Pattern_count.at ctx plan anchor)
             affected)
         t.leaves;
       evaluate t;

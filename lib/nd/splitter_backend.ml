@@ -2,17 +2,23 @@ open Foc_logic
 open Foc_local
 module Structure = Foc_data.Structure
 
-(* The recursion base: #(tl vars).θ at one element by guarded enumeration
+(* The recursion base: #(tl vars).θ at each wanted element, compiled once
    (complete — unguarded positions scan, so this is always correct). *)
-let direct_at preds a vars theta elt =
-  match vars with
-  | [] -> invalid_arg "Splitter_backend.direct_at"
-  | x :: counted ->
-      let env = Var.Map.singleton x elt in
-      Local_eval.term preds a env (Ast.Count (counted, theta))
-
 let direct preds a vars theta wanted =
-  Array.map (direct_at preds a vars theta) wanted
+  match vars with
+  | [] -> invalid_arg "Splitter_backend.direct"
+  | _ when Array.length wanted = 0 -> [||]
+  | x :: counted ->
+      let t =
+        Local_eval.compile_term preds a ~vars:[ x ] (Ast.Count (counted, theta))
+      in
+      let s = Local_eval.scratch a in
+      let env = Array.make (Local_eval.term_width t) 0 in
+      Array.map
+        (fun elt ->
+          env.(0) <- elt;
+          Local_eval.value t s env)
+        wanted
 
 (* Splitter's heuristic answer inside a cluster: the max-degree vertex. *)
 let splitter_move g =

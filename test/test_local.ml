@@ -83,6 +83,13 @@ let test_radius_pred_formula () =
 
 (* ---------------- local evaluation agreement ---------------- *)
 
+let compiled_at a f =
+  let prog = Local_eval.compile preds a ~vars:[ "x" ] f in
+  let s = Local_eval.scratch a and env = Array.make (Local_eval.width prog) 0 in
+  fun v ->
+    env.(0) <- v;
+    Local_eval.holds prog s env
+
 let test_local_eval_agreement () =
   let rng = Random.State.make [| 23 |] in
   let g = Foc_graph.Gen.random_tree rng 40 in
@@ -99,25 +106,236 @@ let test_local_eval_agreement () =
   List.iter
     (fun s ->
       let f = parse s in
+      let compiled = compiled_at a f in
       for v = 0 to Foc_data.Structure.order a - 1 do
         let env = Foc_eval.Naive.env_of_list [ ("x", v) ] in
         Alcotest.(check bool)
           (Printf.sprintf "%s @ %d" s v)
           (Foc_eval.Naive.formula preds a env f)
-          (Local_eval.holds preds a env f)
+          (compiled v)
       done)
     formulas
 
+(* The guarded quantifier seeks its candidates through the E index: no
+   position of the program scans the universe, and a predicate conjunct
+   placed first in the body ticks once per candidate tried. *)
 let test_local_eval_uses_balls () =
   let rng = Random.State.make [| 29 |] in
   let g = Foc_graph.Gen.path 200 in
   let a = structure_of_graph_coloured rng g in
-  let stats = Local_eval.create_stats () in
   let f = parse "exists y. E(x,y) & B(y)" in
-  let env = Foc_eval.Naive.env_of_list [ ("x", 100) ] in
-  ignore (Local_eval.holds ~stats preds a env f);
-  Alcotest.(check int) "no unguarded scans" 0 stats.unguarded_scans;
-  Alcotest.(check bool) "few candidates" true (stats.candidates_tried <= 5)
+  Alcotest.(check int) "no unguarded scans" 0
+    (Local_eval.unguarded (Local_eval.compile preds a ~vars:[ "x" ] f));
+  let tried = ref 0 in
+  let tick =
+    { Pred.name = "tick"; arity = 1; sem = (fun _ -> incr tried; true) }
+  in
+  let preds' = Pred.add preds tick in
+  let f' = Parser.formula preds' "exists y. tick(#(). (y = y)) & E(x,y) & B(y)" in
+  let prog = Local_eval.compile preds' a ~vars:[ "x" ] f' in
+  Alcotest.(check int) "no unguarded scans (ticking)" 0 (Local_eval.unguarded prog);
+  let env = Array.make (Local_eval.width prog) 0 in
+  env.(0) <- 100;
+  Alcotest.(check bool) "agrees with naive"
+    (Foc_eval.Naive.formula preds a (Foc_eval.Naive.env_of_list [ ("x", 100) ]) f)
+    (Local_eval.holds prog (Local_eval.scratch a) env);
+  Alcotest.(check bool) "few candidates" true (!tried >= 1 && !tried <= 5)
+
+(* ---------------- compiled evaluator vs Naive ---------------- *)
+
+let pool = [ "x"; "y"; "z"; "w" ]
+
+(* Random formulas over E/B/C with free variables in [scope]: every
+   constructor, counting terms under predicates, quantifiers that shadow,
+   guarded (by an atom or a distance) and unguarded binders alike. *)
+let rec gen_formula scope depth : formula QCheck.Gen.t =
+  let open QCheck.Gen in
+  let var = oneofl scope in
+  let atom =
+    oneof
+      [
+        map2 (fun u v -> Rel ("E", [| u; v |])) var var;
+        map (fun u -> Rel ("B", [| u |])) var;
+        map (fun u -> Rel ("C", [| u |])) var;
+        map3 (fun u v w -> Rel ("T", [| u; v; w |])) var var var;
+        return (Rel ("Z", [||]));
+        map2 (fun u v -> Eq (u, v)) var var;
+        map3 (fun u v d -> Dist (u, v, d)) var var (int_range 0 3);
+        oneofl [ True; False ];
+      ]
+  in
+  if depth = 0 then atom
+  else
+    let sub = gen_formula scope (depth - 1) in
+    let binder k =
+      oneofl pool >>= fun y -> k y (gen_formula (y :: scope) (depth - 1))
+    in
+    frequency
+      [
+        (4, atom);
+        (2, map (fun f -> Neg f) sub);
+        (3, map2 (fun f g -> And (f, g)) sub sub);
+        (2, map2 (fun f g -> Or (f, g)) sub sub);
+        (1, binder (fun y body -> map (fun f -> Exists (y, f)) body));
+        (1, binder (fun y body -> map (fun f -> Forall (y, f)) body));
+        ( 2,
+          binder (fun y body ->
+              map2 (fun u f -> Exists (y, And (Rel ("E", [| u; y |]), f))) var body) );
+        ( 1,
+          binder (fun y body ->
+              map3
+                (fun u v f -> Exists (y, And (Rel ("T", [| u; y; v |]), f)))
+                var var body) );
+        ( 2,
+          binder (fun y body ->
+              map3
+                (fun u d f -> Forall (y, Or (Neg (Dist (u, y, d)), f)))
+                var (int_range 1 2) body) );
+        ( 2,
+          map2
+            (fun (p, unary) (t, t') -> Pred (p, if unary then [ t ] else [ t; t' ]))
+            (oneofl [ ("ge1", true); ("prime", true); ("even", true); ("eq", false); ("le", false) ])
+            (pair (gen_term scope (depth - 1)) (gen_term scope (depth - 1))) );
+      ]
+
+and gen_term scope depth : term QCheck.Gen.t =
+  let open QCheck.Gen in
+  let count =
+    oneofl [ []; [ "z" ]; [ "w" ]; [ "y"; "z" ]; [ "z"; "w" ] ] >>= fun ys ->
+    map (fun f -> Count (ys, f)) (gen_formula (ys @ scope) (max 0 (depth - 1)))
+  in
+  (* a counted variable seeking through either orientation of E: the two
+     seeks overlap, so the union must drop duplicates *)
+  let guarded =
+    oneofl [ "z"; "w" ] >>= fun y ->
+    map3
+      (fun u u' f -> Count ([ y ], And (Or (Rel ("E", [| u; y |]), Rel ("E", [| y; u' |])), f)))
+      (oneofl scope) (oneofl scope)
+      (gen_formula (y :: scope) (max 0 (depth - 1)))
+  in
+  (* a pair seeking through a ternary atom with one bound argument: rows
+     repeat the first counted value, so the seek must drop duplicates *)
+  let ternary =
+    map2
+      (fun u f -> Count ([ "z"; "w" ], And (Rel ("T", [| u; "z"; "w" |]), f)))
+      (oneofl scope)
+      (gen_formula ("z" :: "w" :: scope) (max 0 (depth - 1)))
+  in
+  if depth = 0 then map (fun i -> Int i) (int_range 0 3)
+  else
+    frequency
+      [
+        (1, map (fun i -> Int i) (int_range 0 3));
+        (4, count);
+        (2, guarded);
+        (2, ternary);
+        (1, map2 (fun s t -> Ast.Add (s, t)) count count);
+        (1, map2 (fun s t -> Ast.Mul (s, t)) count count);
+      ]
+
+(* a coloured bounded-degree graph plus a 0-ary Z and a ternary T whose
+   rows often share their first two entries *)
+let random_structure rng n =
+  let g = Foc_graph.Gen.random_bounded_degree rng n 3 in
+  let small () = Random.State.int rng (min n 3) in
+  let triple _ = [| small (); small (); Random.State.int rng n |] in
+  Foc_data.Structure.expand
+    (structure_of_graph_coloured rng g)
+    [
+      ("T", 3, List.init (Random.State.int rng (n + 1)) triple);
+      ("Z", 0, if Random.State.bool rng then [ [||] ] else []);
+    ]
+
+let params = [ "x"; "y" ]
+
+let arb_formula =
+  QCheck.make ~print:Pp.formula_to_string (gen_formula params 3)
+
+let arb_term = QCheck.make ~print:Pp.term_to_string (gen_term params 3)
+
+(* every environment of the parameters over a random structure *)
+let all_envs n f =
+  let ok = ref true in
+  for x = 0 to n - 1 do
+    for y = 0 to n - 1 do
+      if !ok then ok := f x y
+    done
+  done;
+  !ok
+
+let prop_compiled_formula =
+  QCheck.Test.make ~name:"compiled formula = Naive" ~count:300
+    QCheck.(pair arb_formula (pair (int_range 1 7) (int_range 0 10000)))
+    (fun (f, (n, seed)) ->
+      let a = random_structure (Random.State.make [| n; seed |]) n in
+      let prog = Local_eval.compile preds a ~vars:params f in
+      let s = Local_eval.scratch a and env = Array.make (Local_eval.width prog) 0 in
+      all_envs n (fun x y ->
+          env.(0) <- x;
+          env.(1) <- y;
+          Local_eval.holds prog s env
+          = Foc_eval.Naive.formula preds a
+              (Foc_eval.Naive.env_of_list [ ("x", x); ("y", y) ])
+              f))
+
+let prop_compiled_term =
+  QCheck.Test.make ~name:"compiled term = Naive" ~count:300
+    QCheck.(pair arb_term (pair (int_range 1 7) (int_range 0 10000)))
+    (fun (t, (n, seed)) ->
+      let a = random_structure (Random.State.make [| n; seed |]) n in
+      let prog = Local_eval.compile_term preds a ~vars:params t in
+      let s = Local_eval.scratch a and env = Array.make (Local_eval.term_width prog) 0 in
+      all_envs n (fun x y ->
+          env.(0) <- x;
+          env.(1) <- y;
+          Local_eval.value prog s env
+          = Foc_eval.Naive.term preds a
+              (Foc_eval.Naive.env_of_list [ ("x", x); ("y", y) ])
+              t))
+
+(* The pattern sweep with its body pushed down to the placement levels
+   counts what Naive counts for #(tl vars).(δ_{G,2r+1} ∧ body) at every
+   anchor, sequentially and on four domains. *)
+let connected_patterns =
+  [
+    (1, []);
+    (2, [ (0, 1) ]);
+    (3, [ (0, 1); (1, 2) ]);
+    (3, [ (0, 1); (0, 2) ]);
+    (3, [ (0, 2); (1, 2) ]);
+    (3, [ (0, 1); (0, 2); (1, 2) ]);
+  ]
+
+let prop_pattern_count_pushdown =
+  QCheck.Test.make ~name:"pushed-down Pattern_count = Naive δ-count" ~count:120
+    QCheck.(
+      pair
+        (make
+           ~print:(fun ((k, _), r, f) ->
+             Printf.sprintf "k=%d r=%d %s" k r (Pp.formula_to_string f))
+           Gen.(
+             oneofl connected_patterns >>= fun (k, edges) ->
+             let vars = List.filteri (fun i _ -> i < k) [ "x"; "y"; "z" ] in
+             map2 (fun r f -> ((k, edges), r, f)) (int_range 0 1) (gen_formula vars 2)))
+        (pair (int_range 1 10) (int_range 0 10000)))
+    (fun (((k, edges), r, body), (n, seed)) ->
+      let a = random_structure (Random.State.make [| n; seed |]) n in
+      let pattern = Foc_graph.Pattern.make k edges in
+      let vars = List.filteri (fun i _ -> i < k) [ "x"; "y"; "z" ] in
+      let theta =
+        And (Dist_formula.delta ~r:((2 * r) + 1) pattern vars, body)
+      in
+      let expected =
+        Array.init n (fun v ->
+            Foc_eval.Naive.term preds a
+              (Foc_eval.Naive.env_of_list [ ("x", v) ])
+              (Count (List.tl vars, theta)))
+      in
+      List.for_all
+        (fun jobs ->
+          let ctx = Pattern_count.make_ctx preds a ~r in
+          Pattern_count.per_anchor ~jobs ctx ~pattern ~vars ~body = expected)
+        [ 1; 4 ])
 
 (* ---------------- split ---------------- *)
 
@@ -345,6 +563,9 @@ let () =
         [
           Alcotest.test_case "agreement" `Quick test_local_eval_agreement;
           Alcotest.test_case "ball restriction" `Quick test_local_eval_uses_balls;
+          QCheck_alcotest.to_alcotest prop_compiled_formula;
+          QCheck_alcotest.to_alcotest prop_compiled_term;
+          QCheck_alcotest.to_alcotest prop_pattern_count_pushdown;
         ] );
       ( "split",
         [
