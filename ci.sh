@@ -162,6 +162,31 @@ grep -q 'engine.hanf_partitions_built=2' /tmp/ci_hanf_out.txt || {
 UQ='#(x,y,z). (R(x) & !E(y,z))'
 uq() { dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc "$UQ" -e "$1" | head -1; }
 [ "$(uq relalg)" = "$(uq naive)" ] || { echo "ci: relalg and naive disagree on '$UQ'"; exit 1; }
+# A counting head term is evaluated at the rows a page emits: opening the
+# cursor and reading a page builds no cl-term.
+dune exec bin/foc_cli.exe -- query -s /tmp/ci_tree.foc --head x --head y \
+  --term '#(z). E(y,z)' --body 'E(x,y) & B(x)' --page 8 --stats 2>&1 \
+  | grep -q 'engine.clterms_built=0' || {
+  echo "ci: a paged counting-head query built a cl-term"
+  exit 1
+}
+# A disjunctive body streams through the table producer (the planned
+# search, its last join lazy), and its rows are the first rows of the
+# materialised answer.
+DQ='E(x,y) & (R(y) | B(y))'
+dune exec bin/foc_cli.exe -- query -s /tmp/ci_tree.foc --head x --head y \
+  --body "$DQ" --page 8 > /tmp/ci_disj_paged.txt
+grep -q '(streamed, producer=table' /tmp/ci_disj_paged.txt || {
+  echo "ci: '$DQ' did not stream through the table producer"
+  exit 1
+}
+dune exec bin/foc_cli.exe -- query -s /tmp/ci_tree.foc --head x --head y \
+  --body "$DQ" > /tmp/ci_disj_full.txt
+[ "$(grep '|' /tmp/ci_disj_paged.txt)" = "$(grep '|' /tmp/ci_disj_full.txt)" ] \
+  && [ "$(grep -c '|' /tmp/ci_disj_paged.txt)" -gt 0 ] || {
+  echo "ci: paged rows of '$DQ' differ from the materialised query"
+  exit 1
+}
 # CLI batch round-trip: session answers must match per-sentence checks
 printf 'exists x. (#(y). E(x,y)) >= 1\n#(x,y). (E(x,y) & R(x)) >= 5\n' \
   > /tmp/ci_batch.txt

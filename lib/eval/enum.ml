@@ -56,9 +56,9 @@ let make ?limit ~producer ~next:gen ~close () =
 
 (* ---- producers: the leapfrog kernel, lazily ----
 
-   [of_table] streams a materialised table as the kernel's single atom —
-   the fallback: pay the full Relalg cost up front, then amortised O(k)
-   per row. [walk] makes every conjunct an atom aligned to head order
+   [of_table] streams the planned body search of {!Relalg.head_search}:
+   the prefix of the join plan is paid up front, its last join runs
+   lazily. [walk] makes every conjunct an atom aligned to head order
    (re-sorted only when its columns are out of that order); head
    variables no positive conjunct mentions range over the whole domain,
    matching [Table.extend_full] semantics. All preparation happens before
@@ -75,11 +75,7 @@ let of_search ?limit ~producer ~values next =
   in
   make ?limit ~producer ~next:gen ~close:(fun () -> ()) ()
 
-let of_table ?limit ?after ~values tbl =
-  let order = Table.vars tbl in
-  of_search ?limit ~producer:"table" ~values
-    (Leapfrog.search ?after ~n:max_int ~width:(Array.length order)
-       [ Table.atom ~order tbl ])
+let of_table ?limit ~values next = of_search ?limit ~producer:"table" ~values next
 
 let walk ?limit ?after ~values ~n ~head ~neg conjuncts =
   let atom ~neg t =

@@ -7,9 +7,9 @@
     (content and order) to the materialised answer list, and [?after]
     resumption is well-defined.
 
-    Producers: {!of_table} streams an already-materialised table (the
-    fallback — full materialisation cost up front, amortised O(k) per row
-    after);
+    Producers: {!of_table} streams the planned body search of
+    {!Relalg.head_search} (the join plan's prefix is materialised up
+    front, its last join runs lazily in head order);
     {!walk} enumerates a conjunctive join (negated conjuncts included)
     over sorted per-conjunct tables with the {!Leapfrog} kernel —
     linear-ish preprocessing, then a per-answer delay of
@@ -49,16 +49,15 @@ val make :
   unit ->
   cursor
 
-(** [of_table ~values tbl] streams the rows of [tbl] (already aligned to
-    the head order) in lexicographic order; [values row] computes the
+(** [of_table ~values next] streams the head-order bindings of a planned
+    body search ({!Relalg.head_search}, which takes the [?after] resume
+    point) under the producer name ["table"]; [values row] computes the
     head-term values ([row] is freshly allocated per answer and may be
-    retained). [?after] (a full-width row) resumes strictly after that
-    tuple by seeking. The table is the {!Leapfrog} kernel's single atom. *)
+    retained). *)
 val of_table :
   ?limit:int ->
-  ?after:int array ->
   values:(int array -> int array) ->
-  Table.t ->
+  (unit -> int array option) ->
   cursor
 
 (** [walk ~values ~n ~head ~neg conjuncts] enumerates the natural join of

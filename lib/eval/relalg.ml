@@ -187,7 +187,7 @@ let rec ft ~ctx preds a (phi : Ast.formula) =
   | Neg (Or _) ->
       (* ¬(f ∨ g) ≡ ¬f ∧ ¬g: route through the conjunction planner so each
          negation becomes an anti-join rather than one wide complement *)
-      plan_and ~ctx preds a (Planner.conjuncts phi)
+      conjunction ~ctx preds a phi
   | Neg f -> Table.complement (ft ~ctx preds a f) n
   | Or (f, g) ->
       let tf = ft ~ctx preds a f and tg = ft ~ctx preds a g in
@@ -199,7 +199,7 @@ let rec ft ~ctx preds a (phi : Ast.formula) =
       let tf = Table.extend_full tf n (missing_of tf tg) in
       let tg = Table.extend_full tg n (missing_of tg tf) in
       Table.union tf tg
-  | And _ -> plan_and ~ctx preds a (Planner.conjuncts phi)
+  | And _ -> conjunction ~ctx preds a phi
   | Exists (y, f) ->
       let t = ft ~ctx preds a f in
       if Table.has_column t y then begin
@@ -238,11 +238,26 @@ let rec ft ~ctx preds a (phi : Ast.formula) =
           if Pred.holds preds p values then TS.Builder.add b tup);
       Table.of_core vars (TS.Builder.build_sorted b)
 
-(* Evaluate a flattened conjunction: materialise the positive conjuncts,
-   join them greedily by estimated output size, and eagerly settle Eq
+(* a conjunction's table: its planned search, drained *)
+and conjunction ~ctx preds a phi =
+  let order, next = plan_and ~ctx preds a (Planner.conjuncts phi) in
+  Table.of_search order next
+
+(* Evaluate a flattened conjunction as a search: materialise the positive
+   conjuncts, join them greedily by estimated output size (settling Eq
    atoms as selections and negated conjuncts as anti-joins the moment the
-   current table covers their variables. *)
-and plan_and ~ctx preds a cs =
+   current table covers their variables), and leave the last join of the
+   plan unexecuted. It is returned as a lazy {!Leapfrog.search} over its
+   two inputs, with the negations still pending as negated atoms and the
+   variables no table covers ranging over the domain. The column order is
+   [head] when given (it must contain every conjunct variable), else the
+   prefix's columns, the last input's fresh ones, then the pending
+   negations'. An Eq atom still pending at the last join is a step the
+   search cannot express: that join is then drained here, the Eq settled,
+   and the result is the search's one positive atom. The last step's
+   cardinality, the plan record and the re-planning feedback are noted
+   when a search that started at the beginning is exhausted. *)
+and plan_and ~ctx ?head ?after preds a cs =
   let n = Foc_data.Structure.order a in
   let eqs = ref [] and neg_fs = ref [] and pos = ref [] in
   List.iter
@@ -253,32 +268,34 @@ and plan_and ~ctx preds a cs =
       | f -> pos := f :: !pos)
     cs;
   let negs = ref (List.rev_map (fun f -> ft ~ctx preds a f) !neg_fs) in
-  (* [cur ∧ ¬tg], its columns [vars cur] then those of [tg] that [cur]
-     lacks (ranging over the domain), with the predicted output
-     [|cur|·n^missing·(1 - semijoin sel)] checked against the actual one *)
-  let apply_neg cur tg =
+  (* rows over [vars] (predicted [card]) conjoined with [¬tg]: the
+     columns [vars] then those of [tg] it lacks (ranging over the domain),
+     predicted [card·n^missing·(1 - semijoin sel)] *)
+  let neg_card (vars, card) tg =
     let missing =
       Array.to_list (Table.vars tg)
-      |> List.filter (fun x -> not (Table.has_column cur x))
+      |> List.filter (fun x -> not (List.mem x vars))
     in
-    let card =
-      float_of_int (Table.cardinal cur)
-      *. (float_of_int n ** float_of_int (List.length missing))
-    in
-    let vars = Var.Set.of_list (Array.to_list (Table.vars cur) @ missing) in
+    let card = card *. (float_of_int n ** float_of_int (List.length missing)) in
+    let vars = vars @ missing in
     let sel =
       Planner.semijoin_sel ~n
-        (Planner.input vars (int_of_float (Float.min card 1e18)))
+        (Planner.input (Var.Set.of_list vars)
+           (int_of_float (Float.min card 1e18)))
         (table_input tg)
     in
+    (vars, card *. (1. -. sel))
+  in
+  let apply_neg cur tg =
+    let vars = Array.to_list (Table.vars cur) in
+    let _, est = neg_card (vars, float_of_int (Table.cardinal cur)) tg in
     let out = Table.antijoin ~n cur tg in
-    Eval_obs.note_op_card ~est:(card *. (1. -. sel))
-      ~actual:(Table.cardinal out);
+    Eval_obs.note_op_card ~est ~actual:(Table.cardinal out);
     Eval_obs.note_complement_avoided ();
     out
   in
-  let settle cur0 =
-    let cur = ref cur0 in
+  let cur = ref Table.unit in
+  let settle () =
     let changed = ref true in
     while !changed do
       changed := false;
@@ -307,14 +324,16 @@ and plan_and ~ctx preds a cs =
             end
             else true)
           !negs
-    done;
-    !cur
+    done
   in
   let pos_forms = Array.of_list (List.rev !pos) in
   let tables = Array.map (fun f -> ft ~ctx preds a f) pos_forms in
+  (* column summaries only matter when there is an order to choose *)
   let inputs =
-    Foc_obs.Scope.cue Foc_obs.Scope.Plan (fun () ->
-        Array.mapi (fun i t -> conjunct_input ctx a pos_forms.(i) t) tables)
+    if Array.length tables < 2 then Array.map table_input tables
+    else
+      Foc_obs.Scope.cue Foc_obs.Scope.Plan (fun () ->
+          Array.mapi (fun i t -> conjunct_input ctx a pos_forms.(i) t) tables)
   in
   (* Re-planning: once a previous run of this conjunct list recorded
      observed selectivities (because its estimates were off by more than
@@ -343,70 +362,155 @@ and plan_and ~ctx preds a cs =
   (* execute the order, comparing each join's predicted cardinality with
      the observed one; observations feed the per-plan feedback entry *)
   let observed = ref [] and max_err = ref 1. and steps = ref [] in
-  let cur =
-    match jplan.Planner.order with
-    | [] -> ref Table.unit
-    | i0 :: rest ->
-        let prefix = ref [ i0 ] in
-        let cur = ref (settle tables.(i0)) in
-        List.iteri
-          (fun k i ->
-            let before = Table.cardinal !cur in
-            let right = Table.cardinal tables.(i) in
-            let joined = Table.join !cur tables.(i) in
-            let actual = Table.cardinal joined in
-            let sel_pred = jplan.Planner.step_sel.(k + 1) in
-            let est = float_of_int before *. float_of_int right *. sel_pred in
-            Eval_obs.note_op_card ~est ~actual;
-            steps := (est, actual) :: !steps;
-            max_err := Float.max !max_err (error_ratio ~est ~actual);
-            let pairs = before * right in
-            if pairs > 0 then
-              observed :=
-                ( (List.sort compare !prefix, i),
-                  float_of_int actual /. float_of_int pairs )
-                :: !observed;
-            prefix := i :: !prefix;
-            cur := settle joined)
-          rest;
-        cur
+  let prefix = ref [] in
+  let step_est k i =
+    float_of_int (Table.cardinal !cur)
+    *. float_of_int (Table.cardinal tables.(i))
+    *. jplan.Planner.step_sel.(k + 1)
   in
-  Eval_obs.note_plan_exec ~order:jplan.Planner.order
-    ~steps:(List.rev !steps) ~replanned:!replanned;
-  if List.length jplan.Planner.order > 1 then begin
-    Eval_obs.note_plan_error ~ratio:!max_err;
-    if !max_err > replan_ratio && !observed <> [] then begin
-      if Hashtbl.length ctx.feedback > 512 then Hashtbl.reset ctx.feedback;
-      let e =
-        match Hashtbl.find_opt ctx.feedback cs with
-        | Some e -> e
-        | None ->
-            let e = { corrections = []; last_order = jplan.Planner.order } in
-            Hashtbl.replace ctx.feedback cs e;
-            e
-      in
-      e.last_order <- jplan.Planner.order;
-      e.corrections <-
-        !observed
-        @ List.filter
-            (fun (key, _) -> not (List.mem_assoc key !observed))
-            e.corrections
-    end
-  end;
+  let note_step ~est ~actual ~pairs i =
+    Eval_obs.note_op_card ~est ~actual;
+    steps := (est, actual) :: !steps;
+    max_err := Float.max !max_err (error_ratio ~est ~actual);
+    if pairs > 0 then
+      observed :=
+        ( (List.sort compare !prefix, i),
+          float_of_int actual /. float_of_int pairs )
+        :: !observed;
+    prefix := i :: !prefix
+  in
+  let join_now k i =
+    let est = step_est k i in
+    let pairs = Table.cardinal !cur * Table.cardinal tables.(i) in
+    cur := Table.join !cur tables.(i);
+    note_step ~est ~actual:(Table.cardinal !cur) ~pairs i;
+    settle ()
+  in
+  (* the last join stays lazy unless an Eq selection is still pending *)
+  let rec run k = function
+    | [] -> None
+    | [ i ] when !eqs = [] -> Some (k, i)
+    | i :: rest ->
+        join_now k i;
+        run (k + 1) rest
+  in
+  let last =
+    match jplan.Planner.order with
+    | [] -> None
+    | i0 :: rest ->
+        cur := tables.(i0);
+        prefix := [ i0 ];
+        settle ();
+        run 0 rest
+  in
   (* Eq atoms with neither side bound: seed them from the identity table *)
   let rec drain_eqs () =
     match !eqs with
     | [] -> ()
     | (x, y) :: rest ->
         eqs := rest;
-        cur := settle (Table.join !cur (eq_table n x y));
+        cur := Table.join !cur (eq_table n x y);
+        settle ();
         drain_eqs ()
   in
   drain_eqs ();
-  (* negations over variables no positive conjunct binds: the kernel
-     ranges those depths over the domain itself *)
-  List.iter (fun tg -> cur := apply_neg !cur tg) !negs;
-  !cur
+  let finish_plan () =
+    Eval_obs.note_plan_exec ~order:jplan.Planner.order ~steps:(List.rev !steps)
+      ~replanned:!replanned;
+    if List.length jplan.Planner.order > 1 then begin
+      Eval_obs.note_plan_error ~ratio:!max_err;
+      if !max_err > replan_ratio && !observed <> [] then begin
+        if Hashtbl.length ctx.feedback > 512 then Hashtbl.reset ctx.feedback;
+        let e =
+          match Hashtbl.find_opt ctx.feedback cs with
+          | Some e -> e
+          | None ->
+              let e = { corrections = []; last_order = jplan.Planner.order } in
+              Hashtbl.replace ctx.feedback cs e;
+              e
+        in
+        e.last_order <- jplan.Planner.order;
+        e.corrections <-
+          !observed
+          @ List.filter
+              (fun (key, _) -> not (List.mem_assoc key !observed))
+              e.corrections
+      end
+    end
+  in
+  (* the search: [cur] and the last input, the pending negations *)
+  let positives =
+    match last with Some (_, i) -> [ !cur; tables.(i) ] | None -> [ !cur ]
+  in
+  let natural =
+    List.fold_left
+      (fun acc t ->
+        acc
+        @ List.filter (fun x -> not (List.mem x acc)) (Array.to_list (Table.vars t)))
+      [] (positives @ !negs)
+  in
+  let order =
+    match head with
+    | None -> Array.of_list natural
+    | Some h ->
+        if not (List.for_all (fun x -> Array.exists (Var.equal x) h) natural) then
+          invalid_arg "Relalg: body variable outside the head";
+        h
+  in
+  let pos_vars =
+    List.filter
+      (fun x -> List.exists (fun t -> Table.has_column t x) positives)
+      natural
+  in
+  let est =
+    let base =
+      match last with
+      | Some (k, i) -> step_est k i
+      | None -> float_of_int (Table.cardinal !cur)
+    in
+    let _, est = List.fold_left neg_card (pos_vars, base) !negs in
+    let uncovered = Array.length order - List.length natural in
+    est *. (float_of_int n ** float_of_int uncovered)
+  in
+  (* the step's observed selectivity is recorded only when the search
+     yields exactly the join's rows *)
+  let pure = !negs = [] && Array.length order = List.length pos_vars in
+  (match last with
+  | Some _ -> Eval_obs.note_join ~probe:(Table.cardinal !cur)
+  | None -> ());
+  List.iter
+    (fun _ ->
+      Eval_obs.note_antijoin ~probe:(Table.cardinal !cur);
+      Eval_obs.note_complement_avoided ())
+    !negs;
+  let finish actual =
+    (match last with
+    | Some (_, i) ->
+        let pairs =
+          if pure then Table.cardinal !cur * Table.cardinal tables.(i) else 0
+        in
+        note_step ~est ~actual ~pairs i
+    | None -> if not pure then Eval_obs.note_op_card ~est ~actual);
+    finish_plan ()
+  in
+  let next =
+    Leapfrog.search ?after ~n ~width:(Array.length order)
+      (List.map (Table.atom ~order) positives
+      @ List.map (Table.atom ~neg:true ~order) !negs)
+  in
+  let rows = ref 0 and recording = ref (after = None) in
+  ( order,
+    fun () ->
+      match next () with
+      | Some _ as r ->
+          incr rows;
+          r
+      | None ->
+          if !recording then begin
+            recording := false;
+            finish !rows
+          end;
+          None )
 
 and tc ~ctx preds a (t : Ast.term) =
   check_universe a;
@@ -464,28 +568,28 @@ let count ?ctx preds a vars phi =
   let rec pow acc i = if i = 0 then acc else pow (acc * n) (i - 1) in
   Table.cardinal t * pow 1 (List.length missing)
 
+(* every body, conjunctive or not, is planned as a conjunction: a single
+   conjunct is the search's one positive (or negated) atom *)
+let head_search ?ctx ?after preds a head body =
+  check_universe a;
+  snd (plan_and ~ctx:(ctx_of ctx) ~head ?after preds a (Planner.conjuncts body))
+
 let head_table ?ctx preds a head body =
-  let t = formula_table ?ctx preds a body in
-  let missing =
-    Array.to_list head
-    |> List.filter (fun x -> not (Table.has_column t x))
-    |> Array.of_list
-  in
-  Table.align (Table.extend_full t (Foc_data.Structure.order a) missing) head
+  Table.of_search head (head_search ?ctx preds a head body)
 
 let query ?ctx preds a (q : Query.t) =
-  check_universe a;
   let ctx = ctx_of ctx in
   let head = Array.of_list q.head_vars in
-  let body = head_table ~ctx preds a head q.body in
+  let next = head_search ~ctx preds a head q.body in
   (* head-term readers are compiled once against the head column order *)
   let readers =
     Array.of_list
       (List.map (fun t -> Counts.row (tc ~ctx preds a t) head) q.head_terms)
   in
-  let out = ref [] in
-  Table.iter body (fun row ->
-      let values = Array.map (fun rd -> rd row) readers in
-      out := (Array.copy row, values) :: !out);
-  (* Table.iter runs in ascending lexicographic = Tuple.compare order *)
-  List.rev !out
+  (* the search runs in ascending lexicographic = Tuple.compare order *)
+  let rec go acc =
+    match next () with
+    | None -> List.rev acc
+    | Some row -> go ((Array.copy row, Array.map (fun rd -> rd row) readers) :: acc)
+  in
+  go []

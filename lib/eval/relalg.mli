@@ -14,7 +14,9 @@
     for top-level negation), and [Forall] becomes relational division. A
     negated conjunct over variables no positive conjunct binds is one
     {!Leapfrog} search that ranges those variables over the domain, with
-    no padded intermediate. {!Eval_obs} counts what the planner did.
+    no padded intermediate. The last join of a plan is left as a lazy
+    search ({!head_search}); {!formula_table} drains it. {!Eval_obs}
+    counts what the planner did.
 
     Planning runs under a {!ctx}, which supplies real statistics and
     closes the adaptive loop:
@@ -104,9 +106,32 @@ val count :
   Ast.formula ->
   int
 
-(** [head_table preds a head φ] — the table of [φ] over exactly the
-    [head] columns, in head order; head variables [φ] leaves free range
-    over the whole domain. [free φ] must be within [head]. *)
+(** [head_search preds a head φ] — the answers of [φ] over exactly the
+    [head] columns as a lazy {!Leapfrog} search in head order (ascending
+    lexicographic): each call of the returned function yields the next
+    binding (the kernel's buffer — copy it to retain), [None] once
+    exhausted. [φ] is planned as a conjunction (a non-conjunctive body is
+    one conjunct). The plan's prefix is materialised before the function
+    is returned; its last join is not: the two inputs of that join are the
+    search's positive atoms, the negations still pending its negated
+    atoms, and head variables no table covers range over the whole
+    domain. A pending Eq selection the search cannot express drains that
+    join first. The last step's observed cardinality and the re-planning
+    feedback are recorded when a search without [?after] is exhausted.
+    [?after] (a head tuple) resumes strictly after it, by seeking. Raises
+    [Invalid_argument] unless [free φ] is within [head]. *)
+val head_search :
+  ?ctx:ctx ->
+  ?after:int array ->
+  Pred.collection ->
+  Foc_data.Structure.t ->
+  Var.t array ->
+  Ast.formula ->
+  unit ->
+  int array option
+
+(** [head_table preds a head φ] — the drain of {!head_search}: the table
+    of [φ] over exactly the [head] columns, in head order. *)
 val head_table :
   ?ctx:ctx ->
   Pred.collection ->
@@ -115,8 +140,8 @@ val head_table :
   Ast.formula ->
   Table.t
 
-(** [query preds a q] evaluates a Definition 5.2 query; rows in lexicographic
-    order of the head tuple. *)
+(** [query preds a q] evaluates a Definition 5.2 query by draining
+    {!head_search}; rows in lexicographic order of the head tuple. *)
 val query :
   ?ctx:ctx ->
   Pred.collection ->

@@ -65,16 +65,21 @@ let has_column t x = Array.exists (Var.equal x) t.vars
    a planner {!Foc_stats.Summary} for an intermediate table *)
 let column_counts t x =
   let j = column_index t x in
-  let col = Array.init t.core.nrows (fun r -> TS.cell t.core r j) in
-  Foc_util.Int_sort.sort col;
-  let runs = ref [] in
-  Array.iter
-    (fun v ->
-      match !runs with
-      | (w, c) :: rest when w = v -> runs := (w, c + 1) :: rest
-      | _ -> runs := (v, 1) :: !runs)
-    col;
-  Array.of_list (List.rev !runs)
+  let m = t.core.nrows in
+  let col = Array.init m (fun r -> TS.cell t.core r j) in
+  (* the first column is already sorted: rows are *)
+  if j > 0 then Foc_util.Int_sort.sort col;
+  let out = Array.make m (0, 0) and g = ref 0 in
+  let r = ref 0 in
+  while !r < m do
+    let v = col.(!r) and s = !r in
+    while !r < m && col.(!r) = v do
+      incr r
+    done;
+    out.(!g) <- (v, !r - s);
+    incr g
+  done;
+  Array.sub out 0 !g
 
 (* ---- iteration ---- *)
 
@@ -102,7 +107,7 @@ let align t target =
     Array.length target <> Array.length t.vars
     || not (Array.for_all (fun x -> has_column t x) target)
   then invalid_arg "Table.align: not a permutation";
-  project t target
+  if target = t.vars then t else project t target
 
 (* ---- selection / column copy (order-preserving, no re-sort) ---- *)
 
@@ -161,9 +166,7 @@ let atom ?(neg = false) ~order t =
   in
   { Leapfrog.core = t.core; pos = Array.map depth cols; neg }
 
-(* [n] bounds only the depths no positive atom covers *)
-let drain ~n vars atoms =
-  let next = Leapfrog.search ~n ~width:(Array.length vars) atoms in
+let of_search vars next =
   let b = TS.Builder.create (Array.length vars) in
   let rec go () =
     match next () with
@@ -174,6 +177,10 @@ let drain ~n vars atoms =
   in
   go ();
   of_core vars (TS.Builder.build_sorted b)
+
+(* [n] bounds only the depths no positive atom covers *)
+let drain ~n vars atoms =
+  of_search vars (Leapfrog.search ~n ~width:(Array.length vars) atoms)
 
 (* natural join in the order [vars t1 @ fresh t2]: [t1] drives and is
    already aligned; the bindings come out sorted *)

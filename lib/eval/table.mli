@@ -78,6 +78,10 @@ val antijoin : n:int -> t -> t -> t
     {!Eval_obs.join_build_rows}). [?neg] marks it negated. *)
 val atom : ?neg:bool -> order:Var.t array -> t -> Leapfrog.atom
 
+(** [of_search vars next] drains a {!Leapfrog.search} over the variable
+    order [vars] into a table with those columns. *)
+val of_search : Var.t array -> (unit -> int array option) -> t
+
 (** [align t target] reorders columns to [target]; [target] must be a
     permutation of [vars t]. *)
 val align : t -> Var.t array -> t

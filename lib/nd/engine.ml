@@ -549,82 +549,82 @@ let check_tuple t a (q : Query.t) tuple =
           Some (true, values)
         end)
 
-(* Head-term evaluation for multi-variable heads, compiled once against the
-   head column order: ground terms become constants, single-variable terms
-   per-element vectors from the localized engine, and terms over several
-   head variables a baseline counts reader. The returned closure maps a
-   head-order row to the freshly-allocated values array — shared by
-   [run_query] and [enumerate] so both produce identical values. *)
-let head_values t a head (terms : Ast.term list) =
-  let term_vector term =
-    match Var.Set.elements (Ast.free_term term) with
-    | [] -> `Const (eval_ground t a term)
-    | [ x ] -> `Vec (x, eval_unary t a x term)
-    | _ ->
-        (* FOC1 allows head terms over several head variables (only
-           predicate applications are restricted); evaluate them with
-           the baseline counts, read via a row reader compiled once
-           against the head column order *)
-        `Counts
-          (Foc_eval.Counts.row
-             (Foc_eval.Relalg.term_counts ~ctx:(relalg_ctx t) t.cfg.preds a term)
-             head)
+(* The counting kernels of a head term, made ready to evaluate per row.
+   Over the single head variable [Some x], each is stratified and
+   localized as [eval_unary_term] would: the same [Outside_fragment]
+   errors, the same counted fallbacks, and a kernel without [x] evaluated
+   here by the engine. Over several head variables ([None]) a kernel is
+   never a fallback, and a closed one is evaluated here by the compiled
+   evaluator. Returns the (expanded) structure and the term left. *)
+let rec head_kernels t a x (term : Ast.term) =
+  let both s u k =
+    let a, s = head_kernels t a x s in
+    let a, u = head_kernels t a x u in
+    (a, k s u)
   in
-  let vectors = List.map term_vector terms in
+  match (term, x) with
+  | Ast.Int _, _ -> (a, term)
+  | Ast.Add (s, u), _ -> both s u (fun s u -> Ast.Add (s, u))
+  | Ast.Mul (s, u), _ -> both s u (fun s u -> Ast.Mul (s, u))
+  | Ast.Count (ys, theta), Some x ->
+      let a', theta' =
+        Foc_obs.span ~name:"stratify" (fun () -> elim_preds t a theta)
+      in
+      if not (Var.Set.mem x (Ast.free_formula theta')) then
+        (a', Ast.Int (eval_ground_count t a' ys theta'))
+      else begin
+        if localize t ~anchored:true ~vars:(x :: ys) theta' = None then
+          fallback t "unary counting kernel outside the guarded fragment";
+        (a', Ast.Count (ys, theta'))
+      end
+  | Ast.Count _, None when Var.Set.is_empty (Ast.free_term term) ->
+      let p = Local_eval.compile_term t.cfg.preds a ~vars:[] term in
+      ( a,
+        Ast.Int
+          (Local_eval.value p (Local_eval.scratch a)
+             (Array.make (Local_eval.term_width p) 0)) )
+  | Ast.Count _, None -> (a, term)
+
+(* Head terms of a multi-variable head, evaluated per emitted row: each
+   term is compiled once ({!Local_eval.compile_term}) over its free head
+   variables and evaluated at a row's values for them, memoised per
+   distinct argument tuple. A ground term is evaluated once by the
+   engine. The returned closure maps a head-order row to a fresh values
+   array — shared by every multi-variable producer. *)
+let head_values t a head (terms : Ast.term list) =
   let index_of x =
     let rec go i = if Var.equal head.(i) x then i else go (i + 1) in
     go 0
   in
-  fun row ->
-    Array.of_list
-      (List.map
-         (function
-           | `Const c -> c
-           | `Vec (x, vec) -> vec.(row.(index_of x))
-           | `Counts read -> read row)
-         vectors)
-
-let run_query_inner t a (q : Query.t) =
-  let n = Structure.order a in
-  match q.head_vars with
-  | [] ->
-      let truth = check t a q.body in
-      if not truth then []
-      else
-        [ ([||], Array.of_list (List.map (eval_ground t a) q.head_terms)) ]
-  | [ x ] ->
-      let truths = holds_unary t a x q.body in
-      let vectors = List.map (eval_unary t a x) q.head_terms in
-      let rows = ref [] in
-      for v = n - 1 downto 0 do
-        if truths.(v) then
-          rows :=
-            ([| v |], Array.of_list (List.map (fun vec -> vec.(v)) vectors))
-            :: !rows
-      done;
-      !rows
-  | head_vars ->
-      (* the paper's algorithm answers per-tuple queries (Theorem 5.5);
-         enumerating all satisfying head tuples in general is its open
-         problem (3) — candidates come from the baseline body table, term
-         values from the localized per-variable vectors *)
-      fallback t "query head with two or more variables";
-      let head = Array.of_list head_vars in
-      let table =
-        Foc_eval.Relalg.head_table ~ctx:(relalg_ctx t) t.cfg.preds a head q.body
-      in
-      let values = head_values t a head q.head_terms in
-      let out = ref [] in
-      Foc_eval.Table.iter table (fun row ->
-          out := (Array.copy row, values row) :: !out);
-      (* Table.iter runs in ascending Tuple.compare order already *)
-      List.rev !out
-
-let run_query t a q =
-  with_artifacts t (fun () ->
-      let v = run_query_inner t a q in
-      maybe_export t;
-      v)
+  let reader term =
+    let free = Ast.free_term term in
+    match List.filter (fun x -> Var.Set.mem x free) (Array.to_list head) with
+    | [] ->
+        let c = eval_ground_term t a term in
+        fun _ -> c
+    | vars ->
+        let a', term' =
+          head_kernels t a
+            (match vars with [ x ] -> Some x | _ -> None)
+            term
+        in
+        let p = Local_eval.compile_term t.cfg.preds a' ~vars term' in
+        let s = Local_eval.scratch a' in
+        let env = Array.make (Local_eval.term_width p) 0 in
+        let at = Array.of_list (List.map index_of vars) in
+        let memo = Hashtbl.create 64 in
+        fun row ->
+          let key = Array.map (fun i -> row.(i)) at in
+          match Hashtbl.find_opt memo key with
+          | Some v -> v
+          | None ->
+              Array.blit key 0 env 0 (Array.length key);
+              let v = Local_eval.value p s env in
+              Hashtbl.add memo key v;
+              v
+  in
+  let readers = Array.of_list (List.map reader terms) in
+  fun row -> Array.map (fun rd -> rd row) readers
 
 (* ---------------- answer enumeration ---------------- *)
 
@@ -650,8 +650,12 @@ let enumerate_inner t a ?limit ?after (q : Query.t) =
   match q.head_vars with
   | [] ->
       (* zero or one answer: the empty tuple *)
-      Foc_eval.Enum.of_rows ?limit ?after ~producer:"ground"
-        (run_query_inner t a q)
+      let rows =
+        if check t a q.body then
+          [ ([||], Array.of_list (List.map (eval_ground t a) q.head_terms)) ]
+        else []
+      in
+      Foc_eval.Enum.of_rows ?limit ?after ~producer:"ground" rows
   | [ x ] ->
       (* the localized path: one linear preprocessing sweep (per-element
          truths and term vectors), then O(1) delay per answer — the
@@ -682,6 +686,12 @@ let enumerate_inner t a ?limit ?after (q : Query.t) =
         ~close:(fun () -> ())
         ()
   | head_vars -> (
+      (* The one rule for heads of two or more variables, on every route:
+         the paper's algorithm answers them per tuple (Theorem 5.5), and
+         enumerating all answers is its open problem (3). Their answers
+         come from the baseline's join kernel, so each open is one
+         fallback, and strict mode refuses it. *)
+      fallback t "query head with two or more variables";
       let head = Array.of_list head_vars in
       let values = head_values t a head q.head_terms in
       match conjunctive_atoms q.body with
@@ -695,12 +705,11 @@ let enumerate_inner t a ?limit ?after (q : Query.t) =
           Foc_eval.Enum.walk ?limit ?after ~values ~n ~head
             ~neg:(List.map table neg) (List.map table pos)
       | None ->
-          (* outside the walkable fragment: materialise the planned body
-             table as [run_query] would and stream it *)
-          fallback t "query head with two or more variables";
-          Foc_eval.Enum.of_table ?limit ?after ~values
-            (Foc_eval.Relalg.head_table ~ctx:(relalg_ctx t) t.cfg.preds a head
-               q.body))
+          (* the planned body: its prefix materialised, its last join
+             streamed in head order *)
+          Foc_eval.Enum.of_table ?limit ~values
+            (Foc_eval.Relalg.head_search ~ctx:(relalg_ctx t) ?after t.cfg.preds
+               a head q.body))
 
 let enumerate t a ?limit ?after q =
   with_artifacts t (fun () ->
@@ -709,6 +718,13 @@ let enumerate t a ?limit ?after q =
       let c = enumerate_inner t a ?limit ?after q in
       maybe_export t;
       c)
+
+(* a drained cursor: one producer selection for both entry points *)
+let run_query t a q =
+  with_artifacts t (fun () ->
+      let v = Foc_eval.Enum.to_list (enumerate_inner t a q) in
+      maybe_export t;
+      v)
 
 (* ---------------- compiled sentences ---------------- *)
 

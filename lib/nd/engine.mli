@@ -205,31 +205,42 @@ val holds_unary : t -> Foc_data.Structure.t -> Var.t -> Ast.formula -> bool arra
 val check_tuple :
   t -> Foc_data.Structure.t -> Query.t -> int array -> (bool * int array) option
 
-(** [run_query t a q] — full query results (Definition 5.2). Heads with at
-    most one variable run on the localized engine; wider heads enumerate
-    candidate tuples from the baseline body table and run {!check_tuple} on
-    each (the paper's algorithm is per-tuple; constant-delay enumeration on
-    nowhere dense classes is its open problem (3)). Results sorted by head
-    tuple. *)
+(** [run_query t a q] — full query results (Definition 5.2), sorted by
+    head tuple: the drained {!enumerate} cursor, so both entry points
+    select the same producer. *)
 val run_query :
   t -> Foc_data.Structure.t -> Query.t -> (int array * int array) list
 
-(** [enumerate t a q] — the answers of {!run_query} as a pull-based cursor
-    ({!Foc_eval.Enum.cursor}), bit-identical in content and order
-    (ascending lexicographic on the head tuple) but produced lazily.
-    Producer selection: empty heads yield their 0/1 answer directly;
-    single-variable heads run the localized per-element sweep once and
-    then emit with O(1) delay; wider heads over conjunctive bodies
-    (conjunctions of relation/equality/distance atoms and their
-    negations) run the {!Foc_eval.Leapfrog} kernel lazily over sorted
-    per-atom tables with galloping seeks, skipping the bindings a negated
-    atom contains (bounded per-answer delay, no output materialisation);
-    anything else — disjunction, counting, quantifiers — materialises the
-    planned body table and streams it. [?limit] caps the
-    answer count; [?after] (a head tuple) resumes strictly after it.
-    Preprocessing happens before the cursor is returned — [next] never
-    touches engine artifacts, so the cursor stays valid as long as the
-    structure is unchanged. *)
+(** [enumerate t a q] — the answers of [q] as a pull-based cursor
+    ({!Foc_eval.Enum.cursor}) in ascending lexicographic order of the head
+    tuple. Producer selection:
+    - an empty head yields its 0/1 answer directly (["ground"]);
+    - a single-variable head runs the localized per-element sweep once,
+      then emits with O(1) delay (["unary"]);
+    - a head of two or more variables is, on every route, one counted
+      fallback (strict mode raises {!Outside_fragment}): the paper answers
+      such queries per tuple (Theorem 5.5), enumerating them is its open
+      problem (3). A conjunctive body (relation, equality and distance
+      atoms and their negations) runs the {!Foc_eval.Leapfrog} kernel
+      lazily over sorted per-atom tables (["walk"]); any other body —
+      disjunction, quantifiers, numerical predicates — is planned by
+      {!Foc_eval.Relalg.head_search}: the join plan's prefix is
+      materialised, its last join streams in head order (["table"]).
+
+    Head terms of a wider head are evaluated per emitted row: each is
+    compiled once per open ({!Foc_local.Local_eval.compile_term}) over its
+    free head variables and memoised per distinct argument tuple; ground
+    terms and, in a single-variable term, the counting kernels without
+    that variable are evaluated once by the engine. A single-variable
+    term keeps the engine's fragment decisions: its kernels are stratified
+    and localized as {!eval_unary} would, with the same
+    {!Outside_fragment} errors and counted fallbacks; a term over several
+    head variables is never a fallback.
+
+    [?limit] caps the answer count; [?after] (a head tuple) resumes
+    strictly after it. Preprocessing happens before the cursor is
+    returned — [next] never touches engine artifacts, so the cursor stays
+    valid as long as the structure is unchanged. *)
 val enumerate :
   t ->
   Foc_data.Structure.t ->

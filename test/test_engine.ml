@@ -230,9 +230,31 @@ let test_strict_mode () =
   | exception Engine.Outside_fragment _ -> ()
   | _ -> Alcotest.fail "expected Outside_fragment");
   (* unguarded global counting body must also be refused in strict mode *)
-  match Engine.eval_ground eng a (parse_t "#(x,y). (R(x) & !E(x,y) & !E(y,x) & !(x = y) & B(y))") with
+  (match Engine.eval_ground eng a (parse_t "#(x,y). (R(x) & !E(x,y) & !E(y,x) & !(x = y) & B(y))") with
   | exception Engine.Outside_fragment _ -> ()
-  | _ -> ()
+  | _ -> ());
+  (* a head of two or more variables is one rule on every route: strict
+     mode refuses it from run_query and from enumerate, through the walk
+     (conjunctive body) and the table producer (disjunctive body) alike,
+     and a default engine counts one fallback per call on each *)
+  List.iter
+    (fun body ->
+      let q = Query.make ~head_vars:[ "x"; "y"; "z" ] ~head_terms:[] (parse body) in
+      (match Engine.run_query eng a q with
+      | exception Engine.Outside_fragment _ -> ()
+      | _ -> Alcotest.fail (body ^ ": run_query answered in strict mode"));
+      (match Engine.enumerate eng a q with
+      | exception Engine.Outside_fragment _ -> ()
+      | _ -> Alcotest.fail (body ^ ": enumerate answered in strict mode"));
+      let lax = Engine.create () in
+      let rows = Engine.run_query lax a q in
+      Alcotest.(check int) (body ^ ": run_query fallbacks") 1
+        (Engine.stats lax).fallbacks;
+      let streamed = Foc_eval.Enum.to_list (Engine.enumerate lax a q) in
+      Alcotest.(check int) (body ^ ": enumerate fallbacks") 2
+        (Engine.stats lax).fallbacks;
+      Alcotest.(check bool) (body ^ ": same rows") true (rows = streamed))
+    [ "E(x,y) & E(x,z)"; "E(x,y) & (R(z) | B(z))" ]
 
 let prop_engine_matches_relalg =
   QCheck.Test.make ~name:"engine = relalg on random FOC1 ground terms"
