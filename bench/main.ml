@@ -460,6 +460,37 @@ let e6 () =
             (match rounds with Some k -> string_of_int k | None -> ">16"))
         [ 1; 2 ])
     Foc.Classes.standard
+  ;
+  (* -- the Splitter back-end's batched rounds on the sweep-cold term -- *)
+  let term = parse_t "#(x,y). (R(x) & !E(x,y) & B(y))" in
+  Printf.printf
+    "\n-- Splitter back-end rounds (%s on random trees, max_rounds 3, small \
+     64)\n"
+    "#(x,y). (R(x) & !E(x,y) & B(y))";
+  Printf.printf "%8s | %9s %8s %8s %8s %8s %11s %8s\n" "n" "seconds"
+    "rounds" "kernels" "removals" "covers" "covers/rm+1" "agree";
+  List.iter
+    (fun n ->
+      let a =
+        coloured_structure 43 (Foc.Classes.random_trees.generate ~seed:43 ~n)
+      in
+      let eng = splitter_engine () in
+      let v, t = time (fun () -> Foc.Engine.eval_ground eng a term) in
+      let agree = v = Foc.Engine.eval_ground (direct_engine ()) a term in
+      let st = Foc.Engine.stats eng in
+      let counter name =
+        Foc.Obs.Metrics.(Counter.value (counter (Foc.Engine.metrics eng) name))
+      in
+      let rounds = counter "splitter.rounds"
+      and kernels = counter "splitter.kernels" in
+      let per_removal = float st.covers_built /. float (1 + st.removals) in
+      record "E6"
+        [ ("n", I n); ("seconds", F t); ("rounds", I rounds);
+          ("kernels", I kernels); ("removals", I st.removals);
+          ("covers", I st.covers_built); ("agree", B agree) ];
+      Printf.printf "%8d | %8.3fs %8d %8d %8d %8d %11.2f %8b\n" n t rounds
+        kernels st.removals st.covers_built per_removal agree)
+    (if !quick then [ 500; 2000 ] else [ 500; 2000; 8000 ])
 
 (* ================= E7: the tractability frontier ================= *)
 
@@ -533,15 +564,15 @@ let e8 () =
             (v1 = v2 && v2 = v3 && v3 = v4))
         sizes)
     [ Foc.Classes.random_trees; Foc.Classes.grids ];
-  (* -- jobs sweep over the three parallel back-ends -- *)
+  (* -- jobs sweep over the four parallel back-ends -- *)
   let n = if !quick then 2000 else 16000 in
   let cls = Foc.Classes.bounded_degree 3 in
   let a = coloured_structure 51 (cls.generate ~seed:51 ~n) in
   Printf.printf
     "\n-- jobs sweep (%s, n=%d; values must be identical per back-end)\n"
     cls.name n;
-  Printf.printf "%6s | %10s %10s %10s %8s\n" "jobs" "direct" "cover" "hanf"
-    "agree";
+  Printf.printf "%6s | %10s %10s %10s %10s %8s\n" "jobs" "direct" "cover"
+    "splitter" "hanf" "agree";
   let baseline = ref [||] in
   List.iter
     (fun jobs ->
@@ -551,16 +582,22 @@ let e8 () =
       in
       let v1, t1 = run Foc.Engine.Direct in
       let v2, t2 = run Foc.Engine.Cover in
+      let v3, t3 =
+        run (Foc.Engine.Splitter { max_rounds = 3; small = 64 })
+      in
       let v4, t4 = run Foc.Engine.Hanf in
       if jobs = 1 then baseline := v1;
-      let agree = v1 = !baseline && v2 = !baseline && v4 = !baseline in
+      let agree =
+        v1 = !baseline && v2 = !baseline && v3 = !baseline && v4 = !baseline
+      in
       List.iter
         (fun (engine, t) ->
           record "E8"
             [ ("class", S cls.name); ("n", I n); ("engine", S engine);
               ("jobs", I jobs); ("seconds", F t); ("agree", B agree) ])
-        [ ("direct", t1); ("cover", t2); ("hanf", t4) ];
-      Printf.printf "%6d | %9.3fs %9.3fs %9.3fs %8b\n" jobs t1 t2 t4 agree)
+        [ ("direct", t1); ("cover", t2); ("splitter", t3); ("hanf", t4) ];
+      Printf.printf "%6d | %9.3fs %9.3fs %9.3fs %9.3fs %8b\n" jobs t1 t2 t3
+        t4 agree)
     (jobs_sweep ())
 
 (* ================= E9: removal lemma ================= *)

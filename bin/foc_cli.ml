@@ -569,8 +569,11 @@ let gen_cmd =
 (* ---------------- trace-check ---------------- *)
 
 (* Validate a --trace output: parseable JSON, an array of complete
-   ("ph":"X") events each carrying name/ts/dur/pid/tid. Used by ci.sh to
-   fail the build on malformed exports; no external JSON tool needed. *)
+   ("ph":"X") events each carrying name/ts/dur/pid/tid, whose spans nest
+   like a stack within each tid (a span recorded by a parallel task must
+   sit inside its domain's enclosing spans, never straddle one). Used by
+   ci.sh to fail the build on malformed exports; no external JSON tool
+   needed. *)
 let trace_check_cmd =
   let run path =
     let contents =
@@ -590,30 +593,58 @@ let trace_check_cmd =
         exit 1
     | Ok (Foc.Obs.Json.List events) ->
         let bad = ref 0 in
-        List.iteri
-          (fun i ev ->
-            let field k = Foc.Obs.Json.member k ev in
-            let ok =
-              match
-                (field "name", field "ph", field "ts", field "dur",
-                 field "pid", field "tid")
-              with
-              | ( Some (Foc.Obs.Json.Str _),
-                  Some (Foc.Obs.Json.Str "X"),
-                  Some (Foc.Obs.Json.Num ts),
-                  Some (Foc.Obs.Json.Num dur),
-                  Some (Foc.Obs.Json.Num _),
-                  Some (Foc.Obs.Json.Num _) ) ->
-                  ts >= 0. && dur >= 0.
-              | _ -> false
-            in
-            if not ok then begin
-              incr bad;
-              Printf.eprintf "trace-check: %s: bad event %d\n" path i
-            end)
-          events;
+        (* (tid, start ns, end ns) of every well-formed event *)
+        let spans =
+          List.concat
+            (List.mapi
+               (fun i ev ->
+                 let field k = Foc.Obs.Json.member k ev in
+                 match
+                   (field "name", field "ph", field "ts", field "dur",
+                    field "pid", field "tid")
+                 with
+                 | ( Some (Foc.Obs.Json.Str _),
+                     Some (Foc.Obs.Json.Str "X"),
+                     Some (Foc.Obs.Json.Num ts),
+                     Some (Foc.Obs.Json.Num dur),
+                     Some (Foc.Obs.Json.Num _),
+                     Some (Foc.Obs.Json.Num tid) )
+                   when ts >= 0. && dur >= 0. ->
+                     let ns x = Float.to_int (Float.round (x *. 1e3)) in
+                     [ (Float.to_int tid, ns ts, ns ts + ns dur) ]
+                 | _ ->
+                     incr bad;
+                     Printf.eprintf "trace-check: %s: bad event %d\n" path i;
+                     [])
+               events)
+        in
         if !bad > 0 then exit 1;
-        Printf.printf "trace-check: %s: ok (%d events)\n" path
+        (* per tid, by start and then longest first: each span must end
+           before the innermost open span that contains its start *)
+        let open_spans = Hashtbl.create 8 in
+        List.iter
+          (fun (tid, t0, t1) ->
+            let rec close = function
+              | e :: rest when e <= t0 -> close rest
+              | stack -> stack
+            in
+            let stack =
+              close (Option.value ~default:[] (Hashtbl.find_opt open_spans tid))
+            in
+            (match stack with
+            | e :: _ when t1 > e ->
+                Printf.eprintf
+                  "trace-check: %s: span [%d, %d] ns overlaps its parent on \
+                   tid %d\n"
+                  path t0 t1 tid;
+                exit 1
+            | _ -> ());
+            Hashtbl.replace open_spans tid (t1 :: stack))
+          (List.sort
+             (fun (tid, t0, t1) (tid', t0', t1') ->
+               compare (tid, t0, -t1) (tid', t0', -t1'))
+             spans);
+        Printf.printf "trace-check: %s: ok (%d events, nested)\n" path
           (List.length events)
     | Ok _ ->
         Printf.eprintf "trace-check: %s: top level is not an array\n" path;

@@ -65,6 +65,20 @@ dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc \
   "#(x,y). (R(x) & E(x,y))" -e cover --jobs 2 \
   --trace /tmp/ci_trace.json --stats --metrics
 dune exec bin/foc_cli.exe -- trace-check /tmp/ci_trace.json
+# The Splitter's rounds run inside the parallel cluster sweep: its
+# splitter.round and remove spans, recorded on worker domains too, must
+# be in the trace and nest within each domain (trace-check fails on a
+# partial overlap).
+dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc \
+  "#(x,y). (R(x) & !E(x,y) & B(y))" -e splitter --jobs 2 \
+  --trace /tmp/ci_trace_splitter.json --stats
+dune exec bin/foc_cli.exe -- trace-check /tmp/ci_trace_splitter.json
+for span in splitter.round remove; do
+  grep -q "\"name\": \"$span\"" /tmp/ci_trace_splitter.json || {
+    echo "ci: the splitter trace has no $span span"
+    exit 1
+  }
+done
 # Worker domains record ball counters straight into the engine's registry:
 # the --stats line must show the same nonzero lookups (computed + cache
 # hits) at jobs 1 and jobs 2 on every back-end with a parallel sweep.

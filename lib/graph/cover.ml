@@ -3,7 +3,6 @@ type t = {
   clusters : int array array;
   assign : int array;
   centres : int array;
-  containing : int list array;
 }
 
 let make g ~r =
@@ -12,39 +11,33 @@ let make g ~r =
   let assign = Array.make n (-1) in
   let clusters = ref [] and centres = ref [] in
   let count = ref 0 in
+  (* one BFS arena for every cluster: no table or list per ball *)
+  let s = Bfs.searcher g in
   for c = 0 to n - 1 do
     if assign.(c) < 0 then begin
-      let tbl = Bfs.ball_tbl g ~centres:[ c ] ~radius:(2 * r) in
-      let members =
-        List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) tbl [])
-      in
+      let members = Bfs.ball_sorted s ~centres:[ c ] ~radius:(2 * r) in
       let id = !count in
       incr count;
-      clusters := Array.of_list members :: !clusters;
+      clusters := members :: !clusters;
       centres := c :: !centres;
       (* every still-unassigned vertex within distance r of the centre can
          use this cluster: its r-ball sits inside N_2r(c). *)
-      Hashtbl.iter
-        (fun v d -> if d <= r && assign.(v) < 0 then assign.(v) <- id)
-        tbl
+      Array.iter
+        (fun v ->
+          if Bfs.dist_of s v <= r && assign.(v) < 0 then assign.(v) <- id)
+        members
     end
   done;
   let clusters = Array.of_list (List.rev !clusters) in
   let centres = Array.of_list (List.rev !centres) in
-  let containing = Array.make n [] in
-  Array.iteri
-    (fun id members ->
-      Array.iter (fun v -> containing.(v) <- id :: containing.(v)) members)
-    clusters;
-  { r; clusters; assign; centres; containing }
+  { r; clusters; assign; centres }
 
 (* ------------------------------------------------------------------ *)
-(* Flat core for the persistent store. [containing] is derived state
-   (recomputed from [clusters] in O(total weight), the same loop [make]
-   runs) and is deliberately absent from the flat form. [of_flat]
-   re-validates the cover invariants — membership bounds, sortedness,
-   every vertex assigned to a cluster that really contains it — before
-   the binary-searching accessors ever see the arrays. *)
+(* Flat core for the persistent store: the record is already flat, so
+   [to_flat] just exposes it. [of_flat] re-validates the cover invariants —
+   membership bounds, sortedness, every vertex assigned to a cluster that
+   really contains it — before the binary-searching accessors ever see
+   the arrays. *)
 
 type flat = {
   fr : int;
@@ -92,13 +85,8 @@ let of_flat f =
       if not (member_sorted f.fclusters.(id) v) then
         fail "vertex assigned to a cluster not containing it")
     f.fassign;
-  let containing = Array.make n [] in
-  Array.iteri
-    (fun id members ->
-      Array.iter (fun v -> containing.(v) <- id :: containing.(v)) members)
-    f.fclusters;
   { r = f.fr; clusters = f.fclusters; assign = f.fassign;
-    centres = f.fcentres; containing }
+    centres = f.fcentres }
 
 let radius_param t = t.r
 let cluster_count t = Array.length t.clusters
@@ -113,10 +101,15 @@ let kernel t i =
     t.clusters.(i);
   Array.of_list (List.rev !acc)
 
-let clusters_containing t a = t.containing.(a)
+let clusters_containing t a =
+  List.filter
+    (fun i -> member_sorted t.clusters.(i) a)
+    (List.init (Array.length t.clusters) Fun.id)
 
 let max_degree t =
-  Array.fold_left (fun acc l -> max acc (List.length l)) 0 t.containing
+  let degree = Array.make (Array.length t.assign) 0 in
+  Array.iter (Array.iter (fun v -> degree.(v) <- degree.(v) + 1)) t.clusters;
+  Array.fold_left max 0 degree
 
 let max_cluster_radius t g =
   Array.to_list t.clusters
@@ -125,21 +118,7 @@ let max_cluster_radius t g =
   |> List.fold_left max 0
 
 let covers_tuple t g ~s i vs =
-  let members = t.clusters.(i) in
-  let inside v =
-    (* binary search in the sorted member array *)
-    let lo = ref 0 and hi = ref (Array.length members) in
-    let found = ref false in
-    while (not !found) && !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if members.(mid) = v then found := true
-      else if members.(mid) < v then lo := mid + 1
-      else hi := mid
-    done;
-    !found
-  in
-  let ball = Bfs.ball g ~centres:vs ~radius:s in
-  List.for_all inside ball
+  List.for_all (member_sorted t.clusters.(i)) (Bfs.ball g ~centres:vs ~radius:s)
 
 let total_weight t =
   Array.fold_left (fun acc c -> acc + Array.length c) 0 t.clusters

@@ -21,8 +21,7 @@ type t
 val make : Graph.t -> r:int -> t
 
 (** The pointer-free core, for serialisation ({!Foc_store}): radius,
-    clusters, per-vertex assignment and centres. The [containing]
-    reverse index is derived state and is rebuilt by {!of_flat}.
+    clusters, per-vertex assignment and centres — the whole cover.
     [to_flat] shares the arrays without copying — treat them as
     read-only. *)
 type flat = {
@@ -36,8 +35,8 @@ val to_flat : t -> flat
 
 (** Re-wrap a flat core, validating the cover invariants (sorted
     clusters, in-range members/centres, every vertex assigned to a
-    cluster containing it) and rebuilding the containing index. Raises
-    [Invalid_argument] on any violation. *)
+    cluster containing it). Raises [Invalid_argument] on any
+    violation. *)
 val of_flat : flat -> t
 
 (** The [r] the cover was built for. *)
@@ -62,7 +61,8 @@ val centre : t -> int -> int
     [i] — the interpretation of the fresh predicate [Q] in Section 8.2. *)
 val kernel : t -> int -> int array
 
-(** [clusters_containing t a] — ids of all clusters containing vertex [a]. *)
+(** [clusters_containing t a] — ids of all clusters containing vertex
+    [a], ascending (a diagnostic: one binary search per cluster). *)
 val clusters_containing : t -> int -> int list
 
 (** Maximum degree Δ(X): the largest number of clusters any vertex belongs

@@ -128,12 +128,31 @@ let induced g vs =
   in
   (sub, old_of_new)
 
+(* one copy of the CSR arrays without [v]: renaming [w > v] to [w - 1] is
+   monotone, so every segment stays sorted *)
 let remove_vertex g v =
-  let vs = ref [] in
-  for u = g.n - 1 downto 0 do
-    if u <> v then vs := u :: !vs
+  if v < 0 || v >= g.n then
+    invalid_arg "Graph.remove_vertex: vertex out of range";
+  let ren w = if w < v then w else w - 1 in
+  let n = g.n - 1 in
+  let offsets = Array.make (n + 1) 0 in
+  let targets = Array.make (g.offsets.(g.n) - (2 * degree g v)) 0 in
+  let w = ref 0 in
+  for u = 0 to g.n - 1 do
+    if u <> v then begin
+      offsets.(ren u) <- !w;
+      for i = g.offsets.(u) to g.offsets.(u + 1) - 1 do
+        let x = g.targets.(i) in
+        if x <> v then begin
+          targets.(!w) <- ren x;
+          incr w
+        end
+      done
+    end
   done;
-  induced g !vs
+  offsets.(n) <- !w;
+  ( { n; offsets; targets; m = g.m - degree g v },
+    Array.init n (fun i -> if i < v then i else i + 1) )
 
 let union g1 g2 =
   let shift = g1.n in

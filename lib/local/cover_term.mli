@@ -12,8 +12,9 @@
     sizes, i.e. [n · Δ(X)] — the paper's [n^{1+ε}] on nowhere dense
     classes.
 
-    This module supplies only that basic-term sweep; {!Clterm} evaluates
-    the polynomial around it. *)
+    This module supplies that cluster sweep — to Cover, whose evaluator
+    counts patterns, and to Splitter, whose evaluator plays a splitter
+    round — and {!Clterm} evaluates the polynomial around it. *)
 
 open Foc_logic
 
@@ -22,29 +23,52 @@ open Foc_logic
     term in [t] sound: [max over basics of k(2r+1)]. *)
 val required_cover_radius : Clterm.t -> int
 
-(** [sweep preds a cover t] — the cluster sweep of the cl-term [t], for
-    {!Clterm.eval_ground}/{!Clterm.eval_unary}. One pass over the clusters
-    with a non-empty kernel serves every basic term of width ≥ 1: each
-    cluster is induced once, one {!Pattern_count} context per cluster and
-    radius (a decomposition gives all its basic terms one radius) lets the
-    terms share its ball cache, and
-    each term is counted at the kernel elements inside [A\[X\]] into its
-    own vector, which the returned sweep hands back. Width-0 basic terms
-    (sentences) are never swept: {!Clterm} decides them. Raises
-    [Invalid_argument] if the cover's parameter is smaller than
-    {!required_cover_radius}[ t]; the sweep answers only for basic terms
-    of [t].
+(** [basic_cover_radius b] — the cover parameter [k(2r+1)] that makes
+    cluster-local evaluation of the basic term [b] sound. *)
+val basic_cover_radius : Clterm.basic -> int
 
-    [jobs > 1] evaluates clusters in parallel ({!Foc_par}): each cluster
-    task owns its induced substructure and contexts, and the kernels
-    partition the universe, so the tasks write disjoint slots of every
-    vector and the sweep is bit-identical to [jobs = 1]. Each induction
-    runs under an [induce] span ({!Foc_obs.span}).
+(** [sweep a cover ~wanted eval] — the one cluster sweep. The positions
+    of [wanted] (elements of [a], possibly repeated) are grouped by
+    assigned cluster
+    ({!Foc_graph.Cover.assigned}); each cluster holding at least one is
+    induced once, under an [induce] span ({!Foc_obs.span}), and
+    [eval sub ~positions ~anchors] runs on its induced substructure
+    [sub]: [positions] are the indices into [wanted] of the cluster's
+    wanted elements, ascending, and [anchors.(j)] is the id in [sub] of
+    [wanted.(positions.(j))]. The per-cluster evaluator is the back-end:
+    {!Pattern_count} for Cover ({!pattern_sweep}), one batched splitter
+    round for Splitter ({!Foc_nd.Splitter_backend}).
+
+    [jobs > 1] runs the clusters in parallel ({!Foc_par}, label
+    [sweep.clusters]). Each task owns its induced substructure and a
+    wanted element lies in one assigned cluster, so an [eval] that writes
+    only the slots of its [positions] makes the sweep bit-identical to
+    [jobs = 1]. *)
+val sweep :
+  ?jobs:int ->
+  Foc_data.Structure.t ->
+  Foc_graph.Cover.t ->
+  wanted:int array ->
+  (Foc_data.Structure.t -> positions:int array -> anchors:int array -> unit) ->
+  unit
+
+(** [pattern_sweep preds a cover t] — Cover's basic-term sweep of the
+    cl-term [t], for {!Clterm.eval_ground}/{!Clterm.eval_unary}: {!sweep}
+    over every element of [a] with {!Pattern_count} as the evaluator. Each
+    cluster gets one {!Pattern_count} context per radius (a decomposition
+    gives all its basic terms one radius), so the terms share its ball
+    cache, and each term is counted at the cluster's kernel elements
+    inside [A\[X\]] into its own vector, which the returned sweep hands
+    back. Width-0 basic terms (sentences) are never swept: {!Clterm}
+    decides them. Raises [Invalid_argument] if the cover's parameter is
+    smaller than {!required_cover_radius}[ t]; the sweep answers only for
+    basic terms of [t]. [jobs] is {!sweep}'s: the vectors are
+    bit-identical for every setting.
 
     [cache_bytes] bounds each cluster context's ball cache (see
     {!Pattern_count.make_ctx}); the cluster contexts record their ball
     counters into the {!Foc_obs.Metrics.current} registry. *)
-val sweep :
+val pattern_sweep :
   ?jobs:int ->
   ?cache_bytes:int ->
   Pred.collection ->

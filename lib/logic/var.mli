@@ -1,9 +1,9 @@
 (** Variables of the logic (the countably infinite set [vars] of Section 2).
 
     Variables are plain strings; fresh variables are generated from a global
-    counter and start with ['_'], a character the concrete-syntax parser
-    rejects in user variables — so generated names can never collide with
-    parsed ones. *)
+    atomic counter (so they stay unique across domains) and start with
+    ['_'], a character the concrete-syntax parser rejects in user
+    variables — so generated names can never collide with parsed ones. *)
 
 type t = string
 

@@ -308,10 +308,12 @@ let eval_cl t a cl eval =
     | Direct -> fun () -> Clterm.direct ~jobs (ctx_for t a ~r:(cl_radius cl))
     | Cover ->
         let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in
-        fun () -> Cover_term.sweep ~jobs ~cache_bytes t.cfg.preds a cover cl
+        fun () ->
+          Cover_term.pattern_sweep ~jobs ~cache_bytes t.cfg.preds a cover cl
     | Splitter { max_rounds; small } ->
-        (* the removal recursion mutates shared state; it stays sequential *)
-        fun () -> Splitter_backend.sweep t.cfg.preds a ~max_rounds ~small
+        fun () ->
+          Splitter_backend.sweep ~jobs ~cover_for:(cover_for t a) t.cfg.preds
+            a ~max_rounds ~small cl
     | Hanf ->
         fun () ->
           Hanf_backend.sweep ~jobs ~cache_bytes

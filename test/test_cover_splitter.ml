@@ -130,6 +130,57 @@ let prop_cover_covers_everything =
         (fun a -> Cover.covers_tuple cover g ~s:r (Cover.assigned cover a) [ a ])
         (List.init n (fun i -> i)))
 
+(* the greedy sweep with one hash-table BFS per cluster: the same
+   centres, members and assignment as [Cover.make], and the degree and
+   containing lists read off every cluster *)
+let reference_cover g ~r =
+  let n = Graph.order g in
+  let assign = Array.make n (-1) in
+  let clusters = ref [] and centres = ref [] in
+  for c = 0 to n - 1 do
+    if assign.(c) < 0 then begin
+      let tbl = Bfs.ball_tbl g ~centres:[ c ] ~radius:(2 * r) in
+      let id = List.length !clusters in
+      clusters :=
+        Array.of_list
+          (List.sort compare (Hashtbl.fold (fun v _ l -> v :: l) tbl []))
+        :: !clusters;
+      centres := c :: !centres;
+      Hashtbl.iter
+        (fun v d -> if d <= r && assign.(v) < 0 then assign.(v) <- id)
+        tbl
+    end
+  done;
+  Cover.
+    {
+      fr = r;
+      fclusters = Array.of_list (List.rev !clusters);
+      fassign = assign;
+      fcentres = Array.of_list (List.rev !centres);
+    }
+
+let prop_cover_reference =
+  QCheck.Test.make ~name:"random graphs: cover = hash-table reference"
+    ~count:50
+    QCheck.(pair (int_range 1 60) (int_range 0 3))
+    (fun (n, r) ->
+      let rng = Random.State.make [| n; r; 5 |] in
+      let g = Gen.random_bounded_degree rng n (1 + Random.State.int rng 4) in
+      let cover = Cover.make g ~r in
+      let want = reference_cover g ~r in
+      let containing a =
+        List.filter
+          (fun i -> Array.mem a want.fclusters.(i))
+          (List.init (Array.length want.fclusters) Fun.id)
+      in
+      Cover.to_flat cover = want
+      && List.for_all
+           (fun a -> Cover.clusters_containing cover a = containing a)
+           (List.init n Fun.id)
+      && Cover.max_degree cover
+         = List.fold_left max 0
+             (List.init n (fun a -> List.length (containing a))))
+
 let () =
   Alcotest.run "foc_graph covers & splitter"
     [
@@ -141,6 +192,7 @@ let () =
           Alcotest.test_case "r=0" `Quick test_cover_r0;
           Alcotest.test_case "kernel partition" `Quick test_kernel_partition;
           QCheck_alcotest.to_alcotest prop_cover_covers_everything;
+          QCheck_alcotest.to_alcotest prop_cover_reference;
         ] );
       ( "splitter",
         [

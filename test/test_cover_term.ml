@@ -31,7 +31,9 @@ let direct_sweep a cl =
 
 let cover_sweep a cl =
   let rc = Cover_term.required_cover_radius cl in
-  Cover_term.sweep preds a (Foc_graph.Cover.make (Structure.gaifman a) ~r:rc) cl
+  Cover_term.pattern_sweep preds a
+    (Foc_graph.Cover.make (Structure.gaifman a) ~r:rc)
+    cl
 
 let hanf_sweep a =
   Foc_nd.Hanf_backend.sweep ~classes_for:(Foc_bd.Hanf.classes a) preds a
@@ -86,7 +88,7 @@ let test_radius_requirement () =
        (Printf.sprintf
           "Cover_term: cover parameter %d smaller than required %d"
           (needed - 1) needed))
-    (fun () -> ignore (Cover_term.sweep preds a small_cover cl))
+    (fun () -> ignore (Cover_term.pattern_sweep preds a small_cover cl))
 
 let test_sentence_leaf () =
   let a = coloured 11 (Foc_graph.Gen.path 10) in
@@ -100,7 +102,7 @@ let test_sentence_leaf () =
   let cover = Foc_graph.Cover.make (Structure.gaifman a) ~r:0 in
   Alcotest.(check int)
     "5 * [true]" 5
-    (Clterm.eval_ground (Cover_term.sweep preds a cover cl) cl)
+    (Clterm.eval_ground (Cover_term.pattern_sweep preds a cover cl) cl)
 
 (* The degree term plus a constant and a width-0 ground leaf (a sentence
    that holds on some structures and not on others). *)
@@ -153,7 +155,7 @@ let test_one_pass () =
       Foc_obs.Trace.enable ();
       let got =
         Fun.protect ~finally:Foc_obs.Trace.disable (fun () ->
-            answers (Cover_term.sweep ~jobs preds a cover cl))
+            answers (Cover_term.pattern_sweep ~jobs preds a cover cl))
       in
       let induced =
         List.length

@@ -335,6 +335,65 @@ let prop_updates =
       done;
       !ok)
 
+(* the list-based A *_r d: bucket every projected, renamed tuple by its
+   R~I symbol, then build the structure from the buckets *)
+let reference_removal a ~r ~d =
+  let rename x = if x < d then x else x - 1 in
+  let buckets = Hashtbl.create 64 in
+  let push name tup =
+    let old = Option.value ~default:[] (Hashtbl.find_opt buckets name) in
+    Hashtbl.replace buckets name (tup :: old)
+  in
+  List.iter
+    (fun (name, k) ->
+      Tuple.Set.iter
+        (fun tup ->
+          let positions = ref [] in
+          for i = k downto 1 do
+            if tup.(i - 1) = d then positions := i :: !positions
+          done;
+          let keep =
+            Array.of_list
+              (List.filteri (fun i _ -> tup.(i) <> d) (Array.to_list tup))
+          in
+          push
+            (Removal_op.tilde_name name !positions)
+            (Array.map rename keep))
+        (Structure.rel a name))
+    (Signature.to_list (Structure.signature a));
+  let dist_tbl =
+    Foc_graph.Bfs.ball_tbl (Structure.gaifman a) ~centres:[ d ] ~radius:r
+  in
+  List.iter
+    (fun i ->
+      Hashtbl.replace buckets (Removal_op.sphere_name i)
+        (Hashtbl.fold
+           (fun v dv acc ->
+             if v <> d && dv <= i then [| rename v |] :: acc else acc)
+           dist_tbl []))
+    (List.init r (fun i -> i + 1));
+  let sign = Removal_op.signature_r (Structure.signature a) r in
+  Structure.create sign ~order:(Structure.order a - 1)
+    (List.map
+       (fun (name, _) ->
+         (name, Option.value ~default:[] (Hashtbl.find_opt buckets name)))
+       (Signature.to_list sign))
+
+(* [apply] against the reference at every d, and the Gaifman graph it
+   installs against one rebuilt from the reference's relations *)
+let prop_removal_reference =
+  seeded "removal = list-based reference, Gaifman included" 200 (fun rng n ->
+      let a = random_structure rng (n + 1) in
+      let r = 1 + Random.State.int rng 3 in
+      List.for_all
+        (fun d ->
+          let got = Removal_op.apply a ~r ~d in
+          let want = reference_removal a ~r ~d in
+          Structure.equal got want
+          && Foc_graph.Graph.equal (Structure.gaifman got)
+               (Structure.gaifman want))
+        (List.init (n + 1) Fun.id))
+
 let prop_store_roundtrip =
   seeded "Store encode/decode keeps equal and isomorphic" 40 (fun rng n ->
       let a = random_structure rng n in
@@ -376,6 +435,7 @@ let () =
           Alcotest.test_case "shapes" `Quick test_removal_shapes;
           Alcotest.test_case "rename roundtrip" `Quick test_removal_rename_roundtrip;
           QCheck_alcotest.to_alcotest prop_removal_size;
+          QCheck_alcotest.to_alcotest prop_removal_reference;
         ] );
       ( "packed core",
         List.map QCheck_alcotest.to_alcotest

@@ -137,10 +137,13 @@ let sign_rand = Signature.of_list [ ("E", 2); ("P", 1) ]
 
 let gen_var = QCheck.Gen.oneofl [ "x"; "y"; "z" ]
 
-(* closed-ish formulas: we quantify the free rest away at the end *)
+(* closed-ish formulas: we quantify the free rest away at the end. The
+   size is bounded: QCheck's default size nests quantifiers deeply enough
+   that Naive, which pays a factor |A| per quantifier, can take minutes on
+   one sentence *)
 let gen_formula =
   QCheck.Gen.(
-    sized (fun size ->
+    sized_size (int_bound 12) (fun size ->
         fix
           (fun self (size, depth) ->
             let atom =
