@@ -154,7 +154,10 @@ dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc '#(). (true)' \
 }
 # Hanf partitions are memoised per evaluation: the sweep term needs two
 # type radii, so a cold Hanf count builds exactly two partitions, and its
-# answer must equal Direct's.
+# answer must equal Direct's at every jobs setting. Refinement singles out
+# elements before any exact key is computed, so fewer balls are
+# canonicalised than there are elements; a traced run must pass
+# trace-check (the refine, keys and group spans nest).
 dune exec bin/foc_cli.exe -- gen -n 300 --class bounded-degree-3 --colours \
   -o /tmp/ci_bd3.foc
 HQ='#(x,y). (R(x) & !E(x,y) & B(y))'
@@ -169,6 +172,23 @@ direct=$(dune exec bin/foc_cli.exe -- count -s /tmp/ci_bd3.foc "$HQ" \
 }
 grep -q 'engine.hanf_partitions_built=2' /tmp/ci_hanf_out.txt || {
   echo "ci: hanf count did not build exactly two partitions"
+  exit 1
+}
+hanf2=$(dune exec bin/foc_cli.exe -- count -s /tmp/ci_bd3.foc "$HQ" -e hanf \
+  --jobs 2 --trace /tmp/ci_trace_hanf.json | grep -E '^[0-9]+$')
+[ "$hanf2" = "$hanf" ] || {
+  echo "ci: hanf count at --jobs 2 '$hanf2' differs from --jobs 1 '$hanf'"
+  exit 1
+}
+dune exec bin/foc_cli.exe -- trace-check /tmp/ci_trace_hanf.json
+hanf_stat() {
+  tr ' ' '\n' < /tmp/ci_hanf_out.txt | awk -F= -v k="$1" '$1 == k { print $2 }'
+}
+elements=$(hanf_stat hanf.elements)
+canonicalised=$(hanf_stat hanf.canonicalised)
+[ -n "$elements" ] && [ -n "$canonicalised" ] \
+  && [ "$canonicalised" -lt "$elements" ] || {
+  echo "ci: hanf canonicalised '$canonicalised' of '$elements' elements"
   exit 1
 }
 # A negation over variables no positive conjunct binds runs as one

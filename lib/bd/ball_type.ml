@@ -220,6 +220,8 @@ let canonical_key ?(scratch = scratch ()) a ~centre =
     (make a ~n:(Structure.order a) ~local:Fun.id ~each:each_row)
     ~centre
 
+let unique_key v = "!uniq" ^ string_of_int v
+
 (* One BFS over the Gaifman CSR gives the ball, sorted, as local ids; each
    relation's rows inside it are read off the incidence index at their
    first entry. *)
@@ -236,7 +238,7 @@ let ball_key ?(max_ball = max_int) ?(scratch = scratch ()) a ~centre ~r =
   let elts = Bfs.ball_sorted bfs ~centres:[ centre ] ~radius:r in
   if Array.length elts > max_ball then
     (* too big to canonicalize cheaply: a key of its own *)
-    "!uniq" ^ string_of_int centre
+    unique_key centre
   else begin
     let local = Structure.new_of_old elts in
     let each name core push =

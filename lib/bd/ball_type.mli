@@ -47,7 +47,7 @@ val canonical_key : ?scratch:scratch -> Foc_data.Structure.t -> centre:int -> st
     computed without building the substructure: one BFS over the Gaifman
     graph, the ball's rows read off the incidence indexes. A ball with
     more than [max_ball] elements (default: no limit) is not canonicalised;
-    its key is ["!uniq"] followed by [centre], unique to the centre. *)
+    its key is [unique_key centre]. *)
 val ball_key :
   ?max_ball:int ->
   ?scratch:scratch ->
@@ -55,3 +55,8 @@ val ball_key :
   centre:int ->
   r:int ->
   string
+
+(** [unique_key v] — ["!uniq"] followed by [v]: a key no canonical key
+    equals and no other element shares, for an element known to be alone
+    in its type. *)
+val unique_key : int -> string

@@ -75,6 +75,10 @@ type handles = {
 let make_handles () =
   let r = Foc_obs.Metrics.create () in
   let c = Foc_obs.Metrics.counter r and g = Foc_obs.Metrics.gauge r in
+  (* recorded by [Foc_bd.Hanf.classes]; registered here so that they read
+     0 rather than go missing before the first partition *)
+  ignore (c "hanf.elements" : Foc_obs.Metrics.Counter.t);
+  ignore (c "hanf.canonicalised" : Foc_obs.Metrics.Counter.t);
   {
     registry = r;
     materialised = c "engine.materialised";
@@ -217,7 +221,10 @@ let make_cover t a ~rc =
   cover
 
 let make_hanf_classes t a ~tr =
-  let cls = Foc_bd.Hanf.classes ~jobs:t.cfg.jobs a ~r:tr in
+  let cls =
+    Foc_obs.Metrics.with_current t.m.registry (fun () ->
+        Foc_bd.Hanf.classes ~jobs:t.cfg.jobs a ~r:tr)
+  in
   Foc_obs.Metrics.Counter.inc t.m.hanf_partitions_built;
   cls
 

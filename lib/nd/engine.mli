@@ -174,7 +174,9 @@ val metrics : t -> Foc_obs.Metrics.t
     directly, on {!Foc_par} workers too. Counter glossary:
     [engine.materialised], [engine.clterms_built], [engine.basic_terms],
     [engine.fallbacks], [engine.covers_built],
-    [engine.hanf_partitions_built], [engine.removals],
+    [engine.hanf_partitions_built], [hanf.elements] and
+    [hanf.canonicalised] (elements partitioned, exact ball keys computed
+    for them), [engine.removals],
     [ball.computed], [ball.cache_hits], [ball.cache_evictions],
     [bfs.visited]; gauges [ball.cache_peak_entries],
     [ball.cache_peak_bytes]; histogram [sweep.ns] (per-sweep wall time in

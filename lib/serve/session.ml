@@ -43,11 +43,7 @@ let aval_bytes = function
   | VCtx ctx ->
       Pattern_count.cache_resident_bytes ctx
       + (((3 * Pattern_count.order ctx) + 16) * word)
-  | VHanf cls ->
-      List.fold_left
-        (fun acc (key, members) ->
-          acc + String.length key + (word * List.length members) + 48)
-        64 cls
+  | VHanf cls -> Foc_bd.Hanf.approx_bytes cls
   | VCompiled e -> e.cbytes
   | VStats s -> Foc_stats.Stats.approx_bytes s
 

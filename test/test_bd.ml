@@ -234,6 +234,134 @@ let prop_ball_key_is_canonical_key =
           = Foc_bd.Ball_type.canonical_key sub ~centre:c)
         (List.init n Fun.id))
 
+(* ---------------- refinement filter ---------------- *)
+
+(* The partition every element's exact key gives: [Ball_type.ball_key]
+   over the whole universe, grouped in element order. [Hanf.classes] keys
+   only the elements refinement cannot single out, and must return the
+   same classes in the same order, with the same keys on every class of
+   two or more members (a singleton's key is just unique). *)
+let oracle_classes a ~r =
+  let tbl = Hashtbl.create 64 and classes = ref [] in
+  for v = 0 to Structure.order a - 1 do
+    let k = Foc_bd.Ball_type.ball_key ~max_ball:48 a ~centre:v ~r in
+    match Hashtbl.find_opt tbl k with
+    | Some members -> members := v :: !members
+    | None ->
+        let members = ref [ v ] in
+        Hashtbl.add tbl k members;
+        classes := (k, members) :: !classes
+  done;
+  List.rev_map (fun (k, members) -> (k, List.rev !members)) !classes
+
+let same_classes want got =
+  List.length want = List.length got
+  && List.for_all2
+       (fun (kw, mw) (kg, mg) ->
+         mw = mg && (List.length mw = 1 || String.equal kw kg))
+       want got
+
+(* ternary rows, self-loops and a 0-ary fact, three disjoint copies so
+   that many balls are isomorphic *)
+let random_mixed (n, seed) =
+  let rng = Random.State.make [| n; seed; 7 |] in
+  let sign =
+    Foc_data.Signature.of_list [ ("B", 1); ("E", 2); ("T", 3); ("Z", 0) ]
+  in
+  let pick () = Random.State.int rng n in
+  let rows k f = List.init k (fun _ -> f ()) in
+  let one =
+    Structure.create sign ~order:n
+      [
+        ("B", rows (n / 3) (fun () -> [| pick () |]));
+        ( "E",
+          rows n (fun () -> [| pick (); pick () |])
+          @ rows (n / 4) (fun () ->
+                let v = pick () in
+                [| v; v |]) );
+        ("T", rows (n / 4) (fun () -> [| pick (); pick (); pick () |]));
+        ("Z", if Random.State.bool rng then [ [||] ] else []);
+      ]
+  in
+  Structure.disjoint_union one (Structure.disjoint_union one one)
+
+let random_grid (w, seed) =
+  Structure.of_graph (Foc_graph.Gen.grid w (2 + (seed mod 7)))
+
+let prop_classes_equal_oracle name gen =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s: classes = exact keys of every element" name)
+    ~count:12
+    QCheck.(pair (int_range 6 30) (int_range 0 10000))
+    (fun (n, seed) ->
+      let a = gen (n, seed) in
+      List.for_all
+        (fun r ->
+          let want = oracle_classes a ~r in
+          List.for_all
+            (fun jobs -> same_classes want (Foc_bd.Hanf.classes ~jobs a ~r))
+            [ 1; 2 ])
+        [ 1; 2; 3 ])
+
+let permute rng a =
+  let n = Structure.order a in
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let b =
+    Structure.create (Structure.signature a) ~order:n
+      (List.map
+         (fun (name, _) ->
+           ( name,
+             Foc_data.Tuple.Set.elements (Structure.rel a name)
+             |> List.map (Array.map (fun v -> perm.(v))) ))
+         (Foc_data.Signature.to_list (Structure.signature a)))
+  in
+  (b, perm)
+
+let prop_classes_permutation =
+  QCheck.Test.make ~name:"relabelling maps classes onto classes" ~count:20
+    QCheck.(triple (int_range 6 30) (int_range 0 10000) (int_range 1 3))
+    (fun (n, seed, r) ->
+      let rng = Random.State.make [| n; seed; r |] in
+      let a =
+        if seed mod 2 = 0 then random_mixed (n, seed) else random_bd (n, seed)
+      in
+      let b, perm = permute rng a in
+      let member_sets cls =
+        List.sort compare
+          (List.map (fun (_, members) -> List.sort compare members) cls)
+      in
+      member_sets (Foc_bd.Hanf.classes b ~r)
+      = member_sets
+          (List.map
+             (fun (k, members) -> (k, List.map (fun v -> perm.(v)) members))
+             (Foc_bd.Hanf.classes a ~r)))
+
+(* the estimate a session's budget charges for a partition, against the
+   heap words the partition really holds *)
+let test_partition_bytes () =
+  let rng = Random.State.make [| 1; 2000; 3 |] in
+  let a =
+    Foc_data.Db_gen.colored_digraph rng
+      ~graph:(Foc_graph.Gen.random_bounded_degree rng 2000 3)
+      ~orient:`Both ~p_red:0.3 ~p_blue:0.4 ~p_green:0.3
+  in
+  List.iter
+    (fun r ->
+      let cls = Foc_bd.Hanf.classes a ~r in
+      let real = Obj.reachable_words (Obj.repr cls) * (Sys.word_size / 8) in
+      let est = Foc_bd.Hanf.approx_bytes cls in
+      Alcotest.(check bool)
+        (Printf.sprintf "r=%d: estimate %d within 10%% of %d" r est real)
+        true
+        (abs (est - real) * 10 <= real))
+    [ 1; 2 ]
+
 (* ---------------- Hanf engine back-end ---------------- *)
 
 let hanf_engine () =
@@ -342,6 +470,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_classes_complete_on_forests;
           QCheck_alcotest.to_alcotest prop_classes_jobs_invariant;
           QCheck_alcotest.to_alcotest prop_ball_key_is_canonical_key;
+        ] );
+      ( "refinement",
+        [
+          QCheck_alcotest.to_alcotest
+            (prop_classes_equal_oracle "coloured bd-3" random_bd);
+          QCheck_alcotest.to_alcotest
+            (prop_classes_equal_oracle "forest" random_forest);
+          QCheck_alcotest.to_alcotest
+            (prop_classes_equal_oracle "grid" random_grid);
+          QCheck_alcotest.to_alcotest
+            (prop_classes_equal_oracle "ternary, loops, 0-ary" random_mixed);
+          QCheck_alcotest.to_alcotest prop_classes_permutation;
+          Alcotest.test_case "partition bytes" `Quick test_partition_bytes;
         ] );
       ( "backend",
         [
