@@ -71,20 +71,24 @@ let of_flat f =
     (fun c -> if c < 0 || c >= n then fail "centre out of range")
     f.fcentres;
   Array.iter
-    (fun members ->
-      Array.iteri
-        (fun i v ->
-          if v < 0 || v >= n then fail "cluster member out of range";
-          if i > 0 && members.(i - 1) >= v then
-            fail "cluster not sorted strictly")
-        members)
-    f.fclusters;
-  Array.iteri
-    (fun v id ->
-      if id < 0 || id >= k then fail "assignment out of range";
-      if not (member_sorted f.fclusters.(id) v) then
-        fail "vertex assigned to a cluster not containing it")
+    (fun id -> if id < 0 || id >= k then fail "assignment out of range")
     f.fassign;
+  (* one scan of the clusters checks their members and marks each vertex
+     found in the cluster it is assigned to *)
+  let placed = Bytes.make n '\000' in
+  Array.iteri
+    (fun id members ->
+      let prev = ref (-1) in
+      for i = 0 to Array.length members - 1 do
+        let v = members.(i) in
+        if v < 0 || v >= n then fail "cluster member out of range";
+        if v <= !prev then fail "cluster not sorted strictly";
+        prev := v;
+        if f.fassign.(v) = id then Bytes.set placed v '\001'
+      done)
+    f.fclusters;
+  if Bytes.contains placed '\000' then
+    fail "vertex assigned to a cluster not containing it";
   { r = f.fr; clusters = f.fclusters; assign = f.fassign;
     centres = f.fcentres }
 

@@ -89,14 +89,14 @@ let delete t name tup = update t name tup (-1)
 
 (* ------------------------------------------------------------------ *)
 (* Flat core for the persistent store: bucket budget plus, per relation,
-   the row count and each column's exact (value, count) pairs sorted by
-   value. Summaries are derived state (rebuilt lazily on threshold) and
-   never serialised. Relations sorted by name so the encoding — and any
+   the row count and each column's exact counts as two parallel arrays,
+   values increasing. Summaries are derived state (rebuilt lazily on
+   threshold) and never serialised. Relations sorted by name so the encoding — and any
    checksum over it — is deterministic. *)
 
 type flat = {
   fbuckets : int;
-  frels : (string * int * (int * int) array array) list;
+  frels : (string * int * (int array * int array) array) list;
 }
 
 let to_flat t =
@@ -106,9 +106,9 @@ let to_flat t =
         let cols =
           Array.map
             (fun c ->
-              Hashtbl.fold (fun v k acc -> (v, k) :: acc) c.counts []
-              |> List.sort (fun (v1, _) (v2, _) -> Int.compare v1 v2)
-              |> Array.of_list)
+              let vs = Array.of_seq (Hashtbl.to_seq_keys c.counts) in
+              Array.sort Int.compare vs;
+              (vs, Array.map (Hashtbl.find c.counts) vs))
             r.cols
         in
         (name, r.rows, cols) :: acc)
@@ -126,14 +126,18 @@ let of_flat f =
       if Hashtbl.mem rels name then fail "duplicate relation";
       let cols =
         Array.map
-          (fun pairs ->
-            let counts = Hashtbl.create (max 16 (Array.length pairs)) in
-            Array.iter
-              (fun (v, k) ->
-                if k <= 0 then fail "non-positive value count";
-                if Hashtbl.mem counts v then fail "duplicate value";
-                Hashtbl.replace counts v k)
-              pairs;
+          (fun (vs, ks) ->
+            let n = Array.length vs in
+            if Array.length ks <> n then fail "values and counts differ";
+            let counts = Hashtbl.create (max 16 n) in
+            (* strictly increasing values, as [to_flat] writes them: no
+               value repeats, so [add] never shadows an entry *)
+            for i = 0 to n - 1 do
+              if ks.(i) <= 0 then fail "non-positive value count";
+              if i > 0 && vs.(i - 1) >= vs.(i) then
+                fail "values not strictly increasing";
+              Hashtbl.add counts vs.(i) ks.(i)
+            done;
             { counts; summ = None; stale = 0 })
           cols
       in

@@ -50,9 +50,10 @@ val delete : t -> string -> int array -> unit
 
 type flat = {
   fbuckets : int;
-  frels : (string * int * (int * int) array array) list;
-      (** relation name, row count, per-column (value, count) pairs
-          sorted by value; relations sorted by name *)
+  frels : (string * int * (int array * int array) array) list;
+      (** relation name, row count, and per column its values in
+          increasing order beside their counts; relations sorted by
+          name *)
 }
 (** The pointer-free core for serialisation ({!Foc_store}): exact counts
     only — histogram summaries are derived state, rebuilt lazily after
@@ -62,8 +63,9 @@ val to_flat : t -> flat
 
 val of_flat : flat -> t
 (** Rebuild the mutable count tables from a flat core. Raises
-    [Invalid_argument] on malformed input (negative or duplicate
-    counts). [equal (of_flat (to_flat t)) t] always holds. *)
+    [Invalid_argument] on malformed input (non-positive counts, or
+    values not strictly increasing within a column).
+    [equal (of_flat (to_flat t)) t] always holds. *)
 
 val equal : t -> t -> bool
 (** Same exact counts everywhere (row counts and per-column value

@@ -20,7 +20,7 @@
    crash mid-write can never replace a valid container with a torn one. *)
 
 let magic = "FOCSTORE"
-let format_version = 1
+let format_version = 2
 
 let encode sections =
   let w = Wire.writer () in
@@ -90,20 +90,26 @@ let decode data =
         if actual <> crc then
           Wire.corrupt "section %S checksum mismatch (%08x vs %08x)" name
             actual crc;
-        let payload = String.sub data pos len in
         r.Wire.pos <- pos + len;
-        (name, payload))
+        (name, Wire.reader ~pos ~len data))
       table
   in
   Wire.expect_end r;
   sections
 
-let read path =
+(* each payload as a reader over its window of the file, not a copy *)
+let read_sections path =
   match decode (read_file path) with
   | sections -> Ok sections
   | exception Wire.Corrupt e -> Error e
   | exception Sys_error e -> Error e
   | exception End_of_file -> Error "unexpected end of file"
+
+let read path =
+  Result.map
+    (List.map (fun (name, r) ->
+         (name, String.sub r.Wire.data r.Wire.pos (Wire.remaining r))))
+    (read_sections path)
 
 (* section table without payload verification-by-copy — for [info]: name,
    length, and whether the checksum holds *)

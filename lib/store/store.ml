@@ -47,8 +47,7 @@ let enc_meta version =
   Wire.put_int w version;
   Wire.contents w
 
-let dec_meta payload =
-  let r = Wire.reader payload in
+let dec_meta r =
   let v = Wire.get_int r in
   if v < 0 then Wire.corrupt "negative version";
   v
@@ -73,8 +72,7 @@ let enc_structure a =
     sign;
   Wire.contents w
 
-let dec_structure payload =
-  let r = Wire.reader payload in
+let dec_structure r =
   let nsym = Wire.get_len r ~per:16 in
   let sign_list =
     List.init nsym (fun _ ->
@@ -108,8 +106,7 @@ let enc_graph g =
   Wire.put_int_array w f.Graph.ftargets;
   Wire.contents w
 
-let dec_graph payload =
-  let r = Wire.reader payload in
+let dec_graph r =
   let fn = Wire.get_int r in
   let foffsets = Wire.get_int_array r in
   let ftargets = Wire.get_int_array r in
@@ -122,24 +119,39 @@ let enc_covers covers =
   List.iter
     (fun (rc, c) ->
       let f = Cover.to_flat c in
+      (* the clusters as one CSR pair: offsets, then concatenated members *)
+      let offsets = Array.make (Array.length f.Cover.fclusters + 1) 0 in
+      Array.iteri
+        (fun i c -> offsets.(i + 1) <- offsets.(i) + Array.length c)
+        f.Cover.fclusters;
       Wire.put_int w rc;
       Wire.put_int w f.Cover.fr;
-      Wire.put_int w (Array.length f.Cover.fclusters);
-      Array.iter (Wire.put_int_array w) f.Cover.fclusters;
+      Wire.put_int_array w offsets;
+      Wire.put_int_array w (Array.concat (Array.to_list f.Cover.fclusters));
       Wire.put_int_array w f.Cover.fassign;
       Wire.put_int_array w f.Cover.fcentres)
     covers;
   Wire.contents w
 
-let dec_covers payload =
-  let r = Wire.reader payload in
+let dec_covers r =
   let n = Wire.get_len r ~per:8 in
   let covers =
     List.init n (fun _ ->
         let rc = Wire.get_int r in
         let fr = Wire.get_int r in
-        let k = Wire.get_len r ~per:8 in
-        let fclusters = Array.init k (fun _ -> Wire.get_int_array r) in
+        let offsets = Wire.get_int_array r in
+        let members = Wire.get_int_array r in
+        let k = Array.length offsets - 1 in
+        if k < 0 || offsets.(0) <> 0 || offsets.(k) <> Array.length members
+        then Wire.corrupt "cover offsets do not span the members";
+        for i = 0 to k - 1 do
+          if offsets.(i + 1) < offsets.(i) then
+            Wire.corrupt "cover offsets decrease at %d" i
+        done;
+        let fclusters =
+          Array.init k (fun i ->
+              Array.sub members offsets.(i) (offsets.(i + 1) - offsets.(i)))
+        in
         let fassign = Wire.get_int_array r in
         let fcentres = Wire.get_int_array r in
         (rc, Cover.of_flat { Cover.fr; fclusters; fassign; fcentres }))
@@ -162,8 +174,7 @@ let enc_hanfs hanfs =
     hanfs;
   Wire.contents w
 
-let dec_hanfs payload =
-  let r = Wire.reader payload in
+let dec_hanfs r =
   let n = Wire.get_len r ~per:8 in
   let hanfs =
     List.init n (fun _ ->
@@ -191,19 +202,14 @@ let enc_stats s =
       Wire.put_int w rows;
       Wire.put_int w (Array.length cols);
       Array.iter
-        (fun pairs ->
-          Wire.put_int w (Array.length pairs);
-          Array.iter
-            (fun (v, k) ->
-              Wire.put_int w v;
-              Wire.put_int w k)
-            pairs)
+        (fun (vs, ks) ->
+          Wire.put_int_array w vs;
+          Wire.put_int_array w ks)
         cols)
     f.Stats.frels;
   Wire.contents w
 
-let dec_stats payload =
-  let r = Wire.reader payload in
+let dec_stats r =
   let fbuckets = Wire.get_int r in
   let nrels = Wire.get_len r ~per:8 in
   let frels =
@@ -213,11 +219,9 @@ let dec_stats payload =
         let ncols = Wire.get_len r ~per:8 in
         let cols =
           Array.init ncols (fun _ ->
-              let np = Wire.get_len r ~per:16 in
-              Array.init np (fun _ ->
-                  let v = Wire.get_int r in
-                  let k = Wire.get_int r in
-                  (v, k)))
+              let vs = Wire.get_int_array r in
+              let ks = Wire.get_int_array r in
+              (vs, ks))
         in
         (name, rows, cols))
   in
@@ -326,7 +330,7 @@ let save ?(keep = 2) ~dir s =
   path
 
 let load_snapshot path =
-  match Container.read path with
+  match Container.read_sections path with
   | Error e -> Error e
   | Ok sections -> (
       match decode_snapshot sections with

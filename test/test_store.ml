@@ -91,11 +91,69 @@ let test_wire_bounds () =
       try ignore (Wire.get_int r2)
       with Wire.Corrupt _ -> raise (Wire.Corrupt "truncated"))
 
+(* int arrays are written at the narrowest width that holds every
+   element; each width, and values on either side of its bounds, must
+   round-trip *)
+let prop_wire_int_widths =
+  let bound =
+    QCheck.oneofl
+      [ 0; 1; 0x7f; 0x80; 0x7fff; 0x8000; 0x7fff_ffff; 0x8000_0000; max_int ]
+  in
+  QCheck.Test.make ~name:"wire: int arrays round-trip at every width"
+    ~count:200
+    QCheck.(list (pair bound (int_range (-2) 2)))
+    (fun l ->
+      let a = Array.of_list (List.map (fun (b, d) -> b + d) l) in
+      let a = Array.mapi (fun i v -> if i mod 2 = 0 then v else -v) a in
+      let w = Wire.writer () in
+      Wire.put_int_array w a;
+      Wire.put_int_list w (Array.to_list a);
+      let r = Wire.reader (Wire.contents w) in
+      let a' = Wire.get_int_array r in
+      let l' = Wire.get_int_list r in
+      Wire.expect_end r;
+      a' = a && l' = Array.to_list a)
+
+let test_wire_bad_width () =
+  let w = Wire.writer () in
+  Wire.put_int_array w [| 1; 2; 3 |];
+  let good = Wire.contents w in
+  (* byte 8 is the width *)
+  List.iter
+    (fun k ->
+      let b = Bytes.of_string good in
+      Bytes.set b 8 (Char.chr k);
+      match Wire.get_int_array (Wire.reader (Bytes.to_string b)) with
+      | exception Wire.Corrupt _ -> ()
+      | _ -> Alcotest.failf "width %d accepted" k)
+    [ 0; 3; 8; 255 ]
+
 let test_crc32 () =
   (* IEEE CRC-32 known-answer test *)
   let s = "123456789" in
   Alcotest.(check int) "crc32 check vector" 0xCBF43926
     (Wire.crc32 s ~pos:0 ~len:(String.length s))
+
+(* the eight-bytes-a-step CRC agrees with the textbook bit-serial one on
+   every window of a random string *)
+let prop_crc32_reference =
+  let reference s ~pos ~len =
+    let c = ref 0xFFFFFFFF in
+    for i = pos to pos + len - 1 do
+      c := !c lxor Char.code s.[i];
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done
+    done;
+    !c lxor 0xFFFFFFFF
+  in
+  QCheck.Test.make ~name:"crc32 = bit-serial reference" ~count:200
+    QCheck.(triple (string_of_size (Gen.int_range 0 100)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Wire.crc32 s ~pos ~len = reference s ~pos ~len)
 
 (* ---------------- container ---------------- *)
 
@@ -195,6 +253,62 @@ let test_graph_flat_rejects () =
     t.(0) <- 10_000;
     reject "target out of range" { f with Foc.Graph.ftargets = t }
   end
+
+let test_cover_flat_rejects () =
+  let c = Foc.Cover.make (random_graph 30 5) ~r:1 in
+  let f = Foc.Cover.to_flat c in
+  let reject name f' =
+    match Foc.Cover.of_flat f' with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" name
+  in
+  let with_cluster i members =
+    let cl = Array.copy f.Foc.Cover.fclusters in
+    cl.(i) <- members;
+    { f with Foc.Cover.fclusters = cl }
+  in
+  let v = 0 in
+  let id = f.Foc.Cover.fassign.(v) in
+  let own = f.Foc.Cover.fclusters.(id) in
+  reject "vertex missing from its cluster"
+    (with_cluster id (Array.of_list (List.filter (( <> ) v) (Array.to_list own))));
+  reject "member out of range" (with_cluster id (Array.append own [| 30 |]));
+  reject "negative member" (with_cluster id (Array.append [| -1 |] own));
+  reject "unsorted cluster"
+    (with_cluster id (Array.of_list (List.rev (Array.to_list own))));
+  let assign = Array.copy f.Foc.Cover.fassign in
+  assign.(v) <- Array.length f.Foc.Cover.fclusters;
+  reject "assignment out of range" { f with Foc.Cover.fassign = assign }
+
+let test_stats_flat_rejects () =
+  let s = Foc.Stats.collect (structure 40 3) in
+  let f = Foc.Stats.to_flat s in
+  let reject name frels =
+    match Foc.Stats.of_flat { f with Foc.Stats.frels } with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" name
+  in
+  let with_col g =
+    List.map
+      (fun (name, rows, cols) -> (name, rows, Array.map g cols))
+      f.Foc.Stats.frels
+  in
+  let swap a = let a = Array.copy a in
+    if Array.length a >= 2 then begin
+      let t = a.(0) in a.(0) <- a.(1); a.(1) <- t end;
+    a
+  in
+  reject "values out of order" (with_col (fun (vs, ks) -> (swap vs, ks)));
+  reject "repeated value"
+    (with_col (fun (vs, ks) ->
+         if Array.length vs >= 2 then begin
+           let vs = Array.copy vs in
+           vs.(1) <- vs.(0); (vs, ks) end
+         else (vs, ks)));
+  reject "non-positive count"
+    (with_col (fun (vs, ks) -> (vs, Array.map (fun _ -> 0) ks)));
+  reject "counts shorter than values"
+    (with_col (fun (vs, ks) -> (vs, Array.sub ks 0 (max 0 (Array.length ks - 1)))))
 
 (* ---------------- write-ahead log ---------------- *)
 
@@ -454,7 +568,10 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_wire_roundtrip;
           Alcotest.test_case "bounds checks" `Quick test_wire_bounds;
+          QCheck_alcotest.to_alcotest prop_wire_int_widths;
+          Alcotest.test_case "bad int width" `Quick test_wire_bad_width;
           Alcotest.test_case "crc32 vector" `Quick test_crc32;
+          QCheck_alcotest.to_alcotest prop_crc32_reference;
         ] );
       ( "container",
         [
@@ -468,6 +585,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_stats_flat;
           Alcotest.test_case "graph validation rejects" `Quick
             test_graph_flat_rejects;
+          Alcotest.test_case "cover validation rejects" `Quick
+            test_cover_flat_rejects;
+          Alcotest.test_case "stats validation rejects" `Quick
+            test_stats_flat_rejects;
         ] );
       ( "wal",
         [
