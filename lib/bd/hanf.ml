@@ -15,7 +15,10 @@ let mix h =
    colour with an order-independent sum, over the rows containing the
    element, of (relation, position, the row's entry colours). Colour r
    of [v] reads only rows inside N_r(v), so it depends only on the
-   isomorphism type of the rooted ball. *)
+   isomorphism type of the rooted ball. Hashing, not [Ball_type.refine]'s
+   sorted ranks: r rounds of that over the whole of a bd-3 structure
+   with n = 4000 took 130 ms at r = 2, against 4.5 ms for this pass with
+   the keys it leaves. *)
 let refine a ~r =
   let n = Structure.order a in
   let rels =

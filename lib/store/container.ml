@@ -98,18 +98,12 @@ let decode data =
   sections
 
 (* each payload as a reader over its window of the file, not a copy *)
-let read_sections path =
+let read path =
   match decode (read_file path) with
   | sections -> Ok sections
   | exception Wire.Corrupt e -> Error e
   | exception Sys_error e -> Error e
   | exception End_of_file -> Error "unexpected end of file"
-
-let read path =
-  Result.map
-    (List.map (fun (name, r) ->
-         (name, String.sub r.Wire.data r.Wire.pos (Wire.remaining r))))
-    (read_sections path)
 
 (* section table without payload verification-by-copy — for [info]: name,
    length, and whether the checksum holds *)

@@ -330,7 +330,7 @@ let save ?(keep = 2) ~dir s =
   path
 
 let load_snapshot path =
-  match Container.read_sections path with
+  match Container.read path with
   | Error e -> Error e
   | Ok sections -> (
       match decode_snapshot sections with
