@@ -98,7 +98,7 @@ let make_handles () =
   }
 
 (* Artifact injection points: a session layer (or the per-call memo
-   installed by default, see [with_artifacts]) supplies expensive
+   installed by default, see [entry]) supplies expensive
    per-structure artifacts — neighbourhood covers, ball-cache contexts,
    Hanf class partitions — instead of the engine rebuilding them at every
    cl-term call site. All three artifacts are result-neutral: covers and
@@ -106,7 +106,7 @@ let make_handles () =
    caches only trade memory for time. *)
 type artifacts = {
   art_cover : Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t;
-  art_ctx : (Foc_data.Structure.t -> r:int -> Pattern_count.ctx) option;
+  art_ctx : Foc_data.Structure.t -> r:int -> Pattern_count.ctx;
   art_hanf : Foc_data.Structure.t -> tr:int -> (string * int list) list;
   art_stats : (Foc_data.Structure.t -> Foc_stats.Stats.t) option;
 }
@@ -169,9 +169,9 @@ let metrics t = t.m.registry
 let stats_line t = Foc_obs.Metrics.line t.m.registry
 let config t = t.cfg
 
-let fresh_rel t prefix =
+let fresh_rel t =
   t.fresh <- t.fresh + 1;
-  Printf.sprintf "$%s%d" prefix t.fresh
+  Printf.sprintf "$P%d" t.fresh
 
 let fallback t what =
   if not t.cfg.allow_fallback then raise (Outside_fragment what);
@@ -191,12 +191,6 @@ let sweep t f =
     v
   end
   else f ()
-
-let maybe_export t =
-  match t.cfg.trace_file with
-  | Some path when Foc_obs.Trace.enabled () ->
-      Foc_obs.Trace.export_chrome path
-  | _ -> ()
 
 (* ---------------- cl-term evaluation back-ends ---------------- *)
 
@@ -239,8 +233,8 @@ let cover_for t a ~rc =
 
 let ctx_for t a ~r =
   match t.art with
-  | Some { art_ctx = Some f; _ } -> f a ~r
-  | _ -> make_pattern_ctx t a ~r
+  | Some art -> art.art_ctx a ~r
+  | None -> make_pattern_ctx t a ~r
 
 let hanf_classes_for t a ~r =
   match t.art with
@@ -279,24 +273,31 @@ let default_artifacts t =
         memo (tbl_for covers (Structure.gaifman a)) rc (fun () ->
             make_cover t a ~rc));
     art_ctx =
-      Some
-        (fun a ~r -> memo (tbl_for ctxs a) r (fun () -> make_pattern_ctx t a ~r));
+      (fun a ~r -> memo (tbl_for ctxs a) r (fun () -> make_pattern_ctx t a ~r));
     art_hanf =
       (fun a ~tr ->
         memo (tbl_for hanfs a) tr (fun () -> make_hanf_classes t a ~tr));
     art_stats = None;
   }
 
-(* Every public entry point also puts the engine's registry in scope, so
-   the ball contexts and the splitter recursion below record into it
-   directly — on worker domains too, since {!Foc_par} tasks inherit it. *)
-let with_artifacts t f =
+(* Every public entry point runs under [entry]. It also puts the engine's
+   registry in scope, so the ball contexts and the splitter recursion below
+   record into it directly — on worker domains too, since {!Foc_par} tasks
+   inherit it — and exports the trace when a trace file is configured. *)
+let entry t f =
   Foc_obs.Metrics.with_current t.m.registry (fun () ->
-      match t.art with
-      | Some _ -> f () (* a session or an enclosing entry point provides them *)
-      | None ->
-          t.art <- Some (default_artifacts t);
-          Fun.protect ~finally:(fun () -> t.art <- None) f)
+      let v =
+        match t.art with
+        | Some _ -> f () (* a session or an enclosing entry point provides them *)
+        | None ->
+            t.art <- Some (default_artifacts t);
+            Fun.protect ~finally:(fun () -> t.art <- None) f
+      in
+      (match t.cfg.trace_file with
+      | Some path when Foc_obs.Trace.enabled () ->
+          Foc_obs.Trace.export_chrome path
+      | _ -> ());
+      v)
 
 (* The one back-end match: each back-end supplies its basic-term sweep and
    {!Clterm} evaluates the polynomial. Covers are built (or fetched) ahead
@@ -331,221 +332,296 @@ let eval_cl t a cl eval =
 let eval_cl_ground t a cl = eval_cl t a cl Clterm.eval_ground
 let eval_cl_unary t a cl = eval_cl t a cl Clterm.eval_unary
 
-(* certify locality and cl-decompose a Pred-free counting kernel ([vars]
-   starts with the anchor when [anchored]); [None] means the baseline
-   fallback *)
-let localize t ~anchored ~vars theta =
-  match
+(* ---------------- the compiled tree ---------------- *)
+
+(* Every entry point compiles its expression into one tree (the
+   syntactic half of the pipeline, no structure read) and runs it; {!Plan}
+   prints the same tree. A kernel's route is decided at compile time, but
+   it runs — and counts or raises a fallback — only once evaluation
+   reaches it, so ∧/∨ still short-circuit. *)
+
+type kernel = {
+  ys : Var.t list;
+  anchor : Var.t option;
+  body : Ast.formula;
+  route : (int * Clterm.t, string) result;
+}
+
+type term =
+  | Const of int
+  | Sum of term * term
+  | Prod of term * term
+  | Count of step list * kernel
+
+and step = {
+  name : string;
+  var : Var.t option;
+  pred : string;
+  args : term list;
+}
+
+type shell =
+  | Truth of bool
+  | Rel0 of string
+  | Not of shell
+  | Both of shell * shell
+  | Either of shell * shell
+  | Exists of kernel
+
+type body =
+  | Sentence of (step list * shell)
+  | Unary of (step list * kernel)
+  | Wide
+type query = { body : body; heads : term option list }
+
+let kernel t ~anchor ys body =
+  let route =
     Decompose.localize ~max_blocks:t.cfg.max_blocks ~max_width:t.cfg.max_width
-      ~anchored ~vars theta
-  with
-  | Ok (_, cl) -> Some cl
-  | Error _ -> None
+      ~anchored:(Option.is_some anchor) ~vars:(Option.to_list anchor @ ys) body
+  in
+  { ys; anchor; body; route }
 
-(* ---------------- stratification (Theorem 6.10) ---------------- *)
-
-(* Replace every numerical condition P(t̄) with ≤ 1 free variable by a fresh
-   unary/0-ary relation atom whose extension is computed recursively — the
-   interpretations ι_i(R) of the decomposition sequence, evaluated innermost
-   first. *)
-let rec elim_preds t a (phi : Ast.formula) : Structure.t * Ast.formula =
+(* Theorem 6.10: a numerical condition P(t̄) with ≤ 1 free variable
+   becomes a step that materialises a fresh unary/0-ary relation — the
+   interpretations ι_i(R) of the decomposition sequence — and leaves its
+   atom behind. [steps] collects them in run order (innermost first, then
+   left to right): each runs over the structure its predecessors
+   expanded. *)
+let rec strat t steps (phi : Ast.formula) : Ast.formula =
+  let go = strat t steps in
   match phi with
-  | Ast.True | Ast.False | Ast.Eq _ | Ast.Rel _ | Ast.Dist _ -> (a, phi)
-  | Ast.Neg f ->
-      let a, f = elim_preds t a f in
-      (a, Ast.Neg f)
+  | Ast.True | Ast.False | Ast.Eq _ | Ast.Rel _ | Ast.Dist _ -> phi
+  | Ast.Neg f -> Ast.Neg (go f)
   | Ast.Or (f, g) ->
-      let a, f = elim_preds t a f in
-      let a, g = elim_preds t a g in
-      (a, Ast.Or (f, g))
+      let f = go f in
+      Ast.Or (f, go g)
   | Ast.And (f, g) ->
-      let a, f = elim_preds t a f in
-      let a, g = elim_preds t a g in
-      (a, Ast.And (f, g))
-  | Ast.Exists (y, f) ->
-      let a, f = elim_preds t a f in
-      (a, Ast.Exists (y, f))
-  | Ast.Forall (y, f) ->
-      let a, f = elim_preds t a f in
-      (a, Ast.Forall (y, f))
-  | Ast.Pred (p, ts) -> begin
-      let free =
-        List.fold_left
-          (fun acc u -> Var.Set.union acc (Ast.free_term u))
-          Var.Set.empty ts
+      let f = go f in
+      Ast.And (f, go g)
+  | Ast.Exists (y, f) -> Ast.Exists (y, go f)
+  | Ast.Forall (y, f) -> Ast.Forall (y, go f)
+  | Ast.Pred (pred, ts) ->
+      let var =
+        match Var.Set.elements (Ast.free_formula phi) with
+        | [] -> None
+        | [ x ] -> Some x
+        | _ ->
+            raise
+              (Outside_fragment
+                 "numerical predicate with two or more free variables (not \
+                  FOC1)")
       in
-      match Var.Set.elements free with
-      | [] ->
-          let values =
-            Array.of_list (List.map (fun u -> eval_ground_term t a u) ts)
-          in
-          let truth = Pred.holds t.cfg.preds p values in
-          let name = fresh_rel t "P" in
-          Foc_obs.Metrics.Counter.inc t.m.materialised;
-          let a' =
-            Structure.expand a [ (name, 0, if truth then [ [||] ] else []) ]
-          in
-          (a', Ast.Rel (name, [||]))
-      | [ x ] ->
-          let vectors = List.map (fun u -> eval_unary_term t a x u) ts in
-          let n = Structure.order a in
-          let members = ref [] in
-          for v = n - 1 downto 0 do
-            let values =
-              Array.of_list (List.map (fun vec -> vec.(v)) vectors)
-            in
-            if Pred.holds t.cfg.preds p values then members := [| v |] :: !members
-          done;
-          let name = fresh_rel t "P" in
-          Foc_obs.Metrics.Counter.inc t.m.materialised;
-          let a' = Structure.expand a [ (name, 1, !members) ] in
-          (a', Ast.Rel (name, [| x |]))
-      | _ ->
-          raise
-            (Outside_fragment
-               "numerical predicate with two or more free variables (not \
-                FOC1)")
-    end
+      let args = List.map (compile_term t var) ts in
+      let name = fresh_rel t in
+      steps := { name; var; pred; args } :: !steps;
+      Ast.Rel (name, Array.of_list (Option.to_list var))
 
-(* ---------------- counting terms ---------------- *)
+and stratify t phi =
+  let steps = ref [] in
+  let phi = strat t steps phi in
+  (List.rev !steps, phi)
 
-and eval_ground_term t a (term : Ast.term) : int =
+(* a counting kernel is anchored at [x] when [x] is free in it *)
+and compile_term t x (term : Ast.term) : term =
   match term with
-  | Ast.Int i -> i
-  | Ast.Add (s, u) -> eval_ground_term t a s + eval_ground_term t a u
-  | Ast.Mul (s, u) -> eval_ground_term t a s * eval_ground_term t a u
-  | Ast.Count (ys, theta) ->
-      let a', theta' =
-        Foc_obs.span ~name:"stratify" (fun () -> elim_preds t a theta)
-      in
-      eval_ground_count t a' ys theta'
-
-and run_ground_count t a ys theta = function
-  | Some cl -> eval_cl_ground t a cl
-  | None ->
-      fallback t "ground counting kernel outside the guarded fragment";
-      Foc_obs.span ~name:"fallback" (fun () ->
-          Foc_eval.Relalg.count ~ctx:(relalg_ctx t) t.cfg.preds a ys theta)
-
-and eval_ground_count t a ys theta =
-  (* theta is Pred-free *)
-  run_ground_count t a ys theta (localize t ~anchored:false ~vars:ys theta)
-
-and eval_unary_term t a x (term : Ast.term) : int array =
-  let n = Structure.order a in
-  match term with
-  | Ast.Int i -> Array.make n i
+  | Ast.Int i -> Const i
   | Ast.Add (s, u) ->
-      Array.map2 ( + ) (eval_unary_term t a x s) (eval_unary_term t a x u)
+      let s = compile_term t x s in
+      Sum (s, compile_term t x u)
   | Ast.Mul (s, u) ->
-      Array.map2 ( * ) (eval_unary_term t a x s) (eval_unary_term t a x u)
+      let s = compile_term t x s in
+      Prod (s, compile_term t x u)
   | Ast.Count (ys, theta) ->
-      let a', theta' =
-        Foc_obs.span ~name:"stratify" (fun () -> elim_preds t a theta)
+      let steps, body = stratify t theta in
+      let anchor =
+        match x with
+        | Some x when Var.Set.mem x (Ast.free_term (Ast.Count (ys, body))) ->
+            Some x
+        | _ -> None
       in
-      if not (Var.Set.mem x (Ast.free_formula theta')) then
-        Array.make n (eval_ground_count t a' ys theta')
-      else begin
-        match localize t ~anchored:true ~vars:(x :: ys) theta' with
-        | Some cl -> eval_cl_unary t a' cl
-        | None ->
-            fallback t "unary counting kernel outside the guarded fragment";
-            Foc_obs.span ~name:"fallback" (fun () ->
-                let counts =
-                  Foc_eval.Relalg.term_counts ~ctx:(relalg_ctx t) t.cfg.preds a'
-                    (Ast.Count (ys, theta'))
-                in
-                Array.init n (fun v ->
-                    Foc_eval.Counts.get counts (Var.Map.singleton x v)))
-      end
+      Count (steps, kernel t ~anchor ys body)
 
-(* ---------------- sentences ---------------- *)
-
-let rec model_check t a (phi : Ast.formula) : bool =
+(* the sentence shell: ∃ȳ body ⟺ #ȳ.body ≥ 1, decided through the
+   decomposition — the route the paper takes for basic local sentences
+   (Theorem 6.8) *)
+let rec shell t (phi : Ast.formula) =
   match phi with
-  | Ast.True -> true
-  | Ast.False -> false
-  | Ast.Rel (r, [||]) -> Structure.mem a r [||]
-  | Ast.Neg f -> not (model_check t a f)
-  | Ast.And (f, g) -> model_check t a f && model_check t a g
-  | Ast.Or (f, g) -> model_check t a f || model_check t a g
-  | Ast.Forall (y, f) ->
-      not (model_check t a (Ast.Exists (y, Ast.neg f)))
+  | Ast.True -> Truth true
+  | Ast.False -> Truth false
+  | Ast.Rel (r, [||]) -> Rel0 r
+  | Ast.Neg f -> Not (shell t f)
+  | Ast.And (f, g) ->
+      let f = shell t f in
+      Both (f, shell t g)
+  | Ast.Or (f, g) ->
+      let f = shell t f in
+      Either (f, shell t g)
+  | Ast.Forall (y, f) -> Not (shell t (Ast.Exists (y, Ast.neg f)))
   | Ast.Exists _ ->
       let rec peel acc = function
         | Ast.Exists (y, f) -> peel (y :: acc) f
         | f -> (List.rev acc, f)
       in
       let ys, body = peel [] phi in
-      (* ∃ȳ body ⟺ #ȳ.body ≥ 1, decided through the decomposition — the
-         route the paper takes for basic local sentences (Theorem 6.8) *)
-      eval_ground_count t a ys body >= 1
-  | Ast.Eq _ | Ast.Rel _ | Ast.Dist _ ->
-      invalid_arg "Engine.model_check: open formula"
-  | Ast.Pred _ -> assert false (* eliminated by stratification *)
+      Exists (kernel t ~anchor:None ys body)
+  | Ast.Eq _ | Ast.Rel _ | Ast.Dist _ -> invalid_arg "Engine: open formula"
+  | Ast.Pred _ -> assert false (* stratified away *)
 
-let check t a phi =
+let compile_shell t phi =
+  let steps, phi = stratify t phi in
+  (steps, shell t phi)
+
+(* a unary formula is the 0-counted indicator #().φ anchored at [x] *)
+let compile_unary t x phi =
+  let steps, phi = stratify t phi in
+  (steps, kernel t ~anchor:(Some x) [] phi)
+
+let compile_formula t x phi =
+  match x with
+  | None -> Sentence (compile_shell t phi)
+  | Some x -> Unary (compile_unary t x phi)
+
+(* A head term over at most one head variable is compiled as {!eval_unary}
+   reads it; one over several is not a kernel but is evaluated per row
+   ([None]). *)
+let compile_query t (q : Query.t) =
+  let head_term term =
+    let free = Ast.free_term term in
+    match List.filter (fun x -> Var.Set.mem x free) q.head_vars with
+    | ([] | [ _ ]) as x -> Some (compile_term t (List.nth_opt x 0) term)
+    | _ -> None
+  in
+  let body =
+    match q.head_vars with
+    | ([] | [ _ ]) as x -> compile_formula t (List.nth_opt x 0) q.body
+    | _ -> Wide
+  in
+  { body; heads = List.map head_term q.head_terms }
+
+(* ---------------- running the tree ---------------- *)
+
+let run_ground t a k =
+  match k.route with
+  | Ok (_, cl) -> eval_cl_ground t a cl
+  | Error _ ->
+      fallback t "ground counting kernel outside the guarded fragment";
+      Foc_obs.span ~name:"fallback" (fun () ->
+          Foc_eval.Relalg.count ~ctx:(relalg_ctx t) t.cfg.preds a k.ys k.body)
+
+let run_unary t a x k =
+  match k.route with
+  | Ok (_, cl) -> eval_cl_unary t a cl
+  | Error _ ->
+      fallback t "unary counting kernel outside the guarded fragment";
+      Foc_obs.span ~name:"fallback" (fun () ->
+          let counts =
+            Foc_eval.Relalg.term_counts ~ctx:(relalg_ctx t) t.cfg.preds a
+              (Ast.Count (k.ys, k.body))
+          in
+          Array.init (Structure.order a) (fun v ->
+              Foc_eval.Counts.get counts (Var.Map.singleton x v)))
+
+let rec stratified t a steps =
+  Foc_obs.span ~name:"stratify" (fun () -> List.fold_left (materialise t) a steps)
+
+and materialise t a { name; var; pred; args } =
+  let holds values = Pred.holds t.cfg.preds pred values in
+  let rel =
+    match var with
+    | None ->
+        let values = Array.of_list (List.map (ground_value t a) args) in
+        (name, 0, if holds values then [ [||] ] else [])
+    | Some _ ->
+        let vectors = List.map (unary_value t a) args in
+        let members = ref [] in
+        for v = Structure.order a - 1 downto 0 do
+          if holds (Array.of_list (List.map (fun vec -> vec.(v)) vectors)) then
+            members := [| v |] :: !members
+        done;
+        (name, 1, !members)
+  in
+  Foc_obs.Metrics.Counter.inc t.m.materialised;
+  Structure.expand a [ rel ]
+
+and ground_value t a = function
+  | Const i -> i
+  | Sum (s, u) -> ground_value t a s + ground_value t a u
+  | Prod (s, u) -> ground_value t a s * ground_value t a u
+  | Count (steps, k) -> run_ground t (stratified t a steps) k
+
+and unary_value t a term =
+  let n = Structure.order a in
+  match term with
+  | Const i -> Array.make n i
+  | Sum (s, u) -> Array.map2 ( + ) (unary_value t a s) (unary_value t a u)
+  | Prod (s, u) -> Array.map2 ( * ) (unary_value t a s) (unary_value t a u)
+  | Count (steps, k) -> (
+      let a' = stratified t a steps in
+      match k.anchor with
+      | None -> Array.make n (run_ground t a' k)
+      | Some x -> run_unary t a' x k)
+
+let rec run_shell t a = function
+  | Truth b -> b
+  | Rel0 r -> Structure.mem a r [||]
+  | Not s -> not (run_shell t a s)
+  | Both (s, u) -> run_shell t a s && run_shell t a u
+  | Either (s, u) -> run_shell t a s || run_shell t a u
+  | Exists k -> run_ground t a k >= 1
+
+let run_holds t a x (steps, k) =
+  Array.map (fun v -> v >= 1) (run_unary t (stratified t a steps) x k)
+
+(* ---------------- entry points ---------------- *)
+
+(* A compiled sentence is its shell over the structure its steps
+   expanded: immutable, and valid as long as the structure it was compiled
+   against (and, for graph-radius artifacts, its Gaifman graph) is
+   semantically unchanged — the session layer tracks that invalidation. *)
+type compiled = { expanded : Structure.t; root : shell }
+
+let compiled_structure c = c.expanded
+
+let compile t a phi =
+  let steps, root = compile_shell t phi in
+  { expanded = stratified t a steps; root }
+
+let run t c = run_shell t c.expanded c.root
+
+let sentence what phi =
   if not (Var.Set.is_empty (Ast.free_formula phi)) then
-    invalid_arg "Engine.check: not a sentence";
-  with_artifacts t (fun () ->
-      let a', phi' =
-        Foc_obs.span ~name:"stratify" (fun () -> elim_preds t a phi)
-      in
-      let v = model_check t a' phi' in
-      maybe_export t;
-      v)
+    invalid_arg ("Engine." ^ what ^ ": not a sentence")
+
+let compile_sentence t a phi =
+  sentence "compile_sentence" phi;
+  entry t (fun () -> compile t a phi)
+
+let run_sentence t c = entry t (fun () -> run t c)
+
+(* [run_sentence ∘ compile_sentence] under one per-call artifact memo *)
+let check t a phi =
+  sentence "check" phi;
+  entry t (fun () -> run t (compile t a phi))
 
 let eval_ground t a term =
   if not (Var.Set.is_empty (Ast.free_term term)) then
     invalid_arg "Engine.eval_ground: not a ground term";
-  with_artifacts t (fun () ->
-      let v = eval_ground_term t a term in
-      maybe_export t;
-      v)
+  entry t (fun () -> ground_value t a (compile_term t None term))
 
 let eval_unary t a x term =
   if not (Var.Set.subset (Ast.free_term term) (Var.Set.singleton x)) then
     invalid_arg "Engine.eval_unary: stray free variable";
-  with_artifacts t (fun () ->
-      let v = eval_unary_term t a x term in
-      maybe_export t;
-      v)
-
-let holds_unary_inner t a x phi =
-  let a', phi' =
-    Foc_obs.span ~name:"stratify" (fun () -> elim_preds t a phi)
-  in
-  (* a unary cl-term with an empty counted tuple: the 0/1 indicator *)
-  match localize t ~anchored:true ~vars:[ x ] phi' with
-  | Some cl -> Array.map (fun v -> v >= 1) (eval_cl_unary t a' cl)
-  | None ->
-      fallback t "unary formula outside the guarded fragment";
-      Foc_obs.span ~name:"fallback" (fun () ->
-          let n = Structure.order a' in
-          let table = Foc_eval.Relalg.formula_table ~ctx:(relalg_ctx t) t.cfg.preds a' phi' in
-          let out = Array.make n false in
-          if Array.length (Foc_eval.Table.vars table) = 0 then begin
-            let v = not (Foc_eval.Table.is_empty table) in
-            Array.fill out 0 n v
-          end
-          else
-            Foc_eval.Table.iter
-              (Foc_eval.Table.align table [| x |])
-              (fun row -> out.(row.(0)) <- true);
-          out)
+  entry t (fun () -> unary_value t a (compile_term t (Some x) term))
 
 let holds_unary t a x phi =
   if not (Var.Set.subset (Ast.free_formula phi) (Var.Set.singleton x)) then
     invalid_arg "Engine.holds_unary: stray free variable";
-  with_artifacts t (fun () ->
-      let v = holds_unary_inner t a x phi in
-      maybe_export t;
-      v)
+  entry t (fun () -> run_holds t a x (compile_unary t x phi))
 
 let check_tuple t a (q : Query.t) tuple =
   if Array.length tuple <> List.length q.head_vars then None
   else
-    with_artifacts t (fun () ->
+    entry t (fun () ->
         let elim = Query.eliminate q in
         let bound = Query.bind_structure a elim tuple in
         let truth = check t bound elim.sentence in
@@ -558,41 +634,42 @@ let check_tuple t a (q : Query.t) tuple =
           Some (true, values)
         end)
 
-(* The counting kernels of a head term, made ready to evaluate per row.
-   Over the single head variable [Some x], each is stratified and
-   localized as [eval_unary_term] would: the same [Outside_fragment]
-   errors, the same counted fallbacks, and a kernel without [x] evaluated
-   here by the engine. Over several head variables ([None]) a kernel is
-   never a fallback, and a closed one is evaluated here by the compiled
-   evaluator. Returns the (expanded) structure and the term left. *)
-let rec head_kernels t a x (term : Ast.term) =
-  let both s u k =
-    let a, s = head_kernels t a x s in
-    let a, u = head_kernels t a x u in
-    (a, k s u)
-  in
-  match (term, x) with
-  | Ast.Int _, _ -> (a, term)
-  | Ast.Add (s, u), _ -> both s u (fun s u -> Ast.Add (s, u))
-  | Ast.Mul (s, u), _ -> both s u (fun s u -> Ast.Mul (s, u))
-  | Ast.Count (ys, theta), Some x ->
-      let a', theta' =
-        Foc_obs.span ~name:"stratify" (fun () -> elim_preds t a theta)
-      in
-      if not (Var.Set.mem x (Ast.free_formula theta')) then
-        (a', Ast.Int (eval_ground_count t a' ys theta'))
-      else begin
-        if localize t ~anchored:true ~vars:(x :: ys) theta' = None then
-          fallback t "unary counting kernel outside the guarded fragment";
-        (a', Ast.Count (ys, theta'))
-      end
-  | Ast.Count _, None when Var.Set.is_empty (Ast.free_term term) ->
+(* The kernels of a head term over one head variable, made ready to
+   evaluate per row: materialised and checked as [unary_value] would, with
+   the same counted fallbacks, and each kernel without the variable
+   evaluated here. The structure threads through the kernels, since the
+   term left reads every relation they materialised. *)
+let rec row_term t a = function
+  | Const i -> (a, Ast.Int i)
+  | Sum (s, u) -> row_both t a s u (fun s u -> Ast.Add (s, u))
+  | Prod (s, u) -> row_both t a s u (fun s u -> Ast.Mul (s, u))
+  | Count (steps, k) -> (
+      let a = stratified t a steps in
+      match k.anchor with
+      | None -> (a, Ast.Int (run_ground t a k))
+      | Some _ ->
+          if Result.is_error k.route then
+            fallback t "unary counting kernel outside the guarded fragment";
+          (a, Ast.Count (k.ys, k.body)))
+
+and row_both t a s u k =
+  let a, s = row_term t a s in
+  let a, u = row_term t a u in
+  (a, k s u)
+
+(* A term over several head variables is no kernel: its closed counting
+   subterms are folded to constants by the compiled local evaluator, and
+   the rest is evaluated per row. *)
+let rec fold_closed t a (term : Ast.term) =
+  match term with
+  | Ast.Add (s, u) -> Ast.Add (fold_closed t a s, fold_closed t a u)
+  | Ast.Mul (s, u) -> Ast.Mul (fold_closed t a s, fold_closed t a u)
+  | Ast.Count _ when Var.Set.is_empty (Ast.free_term term) ->
       let p = Local_eval.compile_term t.cfg.preds a ~vars:[] term in
-      ( a,
-        Ast.Int
-          (Local_eval.value p (Local_eval.scratch a)
-             (Array.make (Local_eval.term_width p) 0)) )
-  | Ast.Count _, None -> (a, term)
+      Ast.Int
+        (Local_eval.value p (Local_eval.scratch a)
+           (Array.make (Local_eval.term_width p) 0))
+  | Ast.Int _ | Ast.Count _ -> term
 
 (* Head terms of a multi-variable head, evaluated per emitted row: each
    term is compiled once ({!Local_eval.compile_term}) over its free head
@@ -600,22 +677,24 @@ let rec head_kernels t a x (term : Ast.term) =
    distinct argument tuple. A ground term is evaluated once by the
    engine. The returned closure maps a head-order row to a fresh values
    array — shared by every multi-variable producer. *)
-let head_values t a head (terms : Ast.term list) =
+let head_values t a head terms =
   let index_of x =
     let rec go i = if Var.equal head.(i) x then i else go (i + 1) in
     go 0
   in
-  let reader term =
+  let reader (term, compiled) =
     let free = Ast.free_term term in
-    match List.filter (fun x -> Var.Set.mem x free) (Array.to_list head) with
-    | [] ->
-        let c = eval_ground_term t a term in
-        fun _ -> c
-    | vars ->
+    match
+      (List.filter (fun x -> Var.Set.mem x free) (Array.to_list head), compiled)
+    with
+    | [], Some c ->
+        let v = ground_value t a c in
+        fun _ -> v
+    | vars, _ ->
         let a', term' =
-          head_kernels t a
-            (match vars with [ x ] -> Some x | _ -> None)
-            term
+          match compiled with
+          | Some c -> row_term t a c
+          | None -> (a, fold_closed t a term)
         in
         let p = Local_eval.compile_term t.cfg.preds a' ~vars term' in
         let s = Local_eval.scratch a' in
@@ -656,21 +735,24 @@ let conjunctive_atoms body =
 
 let enumerate_inner t a ?limit ?after (q : Query.t) =
   let n = Structure.order a in
-  match q.head_vars with
-  | [] ->
+  let c = compile_query t q in
+  (* only a head of two or more variables leaves a head term uncompiled *)
+  let heads () = List.map Option.get c.heads in
+  match (c.body, q.head_vars) with
+  | Sentence (steps, root), _ ->
       (* zero or one answer: the empty tuple *)
       let rows =
-        if check t a q.body then
-          [ ([||], Array.of_list (List.map (eval_ground t a) q.head_terms)) ]
+        if run t { expanded = stratified t a steps; root } then
+          [ ([||], Array.of_list (List.map (ground_value t a) (heads ()))) ]
         else []
       in
       Foc_eval.Enum.of_rows ?limit ?after ~producer:"ground" rows
-  | [ x ] ->
+  | Unary u, [ x ] ->
       (* the localized path: one linear preprocessing sweep (per-element
          truths and term vectors), then O(1) delay per answer — the
          Kazana–Segoufin shape for FOC1 heads *)
-      let truths = holds_unary t a x q.body in
-      let vectors = List.map (eval_unary t a x) q.head_terms in
+      let truths = run_holds t a x u in
+      let vectors = List.map (unary_value t a) (heads ()) in
       let start =
         match after with
         | None -> 0
@@ -694,15 +776,15 @@ let enumerate_inner t a ?limit ?after (q : Query.t) =
       Foc_eval.Enum.make ?limit ~producer:"unary" ~next:gen
         ~close:(fun () -> ())
         ()
-  | head_vars -> (
+  | _ -> (
       (* The one rule for heads of two or more variables, on every route:
          the paper's algorithm answers them per tuple (Theorem 5.5), and
          enumerating all answers is its open problem (3). Their answers
          come from the baseline's join kernel, so each open is one
          fallback, and strict mode refuses it. *)
       fallback t "query head with two or more variables";
-      let head = Array.of_list head_vars in
-      let values = head_values t a head q.head_terms in
+      let head = Array.of_list q.head_vars in
+      let values = head_values t a head (List.combine q.head_terms c.heads) in
       match conjunctive_atoms q.body with
       | Some (pos, neg) ->
           (* per-conjunct tables (each a single atom: relation scan,
@@ -720,90 +802,11 @@ let enumerate_inner t a ?limit ?after (q : Query.t) =
             (Foc_eval.Relalg.head_search ~ctx:(relalg_ctx t) ?after t.cfg.preds
                a head q.body))
 
+(* all preprocessing (artifact access included) happens before the cursor
+   escapes; [next] only reads the prepared arrays/tables *)
 let enumerate t a ?limit ?after q =
-  with_artifacts t (fun () ->
-      (* all preprocessing (artifact access included) happens before the
-         cursor escapes; [next] only reads the prepared arrays/tables *)
-      let c = enumerate_inner t a ?limit ?after q in
-      maybe_export t;
-      c)
+  entry t (fun () -> enumerate_inner t a ?limit ?after q)
 
 (* a drained cursor: one producer selection for both entry points *)
 let run_query t a q =
-  with_artifacts t (fun () ->
-      let v = Foc_eval.Enum.to_list (enumerate_inner t a q) in
-      maybe_export t;
-      v)
-
-(* ---------------- compiled sentences ---------------- *)
-
-(* The per-sentence work of [check] split into a reusable prefix and a
-   cheap suffix: compilation runs stratification (including all inner
-   counting-term sweeps that materialise the fresh $P relations — the
-   dominant amortizable cost), locality certification and
-   cl-decomposition once, and stores the expanded structure plus a
-   skeleton mirroring [model_check] exactly. Running the compiled form
-   replays only the skeleton (short-circuiting ∧/∨/¬ like [model_check])
-   with each quantifier block decided through its pre-decomposed cl-term
-   — or the recorded baseline fallback. A compiled sentence is immutable
-   and valid as long as the structure it was compiled against (and, for
-   graph-radius artifacts, its Gaifman graph) is semantically unchanged;
-   the session layer tracks that invalidation. *)
-type cnode =
-  | CBool of bool
-  | CRel0 of string
-  | CNeg of cnode
-  | CAnd of cnode * cnode
-  | COr of cnode * cnode
-  | CCount of { ys : Var.t list; body : Ast.formula; cl : Clterm.t option }
-
-type compiled = { expanded : Structure.t; root : cnode }
-
-let compiled_structure c = c.expanded
-
-let compile_sentence t a phi =
-  if not (Var.Set.is_empty (Ast.free_formula phi)) then
-    invalid_arg "Engine.compile_sentence: not a sentence";
-  with_artifacts t (fun () ->
-      let a', phi' =
-        Foc_obs.span ~name:"stratify" (fun () -> elim_preds t a phi)
-      in
-      let rec comp phi =
-        match phi with
-        | Ast.True -> CBool true
-        | Ast.False -> CBool false
-        | Ast.Rel (r, [||]) -> CRel0 r
-        | Ast.Neg f -> CNeg (comp f)
-        | Ast.And (f, g) -> CAnd (comp f, comp g)
-        | Ast.Or (f, g) -> COr (comp f, comp g)
-        | Ast.Forall (y, f) -> CNeg (comp (Ast.Exists (y, Ast.neg f)))
-        | Ast.Exists _ ->
-            let rec peel acc = function
-              | Ast.Exists (y, f) -> peel (y :: acc) f
-              | f -> (List.rev acc, f)
-            in
-            let ys, body = peel [] phi in
-            CCount
-              { ys; body; cl = localize t ~anchored:false ~vars:ys body }
-        | Ast.Eq _ | Ast.Rel _ | Ast.Dist _ ->
-            invalid_arg "Engine.compile_sentence: open formula"
-        | Ast.Pred _ -> assert false (* eliminated by stratification *)
-      in
-      let v = { expanded = a'; root = comp phi' } in
-      maybe_export t;
-      v)
-
-let run_sentence t comp =
-  with_artifacts t (fun () ->
-      let a = comp.expanded in
-      let rec go = function
-        | CBool b -> b
-        | CRel0 r -> Structure.mem a r [||]
-        | CNeg c -> not (go c)
-        | CAnd (c, d) -> go c && go d
-        | COr (c, d) -> go c || go d
-        | CCount { ys; body; cl } -> run_ground_count t a ys body cl >= 1
-      in
-      let v = go comp.root in
-      maybe_export t;
-      v)
+  entry t (fun () -> Foc_eval.Enum.to_list (enumerate_inner t a q))

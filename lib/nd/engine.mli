@@ -130,8 +130,7 @@ type artifacts = {
   art_cover : Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t;
       (** must return [Foc_graph.Cover.make (gaifman a) ~r:rc] (memoised
           however the provider likes) *)
-  art_ctx :
-    (Foc_data.Structure.t -> r:int -> Foc_local.Pattern_count.ctx) option;
+  art_ctx : Foc_data.Structure.t -> r:int -> Foc_local.Pattern_count.ctx;
       (** a context for Direct sweeps over the given structure at the given
           radius; may be long-lived. It records into the registry that
           was in scope when it was made ({!make_pattern_ctx} uses this
@@ -187,7 +186,9 @@ val stats_line : t -> string
     emitter behind the CLI's and bench's [# stats:] output, so new
     counters cannot drift out of the printout. *)
 
-(** [check t a φ] — model-checking for sentences ([free φ = ∅]). *)
+(** [check t a φ] — model-checking for sentences ([free φ = ∅]): by
+    definition [run_sentence t (compile_sentence t a φ)], under one
+    per-call artifact memo. *)
 val check : t -> Foc_data.Structure.t -> Ast.formula -> bool
 
 (** [eval_ground t a term] — value of a ground counting term. *)
@@ -231,13 +232,11 @@ val run_query :
 
     Head terms of a wider head are evaluated per emitted row: each is
     compiled once per open ({!Foc_local.Local_eval.compile_term}) over its
-    free head variables and memoised per distinct argument tuple; ground
-    terms and, in a single-variable term, the counting kernels without
-    that variable are evaluated once by the engine. A single-variable
-    term keeps the engine's fragment decisions: its kernels are stratified
-    and localized as {!eval_unary} would, with the same
-    {!Outside_fragment} errors and counted fallbacks; a term over several
-    head variables is never a fallback.
+    free head variables and memoised per distinct argument tuple. A term
+    over at most one head variable keeps the engine's compiled tree
+    ({!compile_query}): its steps and its kernels without that variable
+    run once, and its anchored kernels count their fallbacks; a term over
+    several head variables is never a fallback.
 
     [?limit] caps the answer count; [?after] (a head tuple) resumes
     strictly after it. Preprocessing happens before the cursor is
@@ -251,17 +250,80 @@ val enumerate :
   Query.t ->
   Foc_eval.Enum.cursor
 
+(** {1 The compiled tree}
+
+    Every entry point above compiles its expression into this tree and
+    runs it; {!Plan} prints the same tree. Compiling reads the
+    configuration but no structure: stratification (Theorem 6.10) turns
+    each numerical condition with at most one free variable into a
+    {!step} materialising a fresh [$P] relation (one over two or more
+    raises {!Outside_fragment} before any sweep runs), and each counting
+    kernel gets its {!Foc_local.Decompose.localize} route. Running
+    materialises the steps innermost first, each over the structure its
+    predecessors expanded, and evaluates a kernel — on the back-end, or on
+    the counted baseline fallback — only when evaluation reaches it, so
+    the ∧/∨ of a sentence still short-circuit. *)
+
+type kernel = {
+  ys : Var.t list;  (** the counted variables *)
+  anchor : Var.t option;  (** the free variable of a per-element kernel *)
+  body : Ast.formula;  (** stratified: no numerical predicate left *)
+  route : (int * Foc_local.Clterm.t, string) result;
+      (** radius and cl-term, or why the baseline answers *)
+}
+
+type term =
+  | Const of int
+  | Sum of term * term
+  | Prod of term * term
+  | Count of step list * kernel
+      (** the steps of the kernel's body, then the kernel over the
+          structure they expanded *)
+
+and step = {
+  name : string;  (** the fresh relation, unique per engine *)
+  var : Var.t option;  (** its free variable: unary, or 0-ary if [None] *)
+  pred : string;
+  args : term list;  (** per-element when [var] is set, else ground *)
+}
+
+(** The ¬/∧/∨ shell of a sentence; each maximal [∃ȳ] block is the
+    kernel [#ȳ.θ ≥ 1] (a [∀] is [¬∃¬]). *)
+type shell =
+  | Truth of bool
+  | Rel0 of string
+  | Not of shell
+  | Both of shell * shell
+  | Either of shell * shell
+  | Exists of kernel
+
+type body =
+  | Sentence of (step list * shell)
+  | Unary of (step list * kernel)
+      (** the 0-counted indicator [#().φ] anchored at the free variable *)
+  | Wide  (** a query head of two or more variables: one fallback *)
+
+(** A query's body and, per head term, its compiled tree — or [None] for a
+    term over two or more head variables, which is evaluated per row. *)
+type query = { body : body; heads : term option list }
+
+val compile_term : t -> Var.t option -> Ast.term -> term
+(** [compile_term t x term] — as {!eval_ground} ([x = None]) or
+    {!eval_unary} reads [term]. *)
+
+val compile_formula : t -> Var.t option -> Ast.formula -> body
+(** As {!check} ([None]) or {!holds_unary} reads a formula. *)
+
+val compile_query : t -> Query.t -> query
+(** As {!enumerate} reads a query. *)
+
 (** {1 Compiled sentences}
 
     {!check} split into a reusable prefix and a cheap suffix.
-    {!compile_sentence} runs stratification (including the inner
-    counting-term sweeps that materialise the fresh [$P] relations — the
-    dominant amortizable cost), locality certification and
-    cl-decomposition once; {!run_sentence} replays only the final
-    skeleton, whose quantifier blocks evaluate their pre-decomposed
-    cl-terms (or the recorded baseline fallback).
-    [run_sentence t (compile_sentence t a φ) = check t a φ], and a
-    compiled sentence can be re-run any number of times. It stays valid
+    {!compile_sentence} compiles the sentence and runs its steps — the
+    inner counting-term sweeps that materialise the fresh [$P] relations,
+    the dominant amortizable cost; {!run_sentence} runs only the shell.
+    A compiled sentence can be re-run any number of times. It stays valid
     while [a] is semantically unchanged; {!Foc_serve.Session} tracks
     invalidation under updates. *)
 
@@ -271,6 +333,6 @@ val compile_sentence : t -> Foc_data.Structure.t -> Ast.formula -> compiled
 val run_sentence : t -> compiled -> bool
 
 val compiled_structure : compiled -> Foc_data.Structure.t
-(** The stratification-expanded structure the compiled skeleton runs
+(** The stratification-expanded structure the compiled shell runs
     against (needed by session layers for artifact keying, concurrent
     preparation, and invalidation bookkeeping). *)

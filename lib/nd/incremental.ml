@@ -95,6 +95,17 @@ let structure t = t.a
 let metrics t = t.m
 let stats_line t = Foc_obs.Metrics.line t.m
 
+let touched ~before ~after tup ~radius =
+  let centres = List.sort_uniq compare (Array.to_list tup) in
+  let set = Hashtbl.create 64 in
+  List.iter
+    (fun structure ->
+      List.iter
+        (fun v -> Hashtbl.replace set v ())
+        (Structure.ball structure ~centres ~radius))
+    [ before; after ];
+  set
+
 let apply t name tup ~insert =
   Foc_obs.span ~name:"incr.update" (fun () ->
       let before = t.a in
@@ -102,17 +113,10 @@ let apply t name tup ~insert =
         if insert then Structure.add_tuples before name [ tup ]
         else Structure.remove_tuples before name [ tup ]
       in
-      let centres = List.sort_uniq compare (Array.to_list tup) in
-      let affected = Hashtbl.create 64 in
       let radius =
         List.fold_left (fun acc l -> max acc (leaf_radius l)) 1 t.leaves
       in
-      List.iter
-        (fun structure ->
-          List.iter
-            (fun v -> Hashtbl.replace affected v ())
-            (Structure.ball structure ~centres ~radius))
-        [ before; after ];
+      let affected = touched ~before ~after tup ~radius in
       t.a <- after;
       let ctx_for = ctx_by_radius ~registry:t.m t.preds after in
       List.iter

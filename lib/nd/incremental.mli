@@ -46,6 +46,16 @@ val metrics : t -> Foc_obs.Metrics.t
 val stats_line : t -> string
 (** All of the above as one logfmt line. *)
 
+(** [touched ~before ~after tup ~radius] — the elements within [radius] of
+    [tup] in [before] or [after]: the invalidation ball of the update rule
+    above, shared with the session's ball contexts. *)
+val touched :
+  before:Foc_data.Structure.t ->
+  after:Foc_data.Structure.t ->
+  int array ->
+  radius:int ->
+  (int, unit) Hashtbl.t
+
 (** [insert t name tup] / [delete t name tup] — apply the update and repair
     the maintained values. Returns the number of anchors re-evaluated. *)
 val insert : t -> string -> int array -> int

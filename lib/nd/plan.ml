@@ -18,200 +18,105 @@ type t = {
   strictly_localized : bool;
 }
 
-(* Planning state: a counter for placeholder relation names and the
-   accumulated kernels, innermost first. This mirrors Engine.elim_preds /
-   eval_*_term; keep the two in sync. *)
-type state = {
-  mutable fresh : int;
-  mutable kernels : kernel list;
-  mutable materialisations : int;
-  config : Engine.config;
-}
-
-let fresh_atom st free =
-  st.fresh <- st.fresh + 1;
-  let name = Printf.sprintf "$plan%d" st.fresh in
-  match free with
-  | [] -> Ast.Rel (name, [||])
-  | [ x ] -> Ast.Rel (name, [| x |])
-  | _ -> assert false
-
-let describe vars body =
-  Format.asprintf "#(%s). %s"
-    (String.concat ", " vars)
-    (Pp.formula_to_string body)
-
 let pattern_count k = 1 lsl (k * (k - 1) / 2)
 
-let rec plan_formula st (phi : Ast.formula) : Ast.formula =
-  match phi with
-  | Ast.True | Ast.False | Ast.Eq _ | Ast.Rel _ | Ast.Dist _ -> phi
-  | Ast.Neg f -> Ast.Neg (plan_formula st f)
-  | Ast.Or (f, g) -> Ast.Or (plan_formula st f, plan_formula st g)
-  | Ast.And (f, g) -> Ast.And (plan_formula st f, plan_formula st g)
-  | Ast.Exists (y, f) -> Ast.Exists (y, plan_formula st f)
-  | Ast.Forall (y, f) -> Ast.Forall (y, plan_formula st f)
-  | Ast.Pred (_, ts) -> begin
-      let free =
-        List.fold_left
-          (fun acc u -> Var.Set.union acc (Ast.free_term u))
-          Var.Set.empty ts
-      in
-      match Var.Set.elements free with
-      | ([] | [ _ ]) as fv ->
-          List.iter (fun u -> plan_term st u) ts;
-          st.materialisations <- st.materialisations + 1;
-          fresh_atom st fv
-      | _ ->
-          (* non-FOC1: the engine raises/falls back wholesale *)
-          st.kernels <-
-            {
-              description = Pp.formula_to_string phi;
-              anchored = false;
-              width = Var.Set.cardinal free;
-              route =
-                Fallback "predicate with two or more free variables (not FOC1)";
-            }
-            :: st.kernels;
-          phi
-    end
+let kernel (k : Engine.kernel) =
+  let anchored = Option.is_some k.anchor in
+  let width = List.length k.ys + if anchored then 1 else 0 in
+  {
+    description = Pp.term_to_string (Ast.Count (k.ys, k.body));
+    anchored;
+    width;
+    route =
+      (match k.route with
+      | Ok (radius, cl) ->
+          let basic_terms = Clterm.basic_count cl in
+          Localized { radius; patterns = pattern_count width; basic_terms }
+      | Error why -> Fallback why);
+  }
 
-and plan_term st (term : Ast.term) : unit =
-  match term with
-  | Ast.Int _ -> ()
-  | Ast.Add (s, u) | Ast.Mul (s, u) ->
-      plan_term st s;
-      plan_term st u
-  | Ast.Count (ys, theta) -> begin
-      let theta' = plan_formula st theta in
-      let free_rest =
-        Var.Set.elements (Var.Set.diff (Ast.free_formula theta') (Var.Set.of_list ys))
-      in
-      match free_rest with
-      | [] -> record_kernel st ~anchored:false ~vars:ys theta'
-      | [ x ] -> record_kernel st ~anchored:true ~vars:(x :: ys) theta'
-      | _ ->
-          st.kernels <-
-            {
-              description = describe ys theta';
-              anchored = false;
-              width = List.length ys;
-              route = Fallback "counting term with two or more free variables";
-            }
-            :: st.kernels
-    end
+(* The engine's compiled tree, flattened in run order (innermost first):
+   kernels accumulate in reverse, next to the count of steps. *)
+let rec term acc (c : Engine.term) =
+  match c with
+  | Const _ -> acc
+  | Sum (s, u) | Prod (s, u) -> term (term acc s) u
+  | Count (ss, k) -> add (steps acc ss) k
 
-and record_kernel st ~anchored ~vars theta =
-  let width = List.length vars in
-  let route =
-    match
-      Decompose.localize ~max_blocks:st.config.Engine.max_blocks
-        ~max_width:st.config.Engine.max_width ~anchored ~vars theta
-    with
-    | Ok (radius, cl) ->
-        Localized
-          {
-            radius;
-            patterns = pattern_count width;
-            basic_terms = Clterm.basic_count cl;
-          }
-    | Error why -> Fallback why
-  in
-  st.kernels <-
-    {
-      description =
-        describe (if anchored then List.tl vars else vars) theta;
-      anchored;
-      width;
-      route;
-    }
-    :: st.kernels
+and steps acc ss =
+  List.fold_left
+    (fun acc (s : Engine.step) ->
+      let ks, m = List.fold_left term acc s.args in
+      (ks, m + 1))
+    acc ss
 
-(* sentence/unary-formula shells, mirroring Engine.model_check/holds_unary *)
-let rec plan_shell st (phi : Ast.formula) : unit =
-  match phi with
-  | Ast.True | Ast.False -> ()
-  | Ast.Rel (_, [||]) -> ()
-  | Ast.Neg f -> plan_shell st f
-  | Ast.And (f, g) | Ast.Or (f, g) ->
-      plan_shell st f;
-      plan_shell st g
-  | Ast.Forall (y, f) -> plan_shell st (Ast.Exists (y, Ast.neg f))
-  | Ast.Exists _ ->
-      let rec peel acc = function
-        | Ast.Exists (y, f) -> peel (y :: acc) f
-        | f -> (List.rev acc, f)
-      in
-      let ys, body = peel [] phi in
-      let body' = plan_formula st body in
-      record_kernel st ~anchored:false ~vars:ys body'
-  | Ast.Eq _ | Ast.Rel _ | Ast.Dist _ | Ast.Pred _ ->
-      ignore (plan_formula st phi)
+and add (ks, m) k = (kernel k :: ks, m)
 
-let finish st =
-  let kernels = List.rev st.kernels in
+let rec shell acc (s : Engine.shell) =
+  match s with
+  | Truth _ | Rel0 _ -> acc
+  | Not s -> shell acc s
+  | Both (s, u) | Either (s, u) -> shell (shell acc s) u
+  | Exists k -> add acc k
+
+let body acc (b : Engine.body) =
+  match b with
+  | Sentence (ss, s) -> shell (steps acc ss) s
+  | Unary (ss, k) -> add (steps acc ss) k
+  | Wide -> acc
+
+let finish (ks, materialisations) =
+  let kernels = List.rev ks in
   {
     kernels;
-    materialisations = st.materialisations;
+    materialisations;
     strictly_localized =
       List.for_all
         (fun k -> match k.route with Localized _ -> true | Fallback _ -> false)
         kernels;
   }
 
-let new_state config =
-  { fresh = 0; kernels = []; materialisations = 0; config }
+let fallback description width why =
+  { description; anchored = false; width; route = Fallback why }
 
-let term_plan ?(config = Engine.default_config) term =
-  let st = new_state config in
-  plan_term st term;
-  finish st
+(* Compile on a fresh engine of this configuration. An expression the
+   engine refuses outright — over two or more free variables, or with a
+   numerical predicate over two or more — is a one-kernel plan saying
+   why. *)
+let plan config description free compile =
+  let refuse width why = finish ([ fallback description width why ], 0) in
+  match Var.Set.elements free with
+  | ([] | [ _ ]) as x -> (
+      let config = { config with Engine.trace_file = None } in
+      match compile (Engine.create ~config ()) (List.nth_opt x 0) with
+      | acc -> finish acc
+      | exception Engine.Outside_fragment why -> refuse 0 why)
+  | vars -> refuse (List.length vars) "two or more free variables (not FOC1)"
+
+let term_plan ?(config = Engine.default_config) t =
+  plan config (Pp.term_to_string t) (Ast.free_term t) (fun eng x ->
+      term ([], 0) (Engine.compile_term eng x t))
 
 let formula_plan ?(config = Engine.default_config) phi =
-  let st = new_state config in
-  let free = Var.Set.elements (Ast.free_formula phi) in
-  (match free with
-  | [] -> plan_shell st phi
-  | [ x ] ->
-      (* holds_unary evaluates the 0-counted unary indicator *)
-      let phi' = plan_formula st phi in
-      record_kernel st ~anchored:true ~vars:[ x ] phi'
-  | _ ->
-      st.kernels <-
-        {
-          description = Pp.formula_to_string phi;
-          anchored = false;
-          width = List.length free;
-          route = Fallback "formula with two or more free variables";
-        }
-        :: st.kernels);
-  finish st
+  plan config (Pp.formula_to_string phi) (Ast.free_formula phi) (fun eng x ->
+      body ([], 0) (Engine.compile_formula eng x phi))
 
 let query_plan ?(config = Engine.default_config) (q : Query.t) =
-  let st = new_state config in
-  (match q.Query.head_vars with
-  | [] | [ _ ] -> begin
-      match q.Query.head_vars with
-      | [] -> plan_shell st q.Query.body
-      | _ ->
-          let body' = plan_formula st q.Query.body in
-          record_kernel st ~anchored:true
-            ~vars:q.Query.head_vars body'
-    end
-  | _ ->
-      st.kernels <-
-        {
-          description = Format.asprintf "%a" Query.pp q;
-          anchored = false;
-          width = List.length q.Query.head_vars;
-          route =
-            Fallback
-              "query head with two or more variables (enumerated via the \
-               baseline body table)";
-        }
-        :: st.kernels);
-  List.iter (fun u -> plan_term st u) q.Query.head_terms;
-  finish st
+  let description = Format.asprintf "%a" Query.pp q in
+  plan config description Var.Set.empty (fun eng _ ->
+      let c = Engine.compile_query eng q in
+      let acc =
+        match c.body with
+        | Wide ->
+            ( [ fallback description (List.length q.head_vars)
+                  "query head with two or more variables (enumerated via \
+                   the baseline body table)" ],
+              0 )
+        | b -> body ([], 0) b
+      in
+      List.fold_left
+        (fun acc h -> Option.fold ~none:acc ~some:(term acc) h)
+        acc c.heads)
 
 let pp ppf (plan : t) =
   Format.fprintf ppf "@[<v>plan: %d kernel(s), %d materialisation(s), %s@,"

@@ -1,12 +1,18 @@
-(** Query plans: a static, inspectable account of how the engine will
-    evaluate an expression — the EXPLAIN of this system.
+(** Query plans: an inspectable account of how the engine evaluates an
+    expression — the EXPLAIN of this system.
 
-    Planning is purely syntactic (no structure needed): it mirrors the
-    engine's pipeline — stratification of numerical conditions
-    (Theorem 6.10), locality certification of each counting kernel, and the
-    Lemma 6.4 decomposition — and records for every kernel whether it runs
-    on the localized path (with which radius, how many patterns and basic
-    cl-terms) or must fall back to the baseline, and why.
+    A plan is the engine's compiled tree ({!Engine.compile_term},
+    {!Engine.compile_formula}, {!Engine.compile_query}), flattened: no
+    structure is needed, and the plan cannot drift from the evaluation.
+    It lists the counting kernels in the order the run reaches them
+    (innermost first), each with its route — localized with which radius,
+    how many patterns and basic cl-terms, or the baseline fallback and
+    why — and counts the materialisation steps of the stratification
+    (Theorem 6.10). The engine counts a fallback when it runs such a
+    kernel, so on a term (no short-circuit) the plan's fallback kernels
+    are the run's [engine.fallbacks]. An expression the engine refuses
+    outright ({!Engine.Outside_fragment} while compiling, or two or more
+    free variables) is a one-kernel plan giving the reason.
 
     Use it to understand performance before running, and in tests to pin
     down which inputs are inside the guarded fragment. *)

@@ -188,7 +188,7 @@ let install_hooks t =
     (Some
        {
          Engine.art_cover = (fun a ~rc -> cover_for t a ~rc);
-         art_ctx = Some (fun a ~r -> ctx_for t a ~r);
+         art_ctx = (fun a ~r -> ctx_for t a ~r);
          art_hanf = (fun a ~tr -> hanf_for t a ~tr);
          art_stats = Some (fun a -> stats_for t a);
        })
@@ -315,24 +315,23 @@ let make_worker t gids sids covers hanfs () =
                  c
              | None -> Engine.make_cover weng a ~rc);
          art_ctx =
-           Some
-             (fun a ~r ->
-               let tbl =
-                 match List.assq_opt a w.w_ctxs with
-                 | Some tbl -> tbl
-                 | None ->
-                     let tbl = Hashtbl.create 4 in
-                     w.w_ctxs <- (a, tbl) :: w.w_ctxs;
-                     tbl
-               in
-               match Hashtbl.find_opt tbl r with
-               | Some ctx ->
-                   Counter.inc t.ctx_hits;
-                   ctx
+           (fun a ~r ->
+             let tbl =
+               match List.assq_opt a w.w_ctxs with
+               | Some tbl -> tbl
                | None ->
-                   let ctx = Engine.make_pattern_ctx weng a ~r in
-                   Hashtbl.add tbl r ctx;
-                   ctx);
+                   let tbl = Hashtbl.create 4 in
+                   w.w_ctxs <- (a, tbl) :: w.w_ctxs;
+                   tbl
+             in
+             match Hashtbl.find_opt tbl r with
+             | Some ctx ->
+                 Counter.inc t.ctx_hits;
+                 ctx
+             | None ->
+                 let ctx = Engine.make_pattern_ctx weng a ~r in
+                 Hashtbl.add tbl r ctx;
+                 ctx);
          art_hanf =
            (fun a ~tr ->
              let frozen =
@@ -454,25 +453,20 @@ let update t name tup ~insert:ins =
       (* 2. affected-centre predicate for ball contexts: a cached ball is
          a BFS sphere of radius 2r+1, so it changes exactly when a touched
          element lies within 2r+1 of its centre in the old or new graph
-         (the invalidation radius of Incremental.apply) *)
+         (the invalidation ball of Incremental) *)
       let affected =
         if not graph_changed then fun ~r:_ _ -> false
         else begin
-          let centres = List.sort_uniq compare (Array.to_list tup) in
           let memo = Hashtbl.create 4 in
           fun ~r v ->
             let set =
               match Hashtbl.find_opt memo r with
               | Some s -> s
               | None ->
-                  let radius = (2 * r) + 1 in
-                  let s = Hashtbl.create 64 in
-                  List.iter
-                    (fun st ->
-                      List.iter
-                        (fun u -> Hashtbl.replace s u ())
-                        (Structure.ball st ~centres ~radius))
-                    [ before; after ];
+                  let s =
+                    Foc_nd.Incremental.touched ~before ~after tup
+                      ~radius:((2 * r) + 1)
+                  in
                   Hashtbl.add memo r s;
                   s
             in

@@ -12,7 +12,8 @@
       AST ({!Foc_logic.Ast.Key}), storing the stratification output
       (materialised [$P] relations), locality certificates and
       cl-decompositions, so α-equivalent or repeated sentences skip
-      straight to the cheap skeleton replay ({!Foc_nd.Engine.run_sentence}).
+      straight to the cheap run of the compiled shell
+      ({!Foc_nd.Engine.run_sentence}).
 
     Everything lives behind {e one} bounded memory budget with the
     second-chance eviction policy of the PR-2 ball cache. Caching is
@@ -64,7 +65,7 @@ val check : t -> Foc_logic.Ast.formula -> bool
 val run_batch : ?jobs:int -> t -> Foc_logic.Ast.formula list -> result list
 (** Evaluate a batch of sentences, sharing one artifact build across all
     of them. Phase 1 compiles each sentence sequentially (cache hits for
-    repeats); phase 2 runs the compiled skeletons — sequentially for
+    repeats); phase 2 runs the compiled shells — sequentially for
     [jobs <= 1], else across [jobs] domains ({!Foc_par}) with per-worker
     engines reading frozen snapshots of the session's covers and Hanf
     partitions (ball contexts are per-worker; the session's mutable caches

@@ -256,6 +256,63 @@ let test_strict_mode () =
       Alcotest.(check bool) (body ^ ": same rows") true (rows = streamed))
     [ "E(x,y) & E(x,z)"; "E(x,y) & (R(z) | B(z))" ]
 
+(* Strict mode refuses a kernel outside the fragment only when evaluation
+   reaches it: a kernel ∧/∨ short-circuit away is compiled (and
+   localized) but never run, so it neither raises nor counts. Both the
+   one-shot entry point and a session's compiled sentences. *)
+let test_strict_short_circuit () =
+  let rng = Random.State.make [| 3 |] in
+  let a =
+    Foc_data.Db_gen.colored_digraph rng
+      ~graph:(Foc_graph.Gen.random_tree rng 50)
+      ~orient:`Both ~p_red:0.3 ~p_blue:0.4 ~p_green:0.3
+  in
+  let config = { Engine.default_config with allow_fallback = false } in
+  let bad = "exists x. (R(x) & (forall z. (B(z) | E(x,z))))" in
+  let checkers =
+    [
+      ( "engine",
+        fun () ->
+          let e = Engine.create ~config () in
+          ((fun phi -> Engine.check e a phi), e) );
+      ( "session",
+        fun () ->
+          let s = Foc_serve.Session.create ~config a in
+          ((fun phi -> Foc_serve.Session.check s phi), Foc_serve.Session.engine s)
+      );
+    ]
+  in
+  List.iter
+    (fun (name, make) ->
+      let check, _ = make () in
+      (match check (parse bad) with
+      | exception Engine.Outside_fragment _ -> ()
+      | _ -> Alcotest.fail (name ^ ": the bare sentence was answered"));
+      List.iter
+        (fun (src, want) ->
+          let check, e = make () in
+          Alcotest.(check bool) (name ^ ": " ^ src) want (check (parse src));
+          Alcotest.(check int)
+            (name ^ ": no fallback on " ^ src)
+            0 (Engine.stats e).fallbacks)
+        [
+          ("(exists x. R(x)) | (" ^ bad ^ ")", true);
+          ("!(exists x. R(x)) & (" ^ bad ^ ")", false);
+        ])
+    checkers
+
+(* a kernel that counts the variable [eval_unary] is asked about is
+   closed, not anchored: its value is the same at every element *)
+let test_bound_anchor () =
+  let rng = Random.State.make [| 3 |] in
+  let a = colored rng 30 in
+  let eng = Engine.create () in
+  let t = parse_t "#(x). R(x)" in
+  let n = Engine.eval_ground eng a t in
+  Alcotest.(check (array int))
+    "constant" (Array.make 30 n)
+    (Engine.eval_unary eng a "x" t)
+
 let prop_engine_matches_relalg =
   QCheck.Test.make ~name:"engine = relalg on random FOC1 ground terms"
     ~count:40
@@ -286,6 +343,7 @@ let () =
           Alcotest.test_case "sentences" `Quick test_sentences;
           Alcotest.test_case "ground terms" `Quick test_ground_terms;
           Alcotest.test_case "unary terms" `Quick test_unary_terms;
+          Alcotest.test_case "counted anchor variable" `Quick test_bound_anchor;
           Alcotest.test_case "nested counting (#-depth 2)" `Quick test_nested_counting;
           Alcotest.test_case "unary formulas" `Quick test_holds_unary;
         ] );
@@ -298,6 +356,8 @@ let () =
         [
           Alcotest.test_case "no fallback on supported" `Quick test_no_fallback_on_supported;
           Alcotest.test_case "strict mode" `Quick test_strict_mode;
+          Alcotest.test_case "strict mode short-circuits" `Quick
+            test_strict_short_circuit;
         ] );
       ("random", [ QCheck_alcotest.to_alcotest prop_engine_matches_relalg ]);
     ]

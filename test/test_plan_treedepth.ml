@@ -99,6 +99,115 @@ let test_plan_matches_engine () =
         ((Foc_nd.Engine.stats eng).fallbacks = 0))
     terms
 
+(* The plan is the engine's compiled tree, so a run's counters are what
+   the plan predicts: its fallback kernels are [engine.fallbacks] and its
+   steps [engine.materialised]. Terms have no short-circuit, and neither
+   does the unary or wide-head enumeration of a query. *)
+let plan_counts (plan : Foc_nd.Plan.t) =
+  ( List.length
+      (List.filter
+         (fun (k : Foc_nd.Plan.kernel) ->
+           match k.route with Foc_nd.Plan.Fallback _ -> true | _ -> false)
+         plan.kernels),
+    plan.materialisations )
+
+let run_counts eng =
+  let s = Foc_nd.Engine.stats eng in
+  (s.fallbacks, s.materialised)
+
+let term_agrees t a =
+  let eng = Foc_nd.Engine.create () in
+  (match Var.Set.elements (Ast.free_term t) with
+  | [] -> ignore (Foc_nd.Engine.eval_ground eng a t)
+  | x :: _ -> ignore (Foc_nd.Engine.eval_unary eng a x t));
+  plan_counts (Foc_nd.Plan.term_plan t) = run_counts eng
+
+let query_agrees q a =
+  let eng = Foc_nd.Engine.create () in
+  ignore (Foc_nd.Engine.run_query eng a q);
+  plan_counts (Foc_nd.Plan.query_plan q) = run_counts eng
+
+let show (plan, eng) =
+  let f, m = plan and f', m' = eng in
+  Printf.sprintf "plan fallbacks %d, materialisations %d; engine %d, %d" f m
+    f' m'
+
+let test_plan_counts_fixed () =
+  let a = Fuzz_gen.coloured 71 (G.Gen.random_tree (Random.State.make [| 71 |]) 50) in
+  List.iter
+    (fun src ->
+      let t = parse_t src in
+      let eng = Foc_nd.Engine.create () in
+      (match Var.Set.elements (Ast.free_term t) with
+      | [] -> ignore (Foc_nd.Engine.eval_ground eng a t)
+      | x :: _ -> ignore (Foc_nd.Engine.eval_unary eng a x t));
+      let p = plan_counts (Foc_nd.Plan.term_plan t) and e = run_counts eng in
+      Alcotest.(check string) src (show (p, p)) (show (p, e)))
+    [
+      "#(x,y). (E(x,y) & B(y))";
+      "#(x). prime(#(y). E(x,y))";
+      "#(y). (B(y) | R(x))";
+      "#(y). (exists z. (B(z) | E(x,y)))";
+    ];
+  (* a counting head term over both head variables is evaluated per row:
+     the head is the query's one fallback, the term is none *)
+  let q =
+    Query.make ~head_vars:[ "x"; "y" ]
+      ~head_terms:[ parse_t "#(z). (E(x,z) & E(y,z))" ]
+      (parse "E(x,y)")
+  in
+  let eng = Foc_nd.Engine.create () in
+  ignore (Foc_nd.Engine.run_query eng a q);
+  let p = plan_counts (Foc_nd.Plan.query_plan q) and e = run_counts eng in
+  Alcotest.(check string) "two-variable head term" (show (p, p)) (show (p, e));
+  Alcotest.(check int) "one fallback" 1 (fst e)
+
+let prop_plan_term =
+  QCheck.Test.make ~name:"plan = engine counters on random terms" ~count:60
+    (QCheck.make ~print:Fuzz_gen.print_case
+       QCheck.Gen.(
+         pair
+           (oneof
+              [
+                Fuzz_gen.gen_ground_term ~max_k:3;
+                Fuzz_gen.gen_nested_ground;
+                Fuzz_gen.gen_unary_term "x0" ~max_k:2;
+                map2
+                  (fun s u -> Ast.Add (s, u))
+                  (Fuzz_gen.gen_unary_term "x0" ~max_k:2)
+                  Fuzz_gen.gen_nested_ground;
+              ])
+           Fuzz_gen.gen_structure))
+    (fun (t, a) -> term_agrees t a)
+
+let prop_plan_query =
+  QCheck.Test.make ~name:"plan = engine counters on random queries" ~count:40
+    (QCheck.make
+       ~print:(fun (q, a) ->
+         Format.asprintf "%a@.on order-%d structure" Query.pp q
+           (Foc_data.Structure.order a))
+       QCheck.Gen.(
+         pair
+           (oneof
+              [
+                map2
+                  (fun body t ->
+                    Query.make ~head_vars:[ "x0" ] ~head_terms:[ t ] body)
+                  (Fuzz_gen.gen_body ~depth:1 [ "x0" ])
+                  (Fuzz_gen.gen_unary_term "x0" ~max_k:2);
+                map3
+                  (fun s u g ->
+                    Query.make ~head_vars:[ "x0"; "x1" ]
+                      ~head_terms:
+                        [ s; u; g; parse_t "#(z). (E(x0,z) & E(x1,z))" ]
+                      (parse "E(x0,x1)"))
+                  (Fuzz_gen.gen_unary_term "x0" ~max_k:2)
+                  (Fuzz_gen.gen_unary_term "x1" ~max_k:2)
+                  (Fuzz_gen.gen_ground_term ~max_k:2);
+              ])
+           Fuzz_gen.gen_structure))
+    (fun (q, a) -> query_agrees q a)
+
 (* ---------------- treedepth ---------------- *)
 
 let test_exact_known () =
@@ -185,6 +294,10 @@ let () =
           Alcotest.test_case "fallback reporting" `Quick test_plan_fallbacks;
           Alcotest.test_case "query plan" `Quick test_plan_query;
           Alcotest.test_case "plan matches engine" `Quick test_plan_matches_engine;
+          Alcotest.test_case "plan counts = engine counters" `Quick
+            test_plan_counts_fixed;
+          QCheck_alcotest.to_alcotest prop_plan_term;
+          QCheck_alcotest.to_alcotest prop_plan_query;
         ] );
       ( "treedepth",
         [
