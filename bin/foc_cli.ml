@@ -92,8 +92,8 @@ let load_structure path =
       Printf.eprintf "error: %s\n" e;
       exit 2
 
-(* applies --log-level / --metrics / --trace before evaluation runs *)
-let setup_obs ~trace ~metrics ~log_level =
+(* applies --log-level / --trace before evaluation runs *)
+let setup_obs ~trace ~log_level =
   (match Foc.Obs.Log.level_of_string log_level with
   | Some l ->
       Foc.Obs.Log.set_level l;
@@ -103,7 +103,6 @@ let setup_obs ~trace ~metrics ~log_level =
       Printf.eprintf
         "error: bad --log-level %S (quiet|error|info|debug)\n" log_level;
       exit 2);
-  if metrics || trace <> None then Foc.Obs.set_timing true;
   if trace <> None then Foc.Obs.Trace.enable ()
 
 (* report + export at command end; the export here also covers the
@@ -167,7 +166,7 @@ let timed = Foc.Obs.Clock.timed
 let check_cmd =
   let run structure engine jobs ball_cache_mb stats trace metrics log_level
       src =
-    setup_obs ~trace ~metrics ~log_level;
+    setup_obs ~trace ~log_level;
     let a = load_structure structure in
     let phi =
       try Foc.parse_formula src
@@ -220,7 +219,7 @@ let check_cmd =
 let count_cmd =
   let run structure engine jobs ball_cache_mb stats trace metrics log_level
       src =
-    setup_obs ~trace ~metrics ~log_level;
+    setup_obs ~trace ~log_level;
     let a = load_structure structure in
     let term =
       try Foc.parse_term src
@@ -316,7 +315,7 @@ let timeout_arg =
 let query_cmd =
   let run structure engine jobs ball_cache_mb stats trace metrics log_level
       head terms body limit page socket tcp timeout =
-    setup_obs ~trace ~metrics ~log_level;
+    setup_obs ~trace ~log_level;
     (* remote: stream over a running foc serve (no structure file needed) *)
     (match parse_address socket tcp with
     | Some address ->
@@ -571,7 +570,8 @@ let gen_cmd =
 (* Validate a --trace output: parseable JSON, an array of complete
    ("ph":"X") events each carrying name/ts/dur/pid/tid, whose spans nest
    like a stack within each tid (a span recorded by a parallel task must
-   sit inside its domain's enclosing spans, never straddle one). Used by
+   sit inside its domain's enclosing spans, never straddle one), and no
+   drop record (a trace missing spans is not a whole trace). Used by
    ci.sh to fail the build on malformed exports; no external JSON tool
    needed. *)
 let trace_check_cmd =
@@ -592,7 +592,7 @@ let trace_check_cmd =
         Printf.eprintf "trace-check: %s: invalid JSON: %s\n" path e;
         exit 1
     | Ok (Foc.Obs.Json.List events) ->
-        let bad = ref 0 in
+        let bad = ref 0 and dropped = ref 0 in
         (* (tid, start ns, end ns) of every well-formed event *)
         let spans =
           List.concat
@@ -603,6 +603,19 @@ let trace_check_cmd =
                    (field "name", field "ph", field "ts", field "dur",
                     field "pid", field "tid")
                  with
+                 | Some (Foc.Obs.Json.Str name), Some (Foc.Obs.Json.Str "M"), _, _, _, _
+                   when name = Foc.Obs.Trace.dropped_name -> (
+                     match
+                       Option.bind (field "args")
+                         (Foc.Obs.Json.member "dropped_events")
+                     with
+                     | Some (Foc.Obs.Json.Num n) ->
+                         dropped := !dropped + Float.to_int n;
+                         []
+                     | _ ->
+                         incr bad;
+                         Printf.eprintf "trace-check: %s: bad event %d\n" path i;
+                         [])
                  | ( Some (Foc.Obs.Json.Str _),
                      Some (Foc.Obs.Json.Str "X"),
                      Some (Foc.Obs.Json.Num ts),
@@ -619,6 +632,12 @@ let trace_check_cmd =
                events)
         in
         if !bad > 0 then exit 1;
+        if !dropped > 0 then begin
+          Printf.eprintf
+            "trace-check: %s: %d spans dropped (the trace ring was full)\n"
+            path !dropped;
+          exit 1
+        end;
         (* per tid, by start and then longest first: each span must end
            before the innermost open span that contains its start *)
         let open_spans = Hashtbl.create 8 in
@@ -659,7 +678,8 @@ let trace_check_cmd =
   Cmd.v
     (Cmd.info "trace-check"
        ~doc:
-         "Validate a Chrome trace_event JSON file produced by $(b,--trace).")
+         "Validate a Chrome trace_event JSON file produced by $(b,--trace); \
+          fails when the file records dropped spans.")
     Term.(const run $ path)
 
 (* ---------------- gendb / sql ---------------- *)
@@ -707,7 +727,7 @@ let gendb_cmd =
 let sql_cmd =
   let run structure engine jobs ball_cache_mb stats trace metrics log_level
       src limit =
-    setup_obs ~trace ~metrics ~log_level;
+    setup_obs ~trace ~log_level;
     let a = load_structure structure in
     let q =
       try
@@ -790,7 +810,7 @@ let serve_cmd =
   let run structure engine jobs ball_cache_mb budget_mb socket tcp max_queue
       client_budget max_batch slow_ms slow_log trace trace_cap store
       checkpoint_every max_cursors log_level =
-    setup_obs ~trace:None ~metrics:false ~log_level;
+    setup_obs ~trace:None ~log_level;
     let a = load_structure structure in
     let address =
       match parse_address socket tcp with
@@ -1274,7 +1294,7 @@ let parse_sentences srcs =
 let snapshot_save_cmd =
   let run structure engine ball_cache_mb budget_mb radii
       queries log_level dir =
-    setup_obs ~trace:None ~metrics:false ~log_level;
+    setup_obs ~trace:None ~log_level;
     let a = load_structure structure in
     let config =
       {
@@ -1325,7 +1345,7 @@ let snapshot_info_cmd =
 let snapshot_load_cmd =
   let run engine ball_cache_mb budget_mb queries log_level dir
       =
-    setup_obs ~trace:None ~metrics:false ~log_level;
+    setup_obs ~trace:None ~log_level;
     let config =
       {
         Foc.Engine.default_config with
@@ -1399,7 +1419,7 @@ let snapshot_cmd =
 let batch_cmd =
   let run structure engine jobs ball_cache_mb budget_mb repeat stats trace
       metrics log_level queries_file =
-    setup_obs ~trace ~metrics ~log_level;
+    setup_obs ~trace ~log_level;
     let a = load_structure structure in
     let srcs =
       (* a line is a comment when it starts with '#' not followed by '(' —

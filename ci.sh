@@ -61,9 +61,19 @@ python3 -c "import sys; sys.exit(0 if $induced_slope <= 1.3 else 1)" || {
 }
 dune exec bin/foc_cli.exe -- gen -n 300 --class random-tree --colours \
   -o /tmp/ci_tree.foc
+# A traced run must lose no span: its --stats line reports the ring's
+# drops, and trace-check fails on a file that records any.
+no_drops() {
+  grep -q ' trace.dropped_events=0' "$1" || {
+    echo "ci: $1 reports dropped trace events"
+    exit 1
+  }
+}
 dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc \
   "#(x,y). (R(x) & E(x,y))" -e cover --jobs 2 \
-  --trace /tmp/ci_trace.json --stats --metrics
+  --trace /tmp/ci_trace.json --stats --metrics > /tmp/ci_trace_out.txt
+cat /tmp/ci_trace_out.txt
+no_drops /tmp/ci_trace_out.txt
 dune exec bin/foc_cli.exe -- trace-check /tmp/ci_trace.json
 # The Splitter's rounds run inside the parallel cluster sweep: its
 # splitter.round and remove spans, recorded on worker domains too, must
@@ -71,7 +81,9 @@ dune exec bin/foc_cli.exe -- trace-check /tmp/ci_trace.json
 # partial overlap).
 dune exec bin/foc_cli.exe -- count -s /tmp/ci_tree.foc \
   "#(x,y). (R(x) & !E(x,y) & B(y))" -e splitter --jobs 2 \
-  --trace /tmp/ci_trace_splitter.json --stats
+  --trace /tmp/ci_trace_splitter.json --stats > /tmp/ci_trace_splitter_out.txt
+cat /tmp/ci_trace_splitter_out.txt
+no_drops /tmp/ci_trace_splitter_out.txt
 dune exec bin/foc_cli.exe -- trace-check /tmp/ci_trace_splitter.json
 for span in splitter.round remove; do
   grep -q "\"name\": \"$span\"" /tmp/ci_trace_splitter.json || {
@@ -174,8 +186,10 @@ grep -q 'engine.hanf_partitions_built=2' /tmp/ci_hanf_out.txt || {
   echo "ci: hanf count did not build exactly two partitions"
   exit 1
 }
-hanf2=$(dune exec bin/foc_cli.exe -- count -s /tmp/ci_bd3.foc "$HQ" -e hanf \
-  --jobs 2 --trace /tmp/ci_trace_hanf.json | grep -E '^[0-9]+$')
+dune exec bin/foc_cli.exe -- count -s /tmp/ci_bd3.foc "$HQ" -e hanf \
+  --jobs 2 --trace /tmp/ci_trace_hanf.json --stats > /tmp/ci_trace_hanf_out.txt
+no_drops /tmp/ci_trace_hanf_out.txt
+hanf2=$(grep -E '^[0-9]+$' /tmp/ci_trace_hanf_out.txt)
 [ "$hanf2" = "$hanf" ] || {
   echo "ci: hanf count at --jobs 2 '$hanf2' differs from --jobs 1 '$hanf'"
   exit 1

@@ -79,24 +79,38 @@ let mem a name tup = TS.mem tup (rel a name)
 
 (* count-then-fill: a row is listed under each of its distinct entries *)
 let build_incidence order ({ TS.width = w; nrows; data = d } : TS.t) =
-  let each f =
-    for r = 0 to nrows - 1 do
-      for i = 0 to w - 1 do
-        let v = d.((r * w) + i) in
-        let rec first j = j = i || (d.((r * w) + j) <> v && first (j + 1)) in
-        if first 0 then f r v
-      done
-    done
+  (* entry [i] of row [r] is the first occurrence of its value there *)
+  let first r i =
+    let v = d.((r * w) + i) and j = ref 0 in
+    while !j < i && d.((r * w) + !j) <> v do
+      incr j
+    done;
+    !j = i
   in
+  (* off.(v) counts v's rows, then ends v's range; filling the rows in
+     reverse moves it down to the start, rows ascending *)
   let off = Array.make (order + 1) 0 in
-  each (fun _ v -> off.(v + 1) <- off.(v + 1) + 1);
-  for v = 0 to order - 1 do
-    off.(v + 1) <- off.(v + 1) + off.(v)
+  for r = 0 to nrows - 1 do
+    for i = 0 to w - 1 do
+      if first r i then begin
+        let v = d.((r * w) + i) in
+        off.(v) <- off.(v) + 1
+      end
+    done
   done;
-  let fill = Array.sub off 0 (max 1 order) and ids = Array.make off.(order) 0 in
-  each (fun r v ->
-      ids.(fill.(v)) <- r;
-      fill.(v) <- fill.(v) + 1);
+  for v = 1 to order do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let ids = Array.make off.(order) 0 in
+  for r = nrows - 1 downto 0 do
+    for i = 0 to w - 1 do
+      if first r i then begin
+        let v = d.((r * w) + i) in
+        off.(v) <- off.(v) - 1;
+        ids.(off.(v)) <- r
+      end
+    done
+  done;
   { off; ids }
 
 let rel_incidence a r =

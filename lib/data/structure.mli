@@ -52,7 +52,9 @@ type incidence = private { off : int array; ids : int array }
 
 (** [incidence a name] is the incidence index of [name], built on first
     use and memoised — the allocation-free form of {!tuples_with} for
-    compiled seeks. *)
+    compiled seeks. It is also the compiled atoms' membership test: for a
+    unary [name], [v] is in the relation iff [off.(v+1) > off.(v)]; a
+    binary atom scans the shorter row of its two arguments. *)
 val incidence : t -> string -> incidence
 
 (** [add_tuples a name tups] is [a] with the tuples added (functional):

@@ -74,6 +74,30 @@ let fresh s v =
   end
 
 (* ------------------------------------------------------------------ *)
+(* A relation's CSR incidence index, resolved by the first evaluation that
+   reads it and kept by the compiled program: compiling builds no index,
+   and a run looks none up by name. Domains sharing a program may race on
+   [inc]; the write is idempotent once the structure is prepared
+   ({!Structure.prepare}), since every domain then stores the structure's
+   one memoised index. *)
+
+type index = {
+  a : Structure.t;
+  rel : string;
+  mutable inc : Structure.incidence option;
+}
+
+let index a rel = { a; rel; inc = None }
+
+let incidence ix =
+  match ix.inc with
+  | Some inc -> inc
+  | None ->
+      let inc = Structure.incidence ix.a ix.rel in
+      ix.inc <- Some inc;
+      inc
+
+(* ------------------------------------------------------------------ *)
 (* Candidate sources, chosen at compile time. An indexed source reads a
    positive atom R(…y…) through the relation's CSR incidence index, seeking
    by whichever bound argument has the fewest rows; [Same] is y = x for a
@@ -81,8 +105,7 @@ let fresh s v =
    at run time); a disjunction needs both ([Union]). *)
 
 type probe = {
-  a : Structure.t;
-  rel : string;  (* its incidence index is read at run time: built on use *)
+  index : index;
   rows : TS.t;
   ypos : int;  (* the position of the target variable *)
   bound : (int * int) array;  (* (position, slot) of the bound arguments *)
@@ -104,11 +127,19 @@ let degree (inc : Structure.incidence) e (_, sl) =
   let v = Array.unsafe_get e sl in
   inc.off.(v + 1) - inc.off.(v)
 
+(* the bound argument of [sk] with the fewest rows under [e] *)
+let narrowest sk inc e =
+  let best = ref 0 in
+  for i = 1 to Array.length sk.bound - 1 do
+    if degree inc e sk.bound.(i) < degree inc e sk.bound.(!best) then best := i
+  done;
+  sk.bound.(!best)
+
 let rec estimate ix e =
   match ix with
   | Seek sk ->
-      let inc = Structure.incidence sk.a sk.rel in
-      Array.fold_left (fun m b -> min m (degree inc e b)) max_int sk.bound
+      let inc = incidence sk.index in
+      degree inc e (narrowest sk inc e)
   | Same _ -> 1
   | Min (a, b) -> min (estimate a e) (estimate b e)
   | Union (a, b) -> estimate a e + estimate b e
@@ -130,22 +161,18 @@ let row_matches sk row e =
   !ok
 
 (* append the candidates of [ix] to buffer [d] (length [len]) *)
-let rec fill ix s e d len dedup =
+let rec fill_into ix s e d len dedup =
   match ix with
   | Same sl ->
       let v = e.(sl) in
       if dedup && not (fresh s v) then len else add s d len v
   | Min (a, b) ->
-      if estimate a e <= estimate b e then fill a s e d len dedup
-      else fill b s e d len dedup
-  | Union (a, b) -> fill b s e d (fill a s e d len dedup) dedup
+      if estimate a e <= estimate b e then fill_into a s e d len dedup
+      else fill_into b s e d len dedup
+  | Union (a, b) -> fill_into b s e d (fill_into a s e d len dedup) dedup
   | Seek sk ->
-      let inc = Structure.incidence sk.a sk.rel in
-      let best = ref sk.bound.(0) in
-      Array.iter
-        (fun b -> if degree inc e b < degree inc e !best then best := b)
-        sk.bound;
-      let v = e.(snd !best) in
+      let inc = incidence sk.index in
+      let v = e.(snd (narrowest sk inc e)) in
       let len = ref len in
       let w = sk.rows.TS.width and data = sk.rows.TS.data in
       for q = inc.off.(v) to inc.off.(v + 1) - 1 do
@@ -160,10 +187,20 @@ let rec fill ix s e d len dedup =
 (* call [f] on buffer [d]'s first [len] values until one answers true *)
 let drain s d len f =
   let b = s.bufs.(d) in
-  let rec go i = i < len && (f (Array.unsafe_get b i) || go (i + 1)) in
-  let r = go 0 in
+  let i = ref 0 in
+  while !i < len && not (f (Array.unsafe_get b !i)) do
+    incr i
+  done;
   s.sp <- d;
-  r
+  !i < len
+
+(* push a buffer holding the candidates of [ix] under [e], each once;
+   returns their number *)
+let fill ix s e =
+  let dedup = not (distinct ix) in
+  if dedup then new_epoch s;
+  let d = push s in
+  fill_into ix s e d 0 dedup
 
 (* [search src s e f] — [f] on each candidate until one answers true *)
 let search src s e f =
@@ -185,40 +222,16 @@ let search src s e f =
       done;
       drain s d !len f
   | Indexed ix ->
-      let dedup = not (distinct ix) in
-      if dedup then new_epoch s;
-      let d = push s in
-      let len = fill ix s e d 0 dedup in
-      drain s d len f
+      let len = fill ix s e in
+      drain s (s.sp - 1) len f
 
 (* ------------------------------------------------------------------ *)
-(* Atoms. A relational atom is a binary search of the packed core with the
-   key read straight from the environment slots. *)
+(* Atoms, their key read straight from the environment slots. A unary
+   atom R(x) holds iff x has a row in R's incidence index; a binary atom
+   scans the shorter incidence row of its two arguments; a wider atom
+   binary-searches the packed core. *)
 
 type test = scratch -> int array -> bool
-
-let mem1 (rows : TS.t) v =
-  let d = rows.data in
-  let lo = ref 0 and hi = ref rows.nrows in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get d mid < v then lo := mid + 1 else hi := mid
-  done;
-  !lo < rows.nrows && Array.unsafe_get d !lo = v
-
-let mem2 (rows : TS.t) u v =
-  let d = rows.data in
-  let lo = ref 0 and hi = ref rows.nrows in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let a = Array.unsafe_get d (2 * mid) in
-    if a < u || (a = u && Array.unsafe_get d ((2 * mid) + 1) < v) then
-      lo := mid + 1
-    else hi := mid
-  done;
-  !lo < rows.nrows
-  && Array.unsafe_get d (2 * !lo) = u
-  && Array.unsafe_get d ((2 * !lo) + 1) = v
 
 (* row [r] against the key in slots [ss] of [e] *)
 let cmp_row (rows : TS.t) r ss e =
@@ -230,6 +243,21 @@ let cmp_row (rows : TS.t) r ss e =
       if x < y then -1 else if x > y then 1 else go (c + 1)
   in
   go 0
+
+(* (u, v) ∈ rows: a row holding both is listed under u and under v, so
+   scan the shorter of their incidence rows. On a bounded-degree structure
+   that is O(1) reads; a test between two hubs is O(min degree) *)
+let mem2 (rows : TS.t) (inc : Structure.incidence) u v =
+  let off = inc.off in
+  let w = if off.(v + 1) - off.(v) < off.(u + 1) - off.(u) then v else u in
+  let hi = off.(w + 1) and d = rows.data in
+  let q = ref off.(w) and found = ref false in
+  while (not !found) && !q < hi do
+    let r = 2 * Array.unsafe_get inc.ids !q in
+    found := Array.unsafe_get d r = u && Array.unsafe_get d (r + 1) = v;
+    incr q
+  done;
+  !found
 
 let memk (rows : TS.t) ss e =
   let lo = ref 0 and hi = ref rows.nrows in
@@ -289,8 +317,7 @@ let seek_of c bound r args y =
           Some
             (Seek
                {
-                 a = c.a;
-                 rel = r;
+                 index = index c.a r;
                  rows;
                  ypos;
                  bound = Array.of_list bs;
@@ -350,8 +377,14 @@ let rel_test c r xs : test =
         | [||] ->
             let b = rows.nrows > 0 in
             fun _ _ -> b
-        | [| i |] -> fun _ e -> mem1 rows e.(i)
-        | [| i; j |] -> fun _ e -> mem2 rows e.(i) e.(j)
+        | [| i |] ->
+            let ix = index c.a r in
+            fun _ e ->
+              let off = (incidence ix).off and v = e.(i) in
+              off.(v + 1) > off.(v)
+        | [| i; j |] ->
+            let ix = index c.a r in
+            fun _ e -> mem2 rows (incidence ix) e.(i) e.(j)
         | ss -> fun _ e -> memk rows ss e)
 
 let all_of = function
@@ -360,8 +393,11 @@ let all_of = function
   | fs ->
       let fs = Array.of_list fs in
       fun s e ->
-        let rec go i = i = Array.length fs || (fs.(i) s e && go (i + 1)) in
-        go 0
+        let i = ref 0 in
+        while !i < Array.length fs && fs.(!i) s e do
+          incr i
+        done;
+        !i = Array.length fs
 
 (* An enumeration of the bound variables [ys] of ∃/# over [body]: the
    variables are placed one per level in an order fixed here (an indexed
@@ -590,9 +626,5 @@ let check st l = st.checks.(l)
 let seek st l = st.seeks.(l)
 let stage_width st = st.s_width
 let seek_estimate = estimate
-
-let seek_iter ix s e f =
-  ignore
-    (search (Indexed ix) s e (fun v ->
-         f v;
-         false))
+let buffer s = s.bufs.(s.sp - 1)
+let release s = s.sp <- s.sp - 1

@@ -6,8 +6,13 @@
     by depth. Semantically identical to {!Foc_eval.Naive} (the Definition
     3.1 semantics), but:
 
-    - a relational atom is a binary search of the packed core, its key read
-      from the slots — no map and no tuple per test;
+    - a relational atom reads its key from the slots, with no map and no
+      tuple per test: a unary atom is O(1), one look at the relation's CSR
+      incidence index ({!Foc_data.Structure.incidence}); a binary atom
+      scans the shorter incidence row of its two arguments, O(min
+      degree); a wider atom binary-searches the core. Each atom and each
+      seek resolves its index at its first evaluation and keeps it, so
+      compiling builds no index;
     - the variables of an ∃-chain or a counting term are placed one per
       level in an order fixed at compile time, each from a candidate source
       fixed at compile time: an indexed atom (a seek on the CSR incidence
@@ -22,8 +27,11 @@
     not to ‖A‖. Unguarded positions scan — still correct — and are counted
     statically ({!unguarded}).
 
-    A compiled program is immutable and may be shared across domains; its
-    mutable working space is a {!scratch}, one per domain. *)
+    A compiled program may be shared across domains once its structure is
+    prepared ({!Foc_data.Structure.prepare}); its mutable working space is
+    a {!scratch}, one per domain. Its only other write is each atom's and
+    seek's index memo, filled at first evaluation: after [prepare] every
+    domain writes the same memoised index, so the race is benign. *)
 
 open Foc_logic
 
@@ -109,5 +117,15 @@ val stage_width : stage -> int
 (** An upper bound on the candidates of the seek under [env]. *)
 val seek_estimate : seek -> int array -> int
 
-(** [seek_iter sk s env f] — [f] on every candidate, each once. *)
-val seek_iter : seek -> scratch -> int array -> (int -> unit) -> unit
+(** [fill sk s env] — push a buffer onto [s]'s buffer stack holding the
+    candidates of the seek under [env], each once, and return their
+    number. Read them with {!buffer} and pop the buffer with {!release};
+    evaluations in between (deeper levels) push and pop their own. *)
+val fill : seek -> scratch -> int array -> int
+
+(** The buffer on top of the stack: its first [fill]-many values are the
+    candidates. It stays put while deeper levels fill theirs. *)
+val buffer : scratch -> int array
+
+(** Pop the buffer on top of the stack. *)
+val release : scratch -> unit

@@ -28,31 +28,24 @@ let ball_mem b v =
       done;
       !found
 
-let ball_iter f = function
-  | Sorted a -> Array.iter f a
-  | Bits b -> Foc_util.Bitset.iter f b.bits
-
 (* approximate heap footprint in bytes, for the cache budget *)
 let ball_bytes = function
   | Sorted a -> (Array.length a + 2) * (Sys.word_size / 8)
   | Bits b -> (Foc_util.Bitset.capacity b.bits / 8) + 3 * (Sys.word_size / 8)
 
 (* ------------------------------------------------------------------ *)
-(* Capacity-bounded ball cache with second-chance ("LRU-ish") eviction:
-   entries queue up in insertion order; a hit sets a reference bit; the
-   evictor pops the oldest entry, re-queueing it once if the bit is set.
-   The most recently inserted ball is never evicted, so a capacity of 0
-   degenerates to a one-entry cache (the eviction-heavy path the tests
-   pin down) instead of thrashing to nothing. *)
+(* The balls a context has computed, in a dense second-chance table
+   ({!Ball_cache}): indexed by centre, allocated on the first ball. The
+   most recently computed ball is never evicted, so a capacity of 0
+   degenerates to a one-entry cache (the eviction-heavy path the tests pin
+   down) instead of thrashing to nothing. *)
 
-type entry = { ball : ball; bytes : int; mutable referenced : bool }
+(* the empty ball: the cache's "not resident" and the sweep's "no filter" *)
+let no_ball = Sorted [||]
 
-type cache = {
-  tbl : (int, entry) Hashtbl.t;
-  fifo : int Queue.t;
-  capacity : int;  (* bytes *)
-  mutable bytes_used : int;
-}
+let new_cache structure capacity =
+  Ball_cache.create ~order:(Foc_data.Structure.order structure) ~capacity
+    ~dummy:no_ball ~size:ball_bytes
 
 (* The calling domain's shards of the ball counters in a registry,
    resolved once per context (when it is made or cloned) so the sweep
@@ -88,15 +81,13 @@ type ctx = {
   structure : Foc_data.Structure.t;
   r : int;
   threshold : int;  (* 2r+1 *)
-  cache : cache;
+  cache_bytes : int;
+  cache : ball Ball_cache.t;
   scratch : Local_eval.scratch;  (* BFS arena and the compiled bodies' space *)
   mutable env : int array;  (* the placement slots, grown to the widest plan *)
   reg : Foc_obs.Metrics.t;  (* the registry in scope at [make_ctx] *)
   m : meters;
 }
-
-(* a context never holds more balls than its structure has elements *)
-let table_size structure = min 1024 (max 16 (Foc_data.Structure.order structure))
 
 let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
   if r < 0 then invalid_arg "Pattern_count.make_ctx: negative radius";
@@ -106,13 +97,8 @@ let make_ctx ?(cache_bytes = default_cache_bytes) preds structure ~r =
     structure;
     r;
     threshold = (2 * r) + 1;
-    cache =
-      {
-        tbl = Hashtbl.create (table_size structure);
-        fifo = Queue.create ();
-        capacity = max cache_bytes 0;
-        bytes_used = 0;
-      };
+    cache_bytes;
+    cache = new_cache structure cache_bytes;
     scratch = Local_eval.scratch structure;
     env = [||];
     reg;
@@ -129,19 +115,14 @@ let preds ctx = ctx.preds
 let clone_ctx ctx =
   {
     ctx with
-    cache =
-      {
-        tbl = Hashtbl.create (table_size ctx.structure);
-        fifo = Queue.create ();
-        capacity = ctx.cache.capacity;
-        bytes_used = 0;
-      };
+    cache = new_cache ctx.structure ctx.cache_bytes;
     scratch = Local_eval.scratch ctx.structure;
     env = [||];
     m = meters ctx.reg;
   }
 
-let cache_resident_bytes ctx = ctx.cache.bytes_used
+let cache_resident_bytes ctx =
+  Ball_cache.bytes ctx.cache + Ball_cache.footprint ctx.cache
 
 (* Re-point a context at an updated structure of the same order, keeping
    every cached ball whose centre the caller does not [drop]. Sound
@@ -156,86 +137,41 @@ let cache_resident_bytes ctx = ctx.cache.bytes_used
 let rebind_ctx ctx structure ~drop =
   if Foc_data.Structure.order structure <> order ctx then
     invalid_arg "Pattern_count.rebind_ctx: order changed";
-  let c = ctx.cache in
-  let tbl = Hashtbl.create (max 16 (Hashtbl.length c.tbl)) in
-  let fifo = Queue.create () in
-  let bytes = ref 0 in
-  let dropped = ref 0 in
-  Queue.iter
-    (fun key ->
-      match Hashtbl.find_opt c.tbl key with
-      | Some e when not (Hashtbl.mem tbl key) ->
-          if drop key then incr dropped
-          else begin
-            Hashtbl.replace tbl key e;
-            Queue.add key fifo;
-            bytes := !bytes + e.bytes
-          end
-      | _ -> ())
-    c.fifo;
-  ( {
-      ctx with
-      structure;
-      cache = { tbl; fifo; capacity = c.capacity; bytes_used = !bytes };
-      scratch = Local_eval.scratch structure;
-    },
-    !dropped )
-
-let cache_evict ctx =
-  let c = ctx.cache in
-  let continue = ref true in
-  while !continue && c.bytes_used > c.capacity && Hashtbl.length c.tbl > 1 do
-    match Queue.take_opt c.fifo with
-    | None -> continue := false
-    | Some key -> (
-        match Hashtbl.find_opt c.tbl key with
-        | None -> ()
-        | Some e when e.referenced && not (Queue.is_empty c.fifo) ->
-            (* second chance: clear the bit, requeue *)
-            e.referenced <- false;
-            Queue.add key c.fifo
-        | Some e ->
-            Hashtbl.remove c.tbl key;
-            c.bytes_used <- c.bytes_used - e.bytes;
-            Counter.bump ctx.m.evictions 1)
-  done
+  let dropped = Ball_cache.filter ctx.cache (fun v -> not (drop v)) in
+  ({ ctx with structure; scratch = Local_eval.scratch structure }, dropped)
 
 let ball_of ctx v =
-  match Hashtbl.find_opt ctx.cache.tbl v with
-  | Some e ->
-      e.referenced <- true;
-      Counter.bump ctx.m.hits 1;
-      e.ball
-  | None ->
-      let s = Local_eval.searcher ctx.scratch in
-      let count =
-        Foc_graph.Bfs.run s ~centres:[ v ] ~radius:ctx.threshold
-      in
-      let n = order ctx in
-      let b =
-        if count * 64 >= n && n > 0 then begin
-          let bits = Foc_util.Bitset.create n in
-          for i = 0 to count - 1 do
-            Foc_util.Bitset.add bits (Foc_graph.Bfs.visited s i)
-          done;
-          Bits { bits; card = count }
-        end
-        else begin
-          let a = Array.init count (Foc_graph.Bfs.visited s) in
-          Foc_util.Int_sort.sort a;
-          Sorted a
-        end
-      in
-      Counter.bump ctx.m.computed 1;
-      Counter.bump ctx.m.bfs_visited count;
-      let bytes = ball_bytes b in
-      Hashtbl.replace ctx.cache.tbl v { ball = b; bytes; referenced = false };
-      Queue.add v ctx.cache.fifo;
-      ctx.cache.bytes_used <- ctx.cache.bytes_used + bytes;
-      Gauge.raise_to ctx.m.peak_entries (Hashtbl.length ctx.cache.tbl);
-      Gauge.raise_to ctx.m.peak_bytes ctx.cache.bytes_used;
-      cache_evict ctx;
-      b
+  let cached = Ball_cache.find ctx.cache v in
+  if cached != no_ball then begin
+    Counter.bump ctx.m.hits 1;
+    cached
+  end
+  else begin
+    let s = Local_eval.searcher ctx.scratch in
+    let count = Foc_graph.Bfs.run s ~centres:[ v ] ~radius:ctx.threshold in
+    let n = order ctx in
+    let b =
+      if count * 64 >= n && n > 0 then begin
+        let bits = Foc_util.Bitset.create n in
+        for i = 0 to count - 1 do
+          Foc_util.Bitset.add bits (Foc_graph.Bfs.visited s i)
+        done;
+        Bits { bits; card = count }
+      end
+      else begin
+        let a = Array.init count (Foc_graph.Bfs.visited s) in
+        Foc_util.Int_sort.sort a;
+        Sorted a
+      end
+    in
+    Counter.bump ctx.m.computed 1;
+    Counter.bump ctx.m.bfs_visited count;
+    Ball_cache.add ctx.cache v b;
+    Gauge.raise_to ctx.m.peak_entries (Ball_cache.entries ctx.cache);
+    Gauge.raise_to ctx.m.peak_bytes (Ball_cache.bytes ctx.cache);
+    Counter.bump ctx.m.evictions (Ball_cache.evict ctx.cache);
+    b
+  end
 
 let close ctx u v = u = v || ball_mem (ball_of ctx u) v
 
@@ -349,39 +285,71 @@ let realises ctx env lv =
   done;
   !ok
 
+(* The sweep below one anchor: a top-level recursion over the plan's
+   levels, so an anchor allocates no closure. [below ctx plan l] counts the
+   extensions of the positions placed before level [l]; its candidates are
+   the indexed body atoms' when available, the parent's (2r+1)-ball
+   (required by δ) otherwise. When the body already entails closeness to
+   the parent, indexed candidates need no ball filtering, and no ball is
+   ever computed. *)
+let rec below ctx plan l =
+  let levels = plan.levels in
+  if l = Array.length levels then 1
+  else
+    let lv = levels.(l) in
+    match lv.seek with
+    | Some sk when lv.implied -> seeked ctx plan l sk no_ball
+    | Some sk ->
+        let b = ball_of ctx ctx.env.(lv.parent) in
+        if Local_eval.seek_estimate sk ctx.env < ball_card b then
+          seeked ctx plan l sk b
+        else in_ball ctx plan l b
+    | None -> in_ball ctx plan l (ball_of ctx ctx.env.(lv.parent))
+
+(* [v] placed at level [l]: the extensions below it, 0 when it fails *)
+and place ctx plan l v =
+  let lv = plan.levels.(l) and env = ctx.env in
+  env.(lv.pos) <- v;
+  if lv.check ctx.scratch env && realises ctx env lv then
+    below ctx plan (l + 1)
+  else 0
+
+(* the seek's candidates, read by index from the scratch's buffer stack;
+   only those in [filter] unless it is [no_ball] *)
+and seeked ctx plan l sk filter =
+  let s = ctx.scratch in
+  let n = Local_eval.fill sk s ctx.env in
+  let buf = Local_eval.buffer s in
+  let total = ref 0 in
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get buf i in
+    if filter == no_ball || ball_mem filter v then
+      total := !total + place ctx plan l v
+  done;
+  Local_eval.release s;
+  !total
+
+and in_ball ctx plan l = function
+  | Sorted a ->
+      let total = ref 0 in
+      for i = 0 to Array.length a - 1 do
+        total := !total + place ctx plan l (Array.unsafe_get a i)
+      done;
+      !total
+  | Bits b ->
+      let cap = Foc_util.Bitset.capacity b.bits in
+      let total = ref 0 and v = ref (Foc_util.Bitset.next b.bits 0) in
+      while !v < cap do
+        total := !total + place ctx plan l !v;
+        v := Foc_util.Bitset.next b.bits (!v + 1)
+      done;
+      !total
+
 let at ctx plan anchor =
   if plan.impossible then 0
   else begin
     if Array.length ctx.env < plan.width then ctx.env <- Array.make plan.width 0;
-    let env = ctx.env and s = ctx.scratch and levels = plan.levels in
-    let rec go l =
-      if l = Array.length levels then 1
-      else begin
-        let lv = levels.(l) in
-        let total = ref 0 in
-        let try_value v =
-          env.(lv.pos) <- v;
-          if lv.check s env && realises ctx env lv then
-            total := !total + go (l + 1)
-        in
-        (* candidates: indexed body atoms when available; the parent's
-           (2r+1)-ball (required by δ) otherwise. When the body already
-           entails closeness to the parent, indexed candidates need no ball
-           filtering — and no ball is ever computed. *)
-        (match lv.seek with
-        | Some sk when lv.implied -> Local_eval.seek_iter sk s env try_value
-        | Some sk ->
-            let b = ball_of ctx env.(lv.parent) in
-            if Local_eval.seek_estimate sk env < ball_card b then
-              Local_eval.seek_iter sk s env (fun v ->
-                  if ball_mem b v then try_value v)
-            else ball_iter try_value b
-        | None -> ball_iter try_value (ball_of ctx env.(lv.parent)));
-        !total
-      end
-    in
-    env.(levels.(0).pos) <- anchor;
-    if levels.(0).check s env then go 1 else 0
+    place ctx plan 0 anchor
   end
 
 let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
@@ -389,8 +357,9 @@ let per_anchor ?(jobs = 1) ctx ~pattern ~vars ~body =
   let n = Foc_data.Structure.order ctx.structure in
   if jobs <= 1 then Array.init n (at ctx plan)
   else begin
-    (* the anchors are independent; the plan is immutable and shared, the
-       ball caches and evaluator scratch are per-domain clones *)
+    (* the anchors are independent; the plan is shared (its index memos
+       are idempotent on the prepared structure), the ball caches and
+       evaluator scratch are per-domain clones *)
     Foc_data.Structure.prepare ctx.structure;
     Foc_par.tabulate_ctx ~jobs ~label:"sweep.anchors"
       ~make_ctx:(fun () -> clone_ctx ctx)

@@ -16,6 +16,16 @@
     cache with second-chance eviction, so huge structures no longer retain
     O(n·ball) memory. Counts are bit-identical for every cache capacity.
 
+    The cache is a dense table ({!Ball_cache}): a ball array indexed by
+    centre, one state byte per centre (absent, resident, referenced) and
+    an int ring of the resident centres in insertion order, which the
+    evictor walks. The table is allocated when the context computes its
+    first ball, so a context whose sweeps only seek (every position
+    indexed) allocates none. Sweeping an anchor allocates nothing but the
+    balls it computes: the levels run as one top-level recursion, seek
+    candidates are read by index from the scratch's buffer stack, sorted
+    balls by index and bitset balls by {!Foc_util.Bitset.next}.
+
     [body] is compiled by {!Local_eval}, so its guarded quantifiers also
     stay inside balls. *)
 
@@ -38,7 +48,9 @@ type ctx
 val make_ctx :
   ?cache_bytes:int -> Pred.collection -> Foc_data.Structure.t -> r:int -> ctx
 
-(** Approximate bytes currently retained by the ball cache. *)
+(** Approximate bytes currently retained by the ball cache: the resident
+    balls (what eviction weighs against the capacity) plus the table
+    itself once allocated. *)
 val cache_resident_bytes : ctx -> int
 
 (** [rebind_ctx ctx a' ~drop] — re-point the context at an updated

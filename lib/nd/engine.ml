@@ -50,10 +50,10 @@ exception Outside_fragment of string
 
 (* The engine's counters live in a {!Foc_obs.Metrics} registry (one per
    engine); the [stats] record above is kept as a read-only view built on
-   demand, so existing callers keep working while new counters (and the
-   sweep-duration histogram) are picked up by [Metrics.line]/[report]
-   automatically. Handles are resolved once here — the increment path is a
-   plain int store, same cost as the old mutable record fields. *)
+   demand, so existing callers keep working while new counters are picked
+   up by [Metrics.line]/[report] automatically. Handles are resolved once
+   here — the increment path is a plain int store, same cost as the old
+   mutable record fields. *)
 type handles = {
   registry : Foc_obs.Metrics.t;
   materialised : Foc_obs.Metrics.Counter.t;
@@ -69,7 +69,7 @@ type handles = {
   ball_cache_peak_entries : Foc_obs.Metrics.Gauge.t;
   ball_cache_peak_bytes : Foc_obs.Metrics.Gauge.t;
   bfs_visited : Foc_obs.Metrics.Counter.t;
-  sweep_ns : Foc_obs.Metrics.Histogram.t;
+  trace_dropped : Foc_obs.Metrics.Gauge.t;
 }
 
 let make_handles () =
@@ -94,7 +94,7 @@ let make_handles () =
     ball_cache_peak_entries = g "ball.cache_peak_entries";
     ball_cache_peak_bytes = g "ball.cache_peak_bytes";
     bfs_visited = c "bfs.visited";
-    sweep_ns = Foc_obs.Metrics.histogram r "sweep.ns";
+    trace_dropped = g "trace.dropped_events";
   }
 
 (* Artifact injection points: a session layer (or the per-call memo
@@ -179,18 +179,6 @@ let fallback t what =
   Foc_obs.Metrics.Counter.inc t.m.fallbacks
 
 let cache_bytes t = t.cfg.ball_cache_mb * 1024 * 1024
-
-(* Basic-term sweep: span + duration histogram. The clock is read only when
-   a sink wants it; otherwise this is just [f ()]. *)
-let sweep t f =
-  if Foc_obs.timing_enabled () then begin
-    let t0 = Foc_obs.Clock.now_ns () in
-    let v = Foc_obs.span ~name:"sweep" f in
-    Foc_obs.Metrics.Histogram.observe t.m.sweep_ns
-      (Foc_obs.Clock.now_ns () - t0);
-    v
-  end
-  else f ()
 
 (* ---------------- cl-term evaluation back-ends ---------------- *)
 
@@ -293,10 +281,11 @@ let entry t f =
             t.art <- Some (default_artifacts t);
             Fun.protect ~finally:(fun () -> t.art <- None) f
       in
-      (match t.cfg.trace_file with
-      | Some path when Foc_obs.Trace.enabled () ->
-          Foc_obs.Trace.export_chrome path
-      | _ -> ());
+      if Foc_obs.Trace.enabled () then begin
+        Foc_obs.Metrics.Gauge.set t.m.trace_dropped
+          (Foc_obs.Trace.dropped_events ());
+        Option.iter Foc_obs.Trace.export_chrome t.cfg.trace_file
+      end;
       v)
 
 (* The one back-end match: each back-end supplies its basic-term sweep and
@@ -327,7 +316,7 @@ let eval_cl t a cl eval =
           Hanf_backend.sweep ~jobs ~cache_bytes
             ~classes_for:(hanf_classes_for t a) t.cfg.preds a
   in
-  sweep t (fun () -> eval (backend_sweep ()) cl)
+  Foc_obs.span ~name:"sweep" (fun () -> eval (backend_sweep ()) cl)
 
 let eval_cl_ground t a cl = eval_cl t a cl Clterm.eval_ground
 let eval_cl_unary t a cl = eval_cl t a cl Clterm.eval_unary

@@ -178,8 +178,9 @@ val metrics : t -> Foc_obs.Metrics.t
     for them), [engine.removals],
     [ball.computed], [ball.cache_hits], [ball.cache_evictions],
     [bfs.visited]; gauges [ball.cache_peak_entries],
-    [ball.cache_peak_bytes]; histogram [sweep.ns] (per-sweep wall time in
-    nanoseconds, fed only when {!Foc_obs.timing_enabled}). *)
+    [ball.cache_peak_bytes], [trace.dropped_events] (spans the trace ring
+    overwrote, {!Foc_obs.Trace.dropped_events}; set at the end of each
+    traced entry point). A basic-term sweep is timed by its [sweep] span. *)
 
 val stats_line : t -> string
 (** All metrics as one logfmt line ({!Foc_obs.Metrics.line}) — the shared

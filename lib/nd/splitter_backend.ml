@@ -169,11 +169,23 @@ and clusters env a ~rounds cover ks =
   Cover_term.sweep ~jobs:env.jobs a cover
     ~wanted:(Array.map2 (fun i j -> ks.(i).wanted.(j)) owner slot)
     (fun sub ~positions ~anchors ->
+      (* the indices into [positions] grouped by owner, owners ascending,
+         in one stable sort *)
       let runs =
-        List.map
-          (fun i -> (i, indices (fun p -> owner.(p) = i) positions))
-          (List.sort_uniq Int.compare
-             (Array.to_list (Array.map (fun p -> owner.(p)) positions)))
+        let own j = owner.(positions.(j)) in
+        let js = Array.init (Array.length positions) Fun.id in
+        Array.stable_sort (fun x y -> Int.compare (own x) (own y)) js;
+        let rec split lo acc =
+          if lo = Array.length js then List.rev acc
+          else begin
+            let hi = ref lo in
+            while !hi < Array.length js && own js.(!hi) = own js.(lo) do
+              incr hi
+            done;
+            split !hi ((own js.(lo), Array.sub js lo (!hi - lo)) :: acc)
+          end
+        in
+        split 0 []
       in
       List.iter2
         (fun (i, js) values ->

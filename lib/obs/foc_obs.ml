@@ -509,6 +509,8 @@ module Trace = struct
       !registry;
     Mutex.unlock reg_mutex
 
+  let dropped_name = "trace.dropped_events"
+
   let dropped_events () =
     Mutex.lock reg_mutex;
     let n = List.fold_left (fun acc b -> acc + b.dropped) 0 !registry in
@@ -571,8 +573,10 @@ module Trace = struct
 
   (* Chrome trace_event JSON: an array of complete ("ph":"X") events with
      microsecond timestamps relative to the first event — loadable in
-     chrome://tracing and Perfetto. *)
+     chrome://tracing and Perfetto — closed by a metadata ("ph":"M")
+     record of the dropped spans when the ring overwrote any. *)
   let export_chrome path =
+    let dropped = dropped_events () in
     let evs = events () in
     let epoch = match evs with [] -> 0 | e :: _ -> e.t0 in
     let buf = Buffer.create 4096 in
@@ -589,6 +593,12 @@ module Trace = struct
           (float_of_int (e.t1 - e.t0) /. 1e3)
           e.tid)
       evs;
+    if dropped > 0 then
+      Printf.bprintf buf
+        "%s\n  {\"name\": \"%s\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
+         \"args\": {\"dropped_events\": %d}}"
+        (if evs = [] then "" else ",")
+        dropped_name dropped;
     Buffer.add_string buf "\n]\n";
     let oc = open_out path in
     output_string oc (Buffer.contents buf);
@@ -679,13 +689,6 @@ module Trace = struct
 end
 
 (* ------------------------------------------------------------------ *)
-
-(* Timing sinks beyond tracing (duration histograms): enabled explicitly
-   (CLI --metrics) or implied by tracing. Checked before taking clock
-   readings on paths that run per cl-term. *)
-let timing = Atomic.make false
-let set_timing b = Atomic.set timing b
-let timing_enabled () = Atomic.get timing || Trace.enabled ()
 
 let span ~name f =
   if not (Trace.enabled ()) then f ()

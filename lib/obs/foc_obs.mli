@@ -187,7 +187,13 @@ module Trace : sig
   val export_chrome : string -> unit
   (** Write the events as Chrome [trace_event] JSON (an array of
       ["ph":"X"] complete events, µs timestamps relative to the first
-      event) — loadable in chrome://tracing and Perfetto. *)
+      event) — loadable in chrome://tracing and Perfetto. When the ring
+      dropped spans, the array ends with one metadata event
+      [{"name": "trace.dropped_events", "ph": "M", …, "args":
+      {"dropped_events": n}}] ({!dropped_name}). *)
+
+  val dropped_name : string
+  (** The name of the exported drop record. *)
 
   type totals = { spans : int; total_ns : int; self_ns : int }
 
@@ -207,12 +213,6 @@ val span : name:string -> (unit -> 'a) -> 'a
 (** [span ~name f] runs [f]; when tracing is enabled, records a nested
     span in the current domain's buffer (closed on exception too). When
     disabled this is just [f ()]. *)
-
-val set_timing : bool -> unit
-
-val timing_enabled : unit -> bool
-(** True when duration histograms should be fed ([set_timing true] or
-    tracing enabled). Check before taking clock readings on hot paths. *)
 
 module Scope : sig
   (** Request-scoped phase accounting: a cheap per-request context (id +

@@ -44,9 +44,19 @@ let cardinal s =
 
 let clear s = Bytes.fill s.words 0 (Bytes.length s.words) '\000'
 
+let rec next s i =
+  if i >= s.cap then s.cap
+  else
+    let b = Char.code (Bytes.unsafe_get s.words (i lsr 3)) lsr (i land 7) in
+    if b = 0 then next s ((i lor 7) + 1)
+    else if b land 1 = 1 then i
+    else next s (i + 1)
+
 let iter f s =
-  for i = 0 to s.cap - 1 do
-    if mem s i then f i
+  let i = ref (next s 0) in
+  while !i < s.cap do
+    f !i;
+    i := next s (!i + 1)
   done
 
 let to_list s =

@@ -27,6 +27,12 @@ val cardinal : t -> int
 (** Remove every element; O(capacity/64). *)
 val clear : t -> unit
 
+(** [next s i] is the least member [>= i], or [capacity s] when there is
+    none; [i >= 0]. Skips empty bytes whole and allocates nothing, so
+    [let v = ref (next s 0) in while !v < capacity s do … v := next s (!v + 1) done]
+    walks the members in increasing order. *)
+val next : t -> int -> int
+
 (** [iter f s] applies [f] to every member in increasing order. *)
 val iter : (int -> unit) -> t -> unit
 

@@ -75,6 +75,27 @@ let test_explain () =
   check_run "explain" "explain \"exists x. prime(#(y). (E(x,y) & B(y)))\""
     [ "plan:"; "localized" ]
 
+(* --stats reports the trace ring's drops, and trace-check refuses a file
+   that records any *)
+let test_trace_drops () =
+  let trace = Filename.temp_file "foc_cli_trace" ".json" in
+  check_run "traced count"
+    (Printf.sprintf "count -s %s --trace %s --stats \"#(x,y). E(x,y)\""
+       structure_file trace)
+    [ "118"; "trace.dropped_events=0" ];
+  check_run "trace-check" ("trace-check " ^ trace) [ "ok" ];
+  let oc = open_out trace in
+  output_string oc
+    "[{\"name\": \"trace.dropped_events\", \"ph\": \"M\", \"pid\": 1, \
+     \"tid\": 0, \"args\": {\"dropped_events\": 5}}]\n";
+  close_out oc;
+  let rc, out = run ("trace-check " ^ trace) in
+  Sys.remove trace;
+  Alcotest.(check bool) "trace-check fails on drops" true (rc <> 0);
+  Alcotest.(check bool)
+    ("trace-check names the drops: " ^ out)
+    true (contains out "5 spans dropped")
+
 let test_sql_pipeline () =
   check_run "gendb"
     (Printf.sprintf "gendb --customers 40 --orders 120 -o %s" db_file)
@@ -165,6 +186,7 @@ let () =
           Alcotest.test_case "check + stats" `Quick test_check_and_stats;
           Alcotest.test_case "query" `Quick test_query;
           Alcotest.test_case "explain" `Quick test_explain;
+          Alcotest.test_case "trace drops" `Quick test_trace_drops;
           Alcotest.test_case "gendb + sql" `Quick test_sql_pipeline;
           Alcotest.test_case "batch round-trip" `Quick test_batch;
           Alcotest.test_case "parse error exit" `Quick test_parse_error_exit;

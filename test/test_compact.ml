@@ -194,6 +194,122 @@ let iso_invariant_under_relabelling =
       Foc.Structure.isomorphic (Foc.Structure.of_graph g)
         (Foc.Structure.of_graph h))
 
+(* ---------------- ball cache vs a list-based model ---------------- *)
+
+(* What a sweep reads off its cache for a sequence of centre lookups: hits,
+   computed (inserted) values, evictions, peak entries and bytes. *)
+type cache_run = {
+  hits : int;
+  computed : int;
+  evictions : int;
+  peak_entries : int;
+  peak_bytes : int;
+}
+
+(* the reference: second chance over a list of (centre, referenced),
+   oldest first *)
+type model = { mutable q : (int * bool ref) list; mutable used : int }
+
+let model_lookups m ~capacity ~size centres =
+  let hits = ref 0 and computed = ref 0 and evictions = ref 0 in
+  let peak_entries = ref 0 and peak_bytes = ref 0 in
+  let rec evict () =
+    match m.q with
+    | (v, referenced) :: rest when m.used > capacity && rest <> [] ->
+        if !referenced then begin
+          referenced := false;
+          m.q <- rest @ [ (v, referenced) ]
+        end
+        else begin
+          m.q <- rest;
+          m.used <- m.used - size v;
+          incr evictions
+        end;
+        evict ()
+    | _ -> ()
+  in
+  List.iter
+    (fun v ->
+      match List.assoc_opt v m.q with
+      | Some referenced ->
+          referenced := true;
+          incr hits
+      | None ->
+          incr computed;
+          m.q <- m.q @ [ (v, ref false) ];
+          m.used <- m.used + size v;
+          peak_entries := max !peak_entries (List.length m.q);
+          peak_bytes := max !peak_bytes m.used;
+          evict ())
+    centres;
+  {
+    hits = !hits;
+    computed = !computed;
+    evictions = !evictions;
+    peak_entries = !peak_entries;
+    peak_bytes = !peak_bytes;
+  }
+
+(* the same lookups through [Ball_cache], as [Pattern_count] makes them;
+   the value of a centre is its size *)
+let table_lookups c ~size centres =
+  let module C = Foc_local.Ball_cache in
+  let hits = ref 0 and computed = ref 0 and evictions = ref 0 in
+  let peak_entries = ref 0 and peak_bytes = ref 0 in
+  List.iter
+    (fun v ->
+      if C.find c v <> -1 then incr hits
+      else begin
+        incr computed;
+        C.add c v (size v);
+        peak_entries := max !peak_entries (C.entries c);
+        peak_bytes := max !peak_bytes (C.bytes c);
+        evictions := !evictions + C.evict c
+      end)
+    centres;
+  {
+    hits = !hits;
+    computed = !computed;
+    evictions = !evictions;
+    peak_entries = !peak_entries;
+    peak_bytes = !peak_bytes;
+  }
+
+let ball_cache_matches_model =
+  QCheck.Test.make ~name:"ball cache = list-based second chance" ~count:300
+    QCheck.(
+      triple (int_range 1 40) (int_range 0 10000)
+        (oneofl [ 0; 1; 50; 200; 1_000_000 ]))
+    (fun (n, seed, capacity) ->
+      let module C = Foc_local.Ball_cache in
+      let rng = Random.State.make [| n; seed |] in
+      let weights = Array.init n (fun _ -> 1 + Random.State.int rng 60) in
+      let size v = weights.(v) in
+      (* centres drawn with repeats, a quarter of them one hot centre *)
+      let centres () =
+        List.init (Random.State.int rng 200) (fun _ ->
+            if Random.State.int rng 4 = 0 then 0 else Random.State.int rng n)
+      in
+      let first = centres () and second = centres () in
+      let keep = Array.init n (fun _ -> Random.State.bool rng) in
+      let c = C.create ~order:n ~capacity ~dummy:(-1) ~size:Fun.id in
+      let m = { q = []; used = 0 } in
+      let lazy_table = C.footprint c = 0 in
+      let run1 = model_lookups m ~capacity ~size first = table_lookups c ~size first in
+      (* dropping residents keeps the others in order and state, so the
+         lookups after it see the same cache on both sides *)
+      let kept = List.filter (fun (v, _) -> keep.(v)) m.q in
+      let dropped = List.length m.q - List.length kept in
+      m.q <- kept;
+      m.used <- List.fold_left (fun acc (v, _) -> acc + size v) 0 kept;
+      let filtered = C.filter c (fun v -> keep.(v)) = dropped in
+      let run2 =
+        model_lookups m ~capacity ~size second = table_lookups c ~size second
+      in
+      lazy_table && run1 && filtered && run2
+      && C.entries c = List.length m.q
+      && C.bytes c = m.used)
+
 let () =
   Alcotest.run "compact ball engine"
     [
@@ -217,6 +333,7 @@ let () =
                "hanf: counts identical for cache 0/64MB, jobs 1/4");
           Alcotest.test_case "0 MiB cache really evicts" `Quick
             test_eviction_happens;
+          QCheck_alcotest.to_alcotest ball_cache_matches_model;
         ] );
       ( "isomorphism pre-checks",
         [

@@ -397,6 +397,92 @@ let test_split_semantics () =
           done)
     cases
 
+(* ---------------- atoms from the incidence index ---------------- *)
+
+module Structure = Foc_data.Structure
+
+let atom_sign = Foc_data.Signature.of_list [ ("U", 1); ("E", 2); ("T", 3) ]
+
+(* a random structure over [atom_sign] with loops E(v,v) and a hub 0,
+   whose incidence row (at least 2n - 1 rows) is the longer one in every
+   binary test that involves it *)
+let atom_structure rng n =
+  let v () = Random.State.int rng n in
+  let some p f =
+    List.filter_map
+      (fun x -> if Random.State.float rng 1.0 < p then Some (f x) else None)
+      (List.init n Fun.id)
+  in
+  Structure.create atom_sign ~order:n
+    [
+      ("U", some 0.4 (fun x -> [| x |]));
+      ( "E",
+        List.init (2 * n) (fun _ -> [| v (); v () |])
+        @ some 0.3 (fun x -> [| x; x |])
+        @ List.concat_map (fun x -> [ [| 0; x |]; [| x; 0 |] ]) (List.init n Fun.id) );
+      ("T", List.init (2 * n) (fun _ -> [| v (); v (); v () |]));
+    ]
+
+(* the structure, and structures derived from it whose relations are
+   fresh: an expansion, an induced substructure, and updates *)
+let derived rng a =
+  let n = Structure.order a in
+  let pairs k =
+    List.init k (fun _ -> [| Random.State.int rng n; Random.State.int rng n |])
+  in
+  let members =
+    List.filter (fun x -> x = 0 || Random.State.bool rng) (List.init n Fun.id)
+  in
+  [
+    a;
+    Structure.expand a [ ("F", 2, pairs n @ [ [| 1; 1 |] ]) ];
+    fst (Structure.induced a members);
+    Structure.add_tuples (Structure.add_tuples a "E" (pairs n)) "U" [ [| 0 |] ];
+    Structure.remove_tuples a "E"
+      (List.filteri (fun i _ -> i mod 2 = 0)
+         (Foc_data.Tuple.Set.elements (Structure.rel a "E")));
+  ]
+
+let atoms =
+  [ "U(x)"; "E(x,y)"; "E(y,x)"; "E(x,x)"; "E(x,z)"; "T(x,y,z)"; "T(x,x,y)"; "F(x,y)" ]
+
+let prop_atom_incidence =
+  QCheck.Test.make ~name:"compiled atom = Tuple.Set.mem, arities 1-3"
+    ~count:60
+    QCheck.(pair (int_range 2 24) (int_range 0 10000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| n; seed |] in
+      List.for_all
+        (fun b ->
+          let m = Structure.order b in
+          List.for_all
+            (fun src ->
+              let phi = parse src in
+              match phi with
+              | Rel (r, args) when Foc_data.Signature.mem (Structure.signature b) r ->
+                  let f = Local_eval.compile preds b ~vars:[ "x"; "y"; "z" ] phi in
+                  let s = Local_eval.scratch b in
+                  let env = Array.make (Local_eval.width f) 0 in
+                  let ok = ref true in
+                  for x = 0 to m - 1 do
+                    for y = 0 to m - 1 do
+                      let z = Random.State.int rng m in
+                      let value = function "x" -> x | "y" -> y | _ -> z in
+                      env.(0) <- x;
+                      env.(1) <- y;
+                      env.(2) <- z;
+                      let expected =
+                        Foc_data.Tuple.Set.mem (Array.map value args)
+                          (Structure.rel b r)
+                      in
+                      if Local_eval.holds f s env <> expected then ok := false
+                    done
+                  done;
+                  !ok
+              | _ -> true)
+            atoms)
+        (derived rng (atom_structure rng n)))
+
 (* ---------------- pattern counting ---------------- *)
 
 let test_pattern_count_edges () =
@@ -426,6 +512,53 @@ let test_pattern_count_edges () =
         (Pattern_count.per_anchor ctx
            ~pattern:(Foc_graph.Pattern.make 2 [])
            ~vars:[ "u"; "v" ] ~body:Ast.True))
+
+(* A sweep allocates nothing per anchor: the minor words of a whole
+   [per_anchor] (plan compilation included) stay below the anchor count. *)
+let test_sweep_allocation () =
+  let n = 2000 in
+  let rng = Random.State.make [| 59 |] in
+  let a =
+    Foc_data.Db_gen.colored_digraph rng
+      ~graph:(Foc_graph.Gen.random_tree rng n)
+      ~orient:`Both ~p_red:0.3 ~p_blue:0.4 ~p_green:0.3
+  in
+  Structure.prepare a;
+  let pin name pattern vars body =
+    let ctx = Pattern_count.make_ctx preds a ~r:1 in
+    let before = Gc.minor_words () in
+    let per = Pattern_count.per_anchor ctx ~pattern ~vars ~body:(parse body) in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int)
+      (name ^ " count")
+      (Foc_eval.Relalg.count preds a vars (parse body))
+      (Array.fold_left ( + ) 0 per);
+    if words >= float_of_int n then
+      Alcotest.failf "%s: %.0f minor words for %d anchors" name words n
+  in
+  pin "R(x)" (Foc_graph.Pattern.make 1 []) [ "x" ] "R(x)";
+  pin "E(x,y) & B(y)"
+    (Foc_graph.Pattern.make 2 [ (0, 1) ])
+    [ "x"; "y" ] "E(x,y) & B(y)";
+  (* y from its parent's ball: on bd-8 every 3-ball is stored as a bitset;
+     the second sweep finds every ball cached, so it computes none *)
+  let a =
+    Foc_data.Db_gen.colored_digraph rng
+      ~graph:(Foc_graph.Gen.random_bounded_degree rng n 8)
+      ~orient:`Both ~p_red:0.3 ~p_blue:0.4 ~p_green:0.3
+  in
+  Structure.prepare a;
+  let ctx = Pattern_count.make_ctx preds a ~r:1 in
+  let pattern = Foc_graph.Pattern.make 2 [ (0, 1) ] and vars = [ "x"; "y" ] in
+  let body = parse "B(y)" in
+  let first = Pattern_count.per_anchor ctx ~pattern ~vars ~body in
+  let before = Gc.minor_words () in
+  let again = Pattern_count.per_anchor ctx ~pattern ~vars ~body in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (array int)) "bitset balls: same counts" first again;
+  Alcotest.(check bool) "bitset balls: some y" true (Array.exists (fun c -> c > 0) again);
+  if words >= float_of_int n then
+    Alcotest.failf "bitset balls: %.0f minor words for %d anchors" words n
 
 let test_pattern_count_sentence () =
   let rng = Random.State.make [| 41 |] in
@@ -566,6 +699,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_compiled_formula;
           QCheck_alcotest.to_alcotest prop_compiled_term;
           QCheck_alcotest.to_alcotest prop_pattern_count_pushdown;
+          QCheck_alcotest.to_alcotest prop_atom_incidence;
         ] );
       ( "split",
         [
@@ -576,6 +710,8 @@ let () =
         [
           Alcotest.test_case "edges" `Quick test_pattern_count_edges;
           Alcotest.test_case "sentences" `Quick test_pattern_count_sentence;
+          Alcotest.test_case "a sweep allocates nothing per anchor" `Quick
+            test_sweep_allocation;
         ] );
       ( "decompose",
         [

@@ -18,7 +18,6 @@ let engine backend jobs =
 let obs_off () =
   Foc.Obs.Trace.disable ();
   Foc.Obs.Trace.clear ();
-  Foc.Obs.set_timing false;
   Foc.Obs.Trace.set_logfmt_sink None
 
 (* ---------------- logfmt ---------------- *)
@@ -284,8 +283,17 @@ let test_trace_ring_cap () =
       Sys.remove path;
       (match Foc.Obs.Json.parse s with
       | Ok (Foc.Obs.Json.List l) ->
-          Alcotest.(check int) "export matches ring contents" 8
-            (List.length l)
+          (* the ring's 8 spans, then the record of the 92 it dropped *)
+          Alcotest.(check int) "export matches ring contents" 9
+            (List.length l);
+          let last = List.nth l 8 in
+          Alcotest.(check bool) "export records the drops" true
+            (Foc.Obs.Json.member "name" last
+             = Some (Foc.Obs.Json.Str Foc.Obs.Trace.dropped_name)
+            && Option.bind
+                 (Foc.Obs.Json.member "args" last)
+                 (Foc.Obs.Json.member "dropped_events")
+               = Some (Foc.Obs.Json.Num 92.))
       | Ok _ -> Alcotest.fail "wrapped export is not an array"
       | Error e -> Alcotest.failf "wrapped export does not parse: %s" e);
       (* clear resets the drop counter too *)
@@ -498,7 +506,6 @@ let prop_invariant backend name =
         obs_off ();
         let off = run jobs in
         Foc.Obs.Trace.enable ();
-        Foc.Obs.set_timing true;
         (* an installed ambient request scope must also be invisible to
            the answers — this is the path [foc serve] runs on *)
         let on =

@@ -31,6 +31,24 @@ let test_bitset_bounds () =
   Alcotest.check_raises "add out of range" (Invalid_argument "Bitset.add: out of range")
     (fun () -> Bitset.add s 8)
 
+(* [next] from every start = the least member at or above it *)
+let bitset_next =
+  QCheck.Test.make ~name:"bitset next = least member >= i" ~count:200
+    QCheck.(pair (int_range 0 200) (list small_nat))
+    (fun (n, xs) ->
+      let xs = List.filter (fun x -> x < n) xs in
+      let s = Bitset.of_list n xs in
+      let ok = ref true in
+      for i = 0 to n + 8 do
+        let want =
+          List.fold_left (fun m x -> if x >= i && x < m then x else m) n xs
+        in
+        if Bitset.next s i <> want then ok := false
+      done;
+      let seen = ref [] in
+      Bitset.iter (fun v -> seen := v :: !seen) s;
+      !ok && List.rev !seen = List.sort_uniq compare xs)
+
 let test_subsets () =
   Alcotest.(check int) "2^4 subsets" 16 (List.length (Combi.subsets [ 1; 2; 3; 4 ]));
   Alcotest.(check (list (list int))) "subsets of []" [ [] ] (Combi.subsets []);
@@ -135,6 +153,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_bitset_basics;
           Alcotest.test_case "subset/equal" `Quick test_bitset_subset;
           Alcotest.test_case "bounds" `Quick test_bitset_bounds;
+          QCheck_alcotest.to_alcotest bitset_next;
         ] );
       ( "combi",
         [
