@@ -32,17 +32,24 @@ let merge = ref false
 let time f = Foc.Obs.Clock.timed f
 let time_only f = snd (time f)
 
-(* the median wall time of [runs] runs of [f], with the last run's result;
-   each run starts from a collected heap, so none pays for garbage an
-   earlier one left *)
-let median_time runs f =
-  let results =
-    List.init runs (fun _ ->
-        Gc.full_major ();
-        time f)
+(* [f] and [g] timed in [runs] alternating pairs, so both read the same
+   machine state; each run starts from a collected heap, so none pays for
+   garbage an earlier one left. The median wall time of each, with [g]'s
+   last result. *)
+let median_pairs runs f g =
+  let timed h =
+    Gc.full_major ();
+    time h
   in
-  let sorted = List.sort compare (List.map snd results) in
-  (fst (List.nth results (runs - 1)), List.nth sorted (runs / 2))
+  let pairs =
+    List.init runs (fun _ ->
+        let _, tf = timed f in
+        (tf, timed g))
+  in
+  let median ts = List.nth (List.sort compare ts) (runs / 2) in
+  ( fst (snd (List.nth pairs (runs - 1))),
+    median (List.map fst pairs),
+    median (List.map (fun (_, (_, tg)) -> tg) pairs) )
 
 (* ---- machine-readable timings (--json FILE) ---- *)
 
@@ -1877,17 +1884,13 @@ let e18 () =
       let dir = Filename.temp_file "foc_e18" ".store" in
       Sys.remove dir;
       (* the cold-rebuild baseline: a fresh session building every
-         base-structure artifact the snapshot will carry. Rebuild and load
-         are each the median of five runs from a collected heap, so a
-         collection the rebuild's garbage left behind cannot decide the
-         gate *)
-      let sess, rebuild_s =
-        median_time 5 (fun () ->
-            let s = Foc.Session.create ~config a in
-            Foc.Session.prewarm ~radii s;
-            s)
+         base-structure artifact the snapshot will carry *)
+      let rebuild () =
+        let s = Foc.Session.create ~config a in
+        Foc.Session.prewarm ~radii s;
+        s
       in
-      ignore (Foc.Session.save sess ~dir ~version:0);
+      ignore (Foc.Session.save (rebuild ()) ~dir ~version:0);
       let load () =
         match Foc.Session.load ~config ~dir () with
         | Ok l -> l
@@ -1895,7 +1898,9 @@ let e18 () =
             note (Printf.sprintf "n=%d: load failed: %s" n e) false;
             exit 1
       in
-      let loaded, load_s = median_time 5 load in
+      (* rebuild and load alternate over five pairs, so a slow stretch of
+         the machine cannot land on one side only and decide the gate *)
+      let loaded, rebuild_s, load_s = median_pairs 5 rebuild load in
       note
         (Printf.sprintf "n=%d: clean snapshot load" n)
         (loaded.Foc.Session.snapshot_version = 0

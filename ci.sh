@@ -253,6 +253,26 @@ grep -q 'session.compiled_hits=2' /tmp/ci_batch_out.txt || {
   echo "ci: warm batch reported no compiled hits"
   exit 1
 }
+# The same round trip on a parallel Cover batch: its workers memoise their
+# own misses and the session adopts them after the join, so repeating the
+# batch builds no further cover.
+batch_covers() {
+  dune exec bin/foc_cli.exe -- batch -s /tmp/ci_tree.foc -e cover --jobs 2 \
+    --repeat "$1" --stats /tmp/ci_batch.txt > /tmp/ci_batch_cover_out.txt
+  got=$(grep -E '^(true|false)$' /tmp/ci_batch_cover_out.txt | tr '\n' ' ')
+  [ "$got" = "$a $b " ] || {
+    echo "ci: cover batch round-trip mismatch: got '$got' want '$a $b'" >&2
+    exit 1
+  }
+  tr ' ' '\n' < /tmp/ci_batch_cover_out.txt \
+    | awk -F= '$1 == "engine.covers_built" { print $2 }'
+}
+covers1=$(batch_covers 1)
+covers3=$(batch_covers 3)
+[ -n "$covers1" ] && [ "$covers1" = "$covers3" ] || {
+  echo "ci: a repeated cover batch built covers: x1=$covers1 x3=$covers3"
+  exit 1
+}
 # serve/call round-trip: daemon on a unix socket, queried over the wire.
 # The binary is built above; run it directly so the daemon is a plain
 # background process we can wait on.

@@ -89,8 +89,9 @@ module Hanf = Foc_bd.Hanf
 module Classes = Foc_nd.Classes
 module Incremental = Foc_nd.Incremental
 module Plan = Foc_nd.Plan
+module Artifact_store = Foc_nd.Artifact_store
+module Budget_cache = Foc_nd.Budget_cache
 module Session = Foc_serve.Session
-module Budget_cache = Foc_serve.Budget_cache
 
 (* persistent prepared-structure store *)
 module Store = Foc_store.Store

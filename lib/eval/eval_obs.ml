@@ -140,20 +140,13 @@ let rows_built () = M.Counter.value !cur.rows_built
 let joins () = M.Counter.value !cur.joins
 let join_build_rows () = M.Counter.value !cur.join_build_rows
 let join_probe_rows () = M.Counter.value !cur.join_probe_rows
-let semijoins () = M.Counter.value !cur.semijoins
 let antijoins () = M.Counter.value !cur.antijoins
 let complements () = M.Counter.value !cur.complements
-let complement_rows () = M.Counter.value !cur.complement_rows
 let complements_avoided () = M.Counter.value !cur.complements_avoided
-let selections_pushed () = M.Counter.value !cur.selections_pushed
 let divisions () = M.Counter.value !cur.divisions
 let est_rows () = M.Counter.value !cur.est_rows
 let actual_rows () = M.Counter.value !cur.actual_rows
 let replans () = M.Counter.value !cur.replans
-let cursors_opened () = M.Counter.value !cur.cursors_opened
-let enum_rows () = M.Counter.value !cur.enum_rows
-let enum_delay_quantile q = M.Histogram.quantile !cur.enum_delay q
-let enum_ttfr_quantile q = M.Histogram.quantile !cur.enum_ttfr q
 let err_max_x100 () = M.Gauge.value !cur.err_max_x100
 let plan_seq () = with_ring (fun s -> s.pseq)
 
@@ -164,4 +157,3 @@ let plans_since seq =
 let registry () = !cur.registry
 let peak_table_bytes () = M.Gauge.value !cur.peak_table_bytes
 let line () = M.line !cur.registry
-let report () = M.report !cur.registry

@@ -87,7 +87,6 @@ val join_build_rows : unit -> int
 (** [join.probe_rows]: rows of the driving (left) operand of every
     {!Table.join}, {!Table.semijoin} and {!Table.antijoin}. *)
 val join_probe_rows : unit -> int
-val semijoins : unit -> int
 val antijoins : unit -> int
 
 (** Number of full [n^k] complement materialisations (the top-level escape
@@ -95,13 +94,8 @@ val antijoins : unit -> int
     context. *)
 val complements : unit -> int
 
-val complement_rows : unit -> int
-
 (** Negations compiled into anti-joins instead of complements. *)
 val complements_avoided : unit -> int
-
-(** [Eq] atoms applied as selections/column-copies instead of joins. *)
-val selections_pushed : unit -> int
 
 (** [Forall] quantifiers compiled as group-count division. *)
 val divisions : unit -> int
@@ -116,17 +110,6 @@ val actual_rows : unit -> int
 (** Conjunctions re-planned with observed selectivities (the adaptive
     feedback loop). *)
 val replans : unit -> int
-
-(** Cursors opened / rows yielded by {!Enum} since {!reset}. *)
-val cursors_opened : unit -> int
-
-val enum_rows : unit -> int
-
-(** Quantiles of the [enum.delay.ns] / [enum.ttfr.ns] histograms (see
-    {!Foc_obs.Metrics.Histogram.quantile}; [0.] when empty). *)
-val enum_delay_quantile : float -> float
-
-val enum_ttfr_quantile : float -> float
 
 (** Peak per-plan worst-step estimation error ratio, ×100. *)
 val err_max_x100 : unit -> int
@@ -155,5 +138,3 @@ val peak_table_bytes : unit -> int
 
 (** All counters as one logfmt line (keys sorted). *)
 val line : unit -> string
-
-val report : unit -> string list

@@ -49,277 +49,41 @@ type stats = {
 exception Outside_fragment of string
 
 (* The engine's counters live in a {!Foc_obs.Metrics} registry (one per
-   engine); the [stats] record above is kept as a read-only view built on
-   demand, so existing callers keep working while new counters are picked
-   up by [Metrics.line]/[report] automatically. Handles are resolved once
-   here — the increment path is a plain int store, same cost as the old
-   mutable record fields. *)
+   engine); the [stats] record above is a read-only view built on demand.
+   The engine resolves the handles it increments itself once; what other
+   layers record by name into the registry in scope — the artifact
+   builders, the splitter recursion, ball contexts, Hanf refinement — is
+   registered here so that it reads 0 rather than goes missing before
+   its first record. *)
 type handles = {
   registry : Foc_obs.Metrics.t;
   materialised : Foc_obs.Metrics.Counter.t;
   clterms_built : Foc_obs.Metrics.Counter.t;
   basic_terms : Foc_obs.Metrics.Counter.t;
   fallbacks : Foc_obs.Metrics.Counter.t;
-  covers_built : Foc_obs.Metrics.Counter.t;
-  hanf_partitions_built : Foc_obs.Metrics.Counter.t;
-  removals : Foc_obs.Metrics.Counter.t;
-  balls_computed : Foc_obs.Metrics.Counter.t;
-  ball_cache_hits : Foc_obs.Metrics.Counter.t;
-  ball_cache_evictions : Foc_obs.Metrics.Counter.t;
-  ball_cache_peak_entries : Foc_obs.Metrics.Gauge.t;
-  ball_cache_peak_bytes : Foc_obs.Metrics.Gauge.t;
-  bfs_visited : Foc_obs.Metrics.Counter.t;
   trace_dropped : Foc_obs.Metrics.Gauge.t;
 }
 
 let make_handles () =
   let r = Foc_obs.Metrics.create () in
   let c = Foc_obs.Metrics.counter r and g = Foc_obs.Metrics.gauge r in
-  (* recorded by [Foc_bd.Hanf.classes]; registered here so that they read
-     0 rather than go missing before the first partition *)
-  ignore (c "hanf.elements" : Foc_obs.Metrics.Counter.t);
-  ignore (c "hanf.canonicalised" : Foc_obs.Metrics.Counter.t);
+  List.iter
+    (fun name -> ignore (c name : Foc_obs.Metrics.Counter.t))
+    [ "engine.covers_built"; "engine.hanf_partitions_built";
+      "engine.removals"; "ball.computed"; "ball.cache_hits";
+      "ball.cache_evictions"; "bfs.visited"; "hanf.elements";
+      "hanf.canonicalised" ];
+  List.iter
+    (fun name -> ignore (g name : Foc_obs.Metrics.Gauge.t))
+    [ "ball.cache_peak_entries"; "ball.cache_peak_bytes" ];
   {
     registry = r;
     materialised = c "engine.materialised";
     clterms_built = c "engine.clterms_built";
     basic_terms = c "engine.basic_terms";
     fallbacks = c "engine.fallbacks";
-    covers_built = c "engine.covers_built";
-    hanf_partitions_built = c "engine.hanf_partitions_built";
-    removals = c "engine.removals";
-    balls_computed = c "ball.computed";
-    ball_cache_hits = c "ball.cache_hits";
-    ball_cache_evictions = c "ball.cache_evictions";
-    ball_cache_peak_entries = g "ball.cache_peak_entries";
-    ball_cache_peak_bytes = g "ball.cache_peak_bytes";
-    bfs_visited = c "bfs.visited";
     trace_dropped = g "trace.dropped_events";
   }
-
-(* Artifact injection points: a session layer (or the per-call memo
-   installed by default, see [entry]) supplies expensive
-   per-structure artifacts — neighbourhood covers, ball-cache contexts,
-   Hanf class partitions — instead of the engine rebuilding them at every
-   cl-term call site. All three artifacts are result-neutral: covers and
-   class partitions are deterministic functions of the structure, and ball
-   caches only trade memory for time. *)
-type artifacts = {
-  art_cover : Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t;
-  art_ctx : Foc_data.Structure.t -> r:int -> Pattern_count.ctx;
-  art_hanf : Foc_data.Structure.t -> tr:int -> (string * int list) list;
-  art_stats : (Foc_data.Structure.t -> Foc_stats.Stats.t) option;
-}
-
-type t = {
-  cfg : config;
-  m : handles;
-  mutable fresh : int;
-  mutable art : artifacts option;
-  mutable rctx : Foc_eval.Relalg.ctx option;
-}
-
-let create ?(config = default_config) () =
-  (match config.trace_file with
-  | Some _ -> Foc_obs.Trace.enable ()
-  | None -> ());
-  { cfg = config; m = make_handles (); fresh = 0; art = None; rctx = None }
-
-let fork t =
-  { t with cfg = { t.cfg with trace_file = None }; fresh = 0; art = None;
-    rctx = None }
-
-(* The planning context handed to every baseline fallback, made on first
-   use. Statistics resolve through the [art_stats] hook when a session
-   installed one; otherwise the ctx collects and memoises its own. *)
-let relalg_ctx t =
-  match t.rctx with
-  | Some c -> c
-  | None ->
-      let stats_for = Option.bind t.art (fun art -> art.art_stats) in
-      let c = Foc_eval.Relalg.make_ctx ?stats_for () in
-      t.rctx <- Some c;
-      c
-
-(* hooks are installed before the first evaluation; a new set of hooks
-   gets a ctx that reads its statistics through them *)
-let set_artifacts t art =
-  t.art <- art;
-  t.rctx <- None
-
-let stats t =
-  let cv = Foc_obs.Metrics.Counter.value
-  and gv = Foc_obs.Metrics.Gauge.value in
-  {
-    materialised = cv t.m.materialised;
-    clterms_built = cv t.m.clterms_built;
-    basic_terms = cv t.m.basic_terms;
-    fallbacks = cv t.m.fallbacks;
-    covers_built = cv t.m.covers_built;
-    removals = cv t.m.removals;
-    balls_computed = cv t.m.balls_computed;
-    ball_cache_hits = cv t.m.ball_cache_hits;
-    ball_cache_evictions = cv t.m.ball_cache_evictions;
-    ball_cache_peak_entries = gv t.m.ball_cache_peak_entries;
-    ball_cache_peak_bytes = gv t.m.ball_cache_peak_bytes;
-    bfs_visited = cv t.m.bfs_visited;
-  }
-
-let metrics t = t.m.registry
-let stats_line t = Foc_obs.Metrics.line t.m.registry
-let config t = t.cfg
-
-let fresh_rel t =
-  t.fresh <- t.fresh + 1;
-  Printf.sprintf "$P%d" t.fresh
-
-let fallback t what =
-  if not t.cfg.allow_fallback then raise (Outside_fragment what);
-  Foc_obs.Log.info (fun () -> "engine: fallback to baseline: " ^ what);
-  Foc_obs.Metrics.Counter.inc t.m.fallbacks
-
-let cache_bytes t = t.cfg.ball_cache_mb * 1024 * 1024
-
-(* ---------------- cl-term evaluation back-ends ---------------- *)
-
-(* the context radius only matters through the 2r+1 threshold of basic
-   terms; all basics produced by one decomposition share it *)
-let cl_radius cl =
-  List.fold_left (fun r b -> max r b.Clterm.radius) 0 (Clterm.basics cl)
-
-let count_cl t cl =
-  Foc_obs.Metrics.Counter.inc t.m.clterms_built;
-  Foc_obs.Metrics.Counter.add t.m.basic_terms (Clterm.basic_count cl)
-
-(* raw builders: [engine.covers_built] and [engine.hanf_partitions_built]
-   count *actual* constructions, so artifact-cache hit rates are visible
-   as the gap between call sites reached and artifacts built *)
-let make_cover t a ~rc =
-  let cover =
-    Foc_obs.span ~name:"cover" (fun () ->
-        Foc_graph.Cover.make (Structure.gaifman a) ~r:rc)
-  in
-  Foc_obs.Metrics.Counter.inc t.m.covers_built;
-  cover
-
-let make_hanf_classes t a ~tr =
-  let cls =
-    Foc_obs.Metrics.with_current t.m.registry (fun () ->
-        Foc_bd.Hanf.classes ~jobs:t.cfg.jobs a ~r:tr)
-  in
-  Foc_obs.Metrics.Counter.inc t.m.hanf_partitions_built;
-  cls
-
-let make_pattern_ctx t a ~r =
-  Foc_obs.Metrics.with_current t.m.registry (fun () ->
-      Pattern_count.make_ctx ~cache_bytes:(cache_bytes t) t.cfg.preds a ~r)
-
-let cover_for t a ~rc =
-  match t.art with
-  | Some art -> art.art_cover a ~rc
-  | None -> make_cover t a ~rc
-
-let ctx_for t a ~r =
-  match t.art with
-  | Some art -> art.art_ctx a ~r
-  | None -> make_pattern_ctx t a ~r
-
-let hanf_classes_for t a ~r =
-  match t.art with
-  | Some art -> art.art_hanf a ~tr:r
-  | None -> make_hanf_classes t a ~tr:r
-
-(* Per-call artifact memo, installed around every public entry point when
-   no session supplied its own artifacts: covers are keyed by (Gaifman
-   graph, radius) — by *physical* graph identity, so the stratification
-   strata (which share the graph, see {!Foc_data.Structure.expand}) share
-   covers too — and contexts and Hanf partitions by (structure, radius).
-   This in particular deduplicates the cover the Direct and Cover paths
-   used to rebuild at both cl-term call sites of a single evaluation, and
-   the Hanf partition each basic term of one type radius used to rebuild. *)
-let default_artifacts t =
-  let covers = ref [] and ctxs = ref [] and hanfs = ref [] in
-  let tbl_for cell key =
-    match List.assq_opt key !cell with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 4 in
-        cell := (key, tbl) :: !cell;
-        tbl
-  in
-  let memo tbl key build =
-    match Hashtbl.find_opt tbl key with
-    | Some v -> v
-    | None ->
-        let v = build () in
-        Hashtbl.add tbl key v;
-        v
-  in
-  {
-    art_cover =
-      (fun a ~rc ->
-        memo (tbl_for covers (Structure.gaifman a)) rc (fun () ->
-            make_cover t a ~rc));
-    art_ctx =
-      (fun a ~r -> memo (tbl_for ctxs a) r (fun () -> make_pattern_ctx t a ~r));
-    art_hanf =
-      (fun a ~tr ->
-        memo (tbl_for hanfs a) tr (fun () -> make_hanf_classes t a ~tr));
-    art_stats = None;
-  }
-
-(* Every public entry point runs under [entry]. It also puts the engine's
-   registry in scope, so the ball contexts and the splitter recursion below
-   record into it directly — on worker domains too, since {!Foc_par} tasks
-   inherit it — and exports the trace when a trace file is configured. *)
-let entry t f =
-  Foc_obs.Metrics.with_current t.m.registry (fun () ->
-      let v =
-        match t.art with
-        | Some _ -> f () (* a session or an enclosing entry point provides them *)
-        | None ->
-            t.art <- Some (default_artifacts t);
-            Fun.protect ~finally:(fun () -> t.art <- None) f
-      in
-      if Foc_obs.Trace.enabled () then begin
-        Foc_obs.Metrics.Gauge.set t.m.trace_dropped
-          (Foc_obs.Trace.dropped_events ());
-        Option.iter Foc_obs.Trace.export_chrome t.cfg.trace_file
-      end;
-      v)
-
-(* The one back-end match: each back-end supplies its basic-term sweep and
-   {!Clterm} evaluates the polynomial. Covers are built (or fetched) ahead
-   of the sweep span, so the [cover] phase stays separate from [sweep]. A
-   cl-term of width 0 has only sentence leaves, which {!Clterm} decides
-   itself: no back-end artifact is built for it. *)
-let eval_cl t a cl eval =
-  count_cl t cl;
-  let jobs = t.cfg.jobs and cache_bytes = cache_bytes t in
-  let backend_sweep =
-    match t.cfg.backend with
-    | _ when Clterm.width cl = 0 ->
-        fun () ->
-          Clterm.sweep t.cfg.preds a (fun _ ->
-              invalid_arg "Engine: no basic term of width >= 1")
-    | Direct -> fun () -> Clterm.direct ~jobs (ctx_for t a ~r:(cl_radius cl))
-    | Cover ->
-        let cover = cover_for t a ~rc:(Cover_term.required_cover_radius cl) in
-        fun () ->
-          Cover_term.pattern_sweep ~jobs ~cache_bytes t.cfg.preds a cover cl
-    | Splitter { max_rounds; small } ->
-        fun () ->
-          Splitter_backend.sweep ~jobs ~cover_for:(cover_for t a) t.cfg.preds
-            a ~max_rounds ~small cl
-    | Hanf ->
-        fun () ->
-          Hanf_backend.sweep ~jobs ~cache_bytes
-            ~classes_for:(hanf_classes_for t a) t.cfg.preds a
-  in
-  Foc_obs.span ~name:"sweep" (fun () -> eval (backend_sweep ()) cl)
-
-let eval_cl_ground t a cl = eval_cl t a cl Clterm.eval_ground
-let eval_cl_unary t a cl = eval_cl t a cl Clterm.eval_unary
 
 (* ---------------- the compiled tree ---------------- *)
 
@@ -362,6 +126,172 @@ type body =
   | Unary of (step list * kernel)
   | Wide
 type query = { body : body; heads : term option list }
+
+(* A compiled sentence is its shell over the structure its steps
+   expanded: immutable, and valid as long as the structure it was compiled
+   against (and, for graph-radius artifacts, its Gaifman graph) is
+   semantically unchanged — the session layer tracks that invalidation. *)
+type compiled = { expanded : Structure.t; root : shell }
+
+(* [store] is where every artifact comes from: a session's or a worker's
+   store the engine keeps, or — on a plain engine — the store [entry]
+   opens for the duration of one call. *)
+type t = {
+  cfg : config;
+  m : handles;
+  mutable fresh : int;
+  mutable store : compiled Artifact_store.t option;
+  mutable rctx : Foc_eval.Relalg.ctx option;
+}
+
+let cache_bytes cfg = cfg.ball_cache_mb * 1024 * 1024
+
+let new_store ?budget_mb cfg m =
+  Artifact_store.create ?budget_mb ~registry:m.registry ~preds:cfg.preds
+    ~jobs:cfg.jobs ~cache_bytes:(cache_bytes cfg) ()
+
+let create ?(config = default_config) ?budget_mb () =
+  (match config.trace_file with
+  | Some _ -> Foc_obs.Trace.enable ()
+  | None -> ());
+  let m = make_handles () in
+  let store =
+    Option.map (fun mb -> new_store ~budget_mb:mb config m) budget_mb
+  in
+  { cfg = config; m; fresh = 0; store; rctx = None }
+
+let fork t =
+  {
+    t with
+    cfg = { t.cfg with trace_file = None };
+    fresh = 0;
+    store = Option.map Artifact_store.fork t.store;
+    rctx = None;
+  }
+
+let store t = t.store
+
+(* the store of the running call *)
+let current t = Option.get t.store
+
+(* The planning context handed to every baseline fallback, made on first
+   use; it reads statistics from the store of the running call. *)
+let relalg_ctx t =
+  match t.rctx with
+  | Some c -> c
+  | None ->
+      let stats_for a = Artifact_store.stats (current t) a in
+      let c = Foc_eval.Relalg.make_ctx ~stats_for () in
+      t.rctx <- Some c;
+      c
+
+let stats t =
+  let cv name = Foc_obs.Metrics.(Counter.value (counter t.m.registry name))
+  and gv name = Foc_obs.Metrics.(Gauge.value (gauge t.m.registry name)) in
+  {
+    materialised = cv "engine.materialised";
+    clterms_built = cv "engine.clterms_built";
+    basic_terms = cv "engine.basic_terms";
+    fallbacks = cv "engine.fallbacks";
+    covers_built = cv "engine.covers_built";
+    removals = cv "engine.removals";
+    balls_computed = cv "ball.computed";
+    ball_cache_hits = cv "ball.cache_hits";
+    ball_cache_evictions = cv "ball.cache_evictions";
+    ball_cache_peak_entries = gv "ball.cache_peak_entries";
+    ball_cache_peak_bytes = gv "ball.cache_peak_bytes";
+    bfs_visited = cv "bfs.visited";
+  }
+
+let metrics t = t.m.registry
+let stats_line t = Foc_obs.Metrics.line t.m.registry
+let config t = t.cfg
+
+let fresh_rel t =
+  t.fresh <- t.fresh + 1;
+  Printf.sprintf "$P%d" t.fresh
+
+let fallback t what =
+  if not t.cfg.allow_fallback then raise (Outside_fragment what);
+  Foc_obs.Log.info (fun () -> "engine: fallback to baseline: " ^ what);
+  Foc_obs.Metrics.Counter.inc t.m.fallbacks
+
+(* ---------------- cl-term evaluation back-ends ---------------- *)
+
+(* the context radius only matters through the 2r+1 threshold of basic
+   terms; all basics produced by one decomposition share it *)
+let cl_radius cl =
+  List.fold_left (fun r b -> max r b.Clterm.radius) 0 (Clterm.basics cl)
+
+let count_cl t cl =
+  Foc_obs.Metrics.Counter.inc t.m.clterms_built;
+  Foc_obs.Metrics.Counter.add t.m.basic_terms (Clterm.basic_count cl)
+
+(* Every public entry point runs under [entry]. On a plain engine it opens
+   the call's store, unbounded: the stratification strata share covers
+   with their base, and each basic term of one radius finds the cover, the
+   context or the Hanf partition the first one built. It also puts the
+   engine's registry in scope, so the ball contexts and the splitter
+   recursion below record into it directly — on worker domains too, since
+   {!Foc_par} tasks inherit it — and exports the trace when a trace file
+   is configured. *)
+let entry t f =
+  Foc_obs.Metrics.with_current t.m.registry (fun () ->
+      let v =
+        match t.store with
+        | Some _ -> f () (* a kept store, or an enclosing entry point's *)
+        | None ->
+            t.store <- Some (new_store t.cfg t.m);
+            Fun.protect ~finally:(fun () -> t.store <- None) f
+      in
+      if Foc_obs.Trace.enabled () then begin
+        Foc_obs.Metrics.Gauge.set t.m.trace_dropped
+          (Foc_obs.Trace.dropped_events ());
+        Option.iter Foc_obs.Trace.export_chrome t.cfg.trace_file
+      end;
+      v)
+
+(* The one back-end match: each back-end supplies its basic-term sweep and
+   {!Clterm} evaluates the polynomial. Covers are built (or fetched) ahead
+   of the sweep span, so the [cover] phase stays separate from [sweep]. A
+   cl-term of width 0 has only sentence leaves, which {!Clterm} decides
+   itself: no back-end artifact is built for it. *)
+let eval_cl t a cl eval =
+  count_cl t cl;
+  let jobs = t.cfg.jobs and cache_bytes = cache_bytes t.cfg in
+  let store = current t in
+  let backend_sweep =
+    match t.cfg.backend with
+    | _ when Clterm.width cl = 0 ->
+        fun () ->
+          Clterm.sweep t.cfg.preds a (fun _ ->
+              invalid_arg "Engine: no basic term of width >= 1")
+    | Direct ->
+        fun () ->
+          Clterm.direct ~jobs (Artifact_store.ctx store a ~r:(cl_radius cl))
+    | Cover ->
+        let cover =
+          Artifact_store.cover store a
+            ~rc:(Cover_term.required_cover_radius cl)
+        in
+        fun () ->
+          Cover_term.pattern_sweep ~jobs ~cache_bytes t.cfg.preds a cover cl
+    | Splitter { max_rounds; small } ->
+        fun () ->
+          Splitter_backend.sweep ~jobs
+            ~cover_for:(Artifact_store.cover store a)
+            t.cfg.preds a ~max_rounds ~small cl
+    | Hanf ->
+        fun () ->
+          Hanf_backend.sweep ~jobs ~cache_bytes
+            ~classes_for:(Artifact_store.hanf store a) t.cfg.preds a
+  in
+  Foc_obs.span ~name:"sweep" (fun () -> eval (backend_sweep ()) cl)
+
+let eval_cl_ground t a cl = eval_cl t a cl Clterm.eval_ground
+let eval_cl_unary t a cl = eval_cl t a cl Clterm.eval_unary
+
+(* ---------------- compiling the tree ---------------- *)
 
 let kernel t ~anchor ys body =
   let route =
@@ -521,11 +451,16 @@ and materialise t a { name; var; pred; args } =
         let values = Array.of_list (List.map (ground_value t a) args) in
         (name, 0, if holds values then [ [||] ] else [])
     | Some _ ->
-        let vectors = List.map (unary_value t a) args in
+        (* one values array, refilled per element: a predicate reads its
+           arguments and keeps none *)
+        let vectors = Array.of_list (List.map (unary_value t a) args) in
+        let values = Array.make (Array.length vectors) 0 in
         let members = ref [] in
         for v = Structure.order a - 1 downto 0 do
-          if holds (Array.of_list (List.map (fun vec -> vec.(v)) vectors)) then
-            members := [| v |] :: !members
+          for i = 0 to Array.length vectors - 1 do
+            values.(i) <- vectors.(i).(v)
+          done;
+          if holds values then members := [| v |] :: !members
         done;
         (name, 1, !members)
   in
@@ -563,12 +498,6 @@ let run_holds t a x (steps, k) =
 
 (* ---------------- entry points ---------------- *)
 
-(* A compiled sentence is its shell over the structure its steps
-   expanded: immutable, and valid as long as the structure it was compiled
-   against (and, for graph-radius artifacts, its Gaifman graph) is
-   semantically unchanged — the session layer tracks that invalidation. *)
-type compiled = { expanded : Structure.t; root : shell }
-
 let compiled_structure c = c.expanded
 
 let compile t a phi =
@@ -587,7 +516,7 @@ let compile_sentence t a phi =
 
 let run_sentence t c = entry t (fun () -> run t c)
 
-(* [run_sentence ∘ compile_sentence] under one per-call artifact memo *)
+(* [run_sentence ∘ compile_sentence] under one call store *)
 let check t a phi =
   sentence "check" phi;
   entry t (fun () -> run t (compile t a phi))

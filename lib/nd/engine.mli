@@ -102,69 +102,21 @@ exception Outside_fragment of string
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : ?config:config -> ?budget_mb:int -> unit -> t
+(** A plain engine, or with [budget_mb] one that keeps a session store
+    bounded by that many MiB (see {!section-store}). *)
+
 val stats : t -> stats
 val config : t -> config
 
 val fork : t -> t
 (** A sibling engine for another domain: the same configuration (minus
-    the trace file, which the original exports) and the same metrics
-    registry, with its own artifact hooks and planner state. Its counters
-    land in the original's {!stats} with no merge step — this is how
+    the trace file, which the original exports), the same metrics
+    registry, its own planner state, and a worker store
+    ({!Artifact_store.fork}) seeded from the original's kept store, if it
+    keeps one. Its counters land in
+    the original's {!stats} with no merge step — this is how
     {!Foc_serve.Session} runs worker engines in a parallel batch. *)
-
-(** {1 Artifact injection}
-
-    Expensive per-structure artifacts — neighbourhood covers, ball-cache
-    contexts, Hanf class partitions — are obtained through replaceable
-    hooks. With no hooks installed, every public entry point installs a
-    {e per-call} memo (covers keyed by physical Gaifman graph and radius,
-    contexts and Hanf partitions by structure and radius), which already
-    deduplicates the cover the Direct and Cover paths used to rebuild at
-    both cl-term call sites of one evaluation. A session layer
-    ({!Foc_serve.Session}) installs cross-query hooks instead. All
-    artifacts are result-neutral: injection can never change counts, only
-    time and memory. *)
-
-type artifacts = {
-  art_cover : Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t;
-      (** must return [Foc_graph.Cover.make (gaifman a) ~r:rc] (memoised
-          however the provider likes) *)
-  art_ctx : Foc_data.Structure.t -> r:int -> Foc_local.Pattern_count.ctx;
-      (** a context for Direct sweeps over the given structure at the given
-          radius; may be long-lived. It records into the registry that
-          was in scope when it was made ({!make_pattern_ctx} uses this
-          engine's) *)
-  art_hanf : Foc_data.Structure.t -> tr:int -> (string * int list) list;
-      (** must return [Foc_bd.Hanf.classes a ~r:tr] (memoised however the
-          provider likes) *)
-  art_stats : (Foc_data.Structure.t -> Foc_stats.Stats.t) option;
-      (** statistics for baseline-fallback join planning; must describe
-          the structure's {e current} contents (collected fresh,
-          incrementally maintained, or cached per version). [None] makes
-          the planner collect and memoise its own
-          ({!Foc_eval.Relalg.make_ctx}) *)
-}
-
-val set_artifacts : t -> artifacts option -> unit
-(** Install (or clear) cross-call artifact hooks. While hooks are
-    installed the per-call memo is not used. *)
-
-val make_cover : t -> Foc_data.Structure.t -> rc:int -> Foc_graph.Cover.t
-(** Build a cover the way the engine would (span + [engine.covers_built]
-    counter) — the raw builder artifact providers should delegate to. *)
-
-val make_hanf_classes :
-  t -> Foc_data.Structure.t -> tr:int -> (string * int list) list
-(** Build a Hanf class partition the way the engine would
-    ([Foc_bd.Hanf.classes] at the engine's [jobs], counted in
-    [engine.hanf_partitions_built]) — the raw builder [art_hanf]
-    providers should delegate to. *)
-
-val make_pattern_ctx :
-  t -> Foc_data.Structure.t -> r:int -> Foc_local.Pattern_count.ctx
-(** Fresh Direct-sweep context with this engine's ball-cache budget,
-    recording into this engine's {!metrics}. *)
 
 val metrics : t -> Foc_obs.Metrics.t
 (** The engine's metrics registry, put in scope
@@ -189,7 +141,7 @@ val stats_line : t -> string
 
 (** [check t a φ] — model-checking for sentences ([free φ = ∅]): by
     definition [run_sentence t (compile_sentence t a φ)], under one
-    per-call artifact memo. *)
+    call store. *)
 val check : t -> Foc_data.Structure.t -> Ast.formula -> bool
 
 (** [eval_ground t a term] — value of a ground counting term. *)
@@ -337,3 +289,27 @@ val compiled_structure : compiled -> Foc_data.Structure.t
 (** The stratification-expanded structure the compiled shell runs
     against (needed by session layers for artifact keying, concurrent
     preparation, and invalidation bookkeeping). *)
+
+(** {1:store The artifact store}
+
+    Every artifact — cover, ball context, Hanf partition, planning
+    statistics — comes from one {!Artifact_store}, in one of three
+    scopes:
+    - {b call}: a plain engine opens an unbounded store at each
+      entry-point call and drops it on return, so one evaluation builds
+      each artifact once (the strata of a stratified term share the
+      covers of its base) and separate calls share nothing;
+    - {b session}: an engine created with [budget_mb] keeps one store,
+      bounded by that budget, for every call; {!Foc_serve.Session} owns
+      such an engine and keeps its compiled sentences there too;
+    - {b worker}: a {!fork} of such an engine keeps a store seeded with
+      the session store's covers and Hanf partitions and memoises its
+      own misses; {!Artifact_store.adopt} hands the covers, partitions
+      and statistics among them back to the session store.
+
+    The scope changes time and memory, never an answer. *)
+
+val store : t -> compiled Artifact_store.t option
+(** The store the engine keeps: its session or worker store, [None] for
+    a plain engine between calls. *)
+

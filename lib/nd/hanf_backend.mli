@@ -21,10 +21,10 @@
     counters into the {!Foc_obs.Metrics.current} registry.
 
     [classes_for ~r] supplies the r-ball class partition, so that one
-    evaluation builds each partition once: the engine passes its artifact
-    hook (a per-call memo, or a session's cache keyed by type radius). It
-    must return [Foc_bd.Hanf.classes a ~r] (which is deterministic and
-    identical for every [jobs]), so injection never changes results. *)
+    evaluation builds each partition once: the engine passes its
+    {!Artifact_store}. It must return [Foc_bd.Hanf.classes a ~r] (which
+    is deterministic and identical for every [jobs]), so the store never
+    changes results. *)
 
 open Foc_logic
 

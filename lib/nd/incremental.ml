@@ -13,9 +13,8 @@ type t = {
   leaves : leaf list;
   sentences : int;  (* width-0 ground leaves, re-decided on every update *)
   mutable values : int array;
-  (* observability: sentence re-checks and per-radius context memo hits
-     are the incremental engine's cost drivers that the affected-anchor
-     count does not show *)
+  (* observability: sentence re-checks and ball counters show the
+     incremental engine's costs that the affected-anchor count does not *)
   m : Foc_obs.Metrics.t;
   rechecks : Foc_obs.Metrics.Counter.t;
   affected_h : Foc_obs.Metrics.Histogram.t;
@@ -27,27 +26,11 @@ let leaf_radius (l : leaf) =
 
 (* One Pattern_count context per distinct radius, shared by every leaf of
    that radius within a single create/apply pass — the ball caches then
-   amortise across leaves instead of being rebuilt per leaf. Memo hits are
-   counted per radius (the hit counter handle is memoised alongside the
-   context, so a hit costs one extra int store). *)
-let ctx_by_radius ?registry preds a =
-  let tbl = Hashtbl.create 4 in
-  fun r ->
-    match Hashtbl.find_opt tbl r with
-    | Some (ctx, hits) ->
-        Option.iter Foc_obs.Metrics.Counter.inc hits;
-        ctx
-    | None ->
-        let ctx = Pattern_count.make_ctx preds a ~r in
-        let hits =
-          Option.map
-            (fun reg ->
-              Foc_obs.Metrics.counter reg
-                (Printf.sprintf "incr.ctx_memo_hits.r%d" r))
-            registry
-        in
-        Hashtbl.replace tbl r (ctx, hits);
-        ctx
+   amortise across leaves instead of being rebuilt per leaf. The contexts
+   come from a call store, so they record into the instance's registry. *)
+let ctx_by_radius t a =
+  let store = Artifact_store.create ~registry:t.m ~preds:t.preds ~jobs:1 () in
+  fun r -> Artifact_store.ctx store a ~r
 
 (* The cached leaf vectors are the sweep: the polynomial is re-evaluated
    over them (sentence leaves are decided on the current structure). *)
@@ -79,7 +62,7 @@ let create preds a term =
     }
   in
   Foc_obs.span ~name:"incr.create" (fun () ->
-      let ctx_for = ctx_by_radius ~registry:m preds a in
+      let ctx_for = ctx_by_radius t a in
       List.iter
         (fun l ->
           let b = l.basic in
@@ -118,7 +101,7 @@ let apply t name tup ~insert =
       in
       let affected = touched ~before ~after tup ~radius in
       t.a <- after;
-      let ctx_for = ctx_by_radius ~registry:t.m t.preds after in
+      let ctx_for = ctx_by_radius t after in
       List.iter
         (fun { basic = b; per_anchor } ->
           let ctx = ctx_for b.Clterm.radius in

@@ -38,9 +38,9 @@ val structure : t -> Foc_data.Structure.t
 
 val metrics : t -> Foc_obs.Metrics.t
 (** The instance's metrics registry: counter [incr.sentence_rechecks]
-    (sentence nodes re-checked across all updates), counters
-    [incr.ctx_memo_hits.r<r>] (per-radius {!Foc_local.Pattern_count}
-    context memo hits), histogram [incr.update.affected] (anchors
+    (sentence nodes re-checked across all updates), the ball counters of
+    its {!Foc_local.Pattern_count} contexts ([ball.computed],
+    [ball.cache_hits], ...), histogram [incr.update.affected] (anchors
     re-evaluated per update). *)
 
 val stats_line : t -> string

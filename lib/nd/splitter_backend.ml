@@ -94,16 +94,6 @@ let leaves cl =
   in
   go ([], []) cl
 
-(* covers inside the recursion are built here, never cached: their
-   structures live for one round *)
-let make_cover a ~rc =
-  let cover =
-    Foc_obs.span ~name:"cover" (fun () ->
-        Foc_graph.Cover.make (Structure.gaifman a) ~r:rc)
-  in
-  count "engine.covers_built" 1;
-  cover
-
 (* [basics env a ~rounds ~cover_for reqs]: each basic term (width >= 1)
    of [reqs] at its wanted elements, as the kernel #(tl vars).(δ ∧ body).
    One cover per distinct cover radius, and one cluster sweep over it for
@@ -308,9 +298,11 @@ and kernels env a ~rounds ks =
           | Error _ -> (k, None))
         ks
     in
+    (* a round's covers are built, never stored: its structures live for
+       one round *)
     let take =
       reader
-        (basics env a ~rounds ~cover_for:(make_cover a)
+        (basics env a ~rounds ~cover_for:(Artifact_store.build_cover a)
            (List.concat_map
               (fun (k, parts) ->
                 match parts with

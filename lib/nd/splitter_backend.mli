@@ -43,8 +43,8 @@ open Foc_logic
     [cl].
 
     [cover_for ~rc] supplies the top-level covers; the engine passes its
-    per-call artifact memo. Covers inside the recursion are built per
-    round and never cached.
+    {!Artifact_store}. Covers inside the recursion are built per round
+    by {!Artifact_store.build_cover} and never kept.
 
     [jobs > 1] runs the clusters of the top-level sweep, and the elements
     counted in place, in parallel ({!Foc_par}; nested sweeps inside a

@@ -2,70 +2,21 @@ open Foc_logic
 module Engine = Foc_nd.Engine
 module Structure = Foc_data.Structure
 module Pattern_count = Foc_local.Pattern_count
-module Cover = Foc_graph.Cover
 module Metrics = Foc_obs.Metrics
 module Counter = Foc_obs.Metrics.Counter
+module Artifacts = Foc_nd.Artifact_store
 
 let word = Sys.word_size / 8
 
-(* ------------------------------------------------------------------ *)
-(* Artifact keys and values. Structures and Gaifman graphs are identified
-   by *physical* identity through small registries (an artifact is only
-   valid for the exact object it was built from); compiled sentences by
-   the canonical-AST intern id, so α-equivalent sentences share one
-   entry. Covers key on the graph, not the structure: stratification
-   strata share the base's Gaifman graph physically (materialised [$P]
-   relations are at most unary), so base and strata share covers too. *)
-
-type akey =
-  | KCover of int * int  (* graph id, cover radius *)
-  | KCtx of int * int  (* structure id, term radius *)
-  | KHanf of int * int  (* structure id, type radius *)
-  | KCompiled of int  (* Ast.Key id *)
-  | KStats of int  (* structure id *)
-
-type aval =
-  | VCover of Cover.t
-  | VCtx of Pattern_count.ctx
-  | VHanf of (string * int list) list
-  | VCompiled of centry
-  | VStats of Foc_stats.Stats.t
-
-and centry = {
-  ckey : Ast.Key.t;
-  comp : Engine.compiled;
-  cbytes : int;  (* size estimate, fixed at compile time *)
-}
-
-let aval_bytes = function
-  | VCover c ->
-      (Cover.total_weight c + (4 * Cover.cluster_count c) + 16) * word
-  | VCtx ctx ->
-      Pattern_count.cache_resident_bytes ctx
-      + (((3 * Pattern_count.order ctx) + 16) * word)
-  | VHanf cls -> Foc_bd.Hanf.approx_bytes cls
-  | VCompiled e -> e.cbytes
-  | VStats s -> Foc_stats.Stats.approx_bytes s
-
+(* The session's artifacts and compiled sentences live in the one store
+   its engine keeps ({!Foc_nd.Artifact_store}, session scope); what the
+   session adds is its policy: versions, update invalidation and the
+   snapshot seeding. *)
 type t = {
   eng : Engine.t;
+  store : Engine.compiled Artifacts.t;
   mutable structure : Structure.t;
   mutable version : int;  (* updates applied; open cursors pin a version *)
-  cache : (akey, aval) Budget_cache.t;
-  keys : Ast.Key.table;
-  mutable struct_ids : (Structure.t * int) list;
-  mutable graph_ids : (Foc_graph.Graph.t * int) list;
-  mutable next_id : int;
-  compiled_hits : Counter.t;
-  compiled_misses : Counter.t;
-  cover_hits : Counter.t;
-  cover_misses : Counter.t;
-  ctx_hits : Counter.t;
-  ctx_misses : Counter.t;
-  hanf_hits : Counter.t;
-  hanf_misses : Counter.t;
-  stats_hits : Counter.t;
-  stats_misses : Counter.t;
   invalidated : Counter.t;
   balls_dropped : Counter.t;
 }
@@ -77,187 +28,36 @@ let structure t = t.structure
 let version t = t.version
 let metrics t = Engine.metrics t.eng
 let stats_line t = Engine.stats_line t.eng
-let cached_artifacts t = Budget_cache.length t.cache
-let cache_bytes t = Budget_cache.bytes_used t.cache
-
-(* ------------------------------------------------------------------ *)
-(* identity registries *)
-
-let struct_id t a =
-  match List.assq_opt a t.struct_ids with
-  | Some i -> i
-  | None ->
-      let i = t.next_id in
-      t.next_id <- i + 1;
-      t.struct_ids <- (a, i) :: t.struct_ids;
-      i
-
-let graph_id t g =
-  match List.assq_opt g t.graph_ids with
-  | Some i -> i
-  | None ->
-      let i = t.next_id in
-      t.next_id <- i + 1;
-      t.graph_ids <- (g, i) :: t.graph_ids;
-      i
-
-(* Registry entries are only needed while a cache key references their id
-   (a pruned object that resurfaces just mints a fresh id — no stale cache
-   key can match it). Pruning after invalidation keeps the registries
-   O(cache entries) across long update sequences. *)
-let prune_registries t =
-  let live_sids = Hashtbl.create 16 and live_gids = Hashtbl.create 16 in
-  Budget_cache.fold t.cache ~init:() ~f:(fun k _ () ->
-      match k with
-      | KCover (g, _) -> Hashtbl.replace live_gids g ()
-      | KCtx (s, _) | KHanf (s, _) | KStats s ->
-          Hashtbl.replace live_sids s ()
-      | KCompiled _ -> ());
-  t.struct_ids <-
-    List.filter
-      (fun (a, i) -> a == t.structure || Hashtbl.mem live_sids i)
-      t.struct_ids;
-  t.graph_ids <-
-    List.filter (fun (_, i) -> Hashtbl.mem live_gids i) t.graph_ids
-
-(* ------------------------------------------------------------------ *)
-(* artifact getters — the engine's injection hooks *)
-
-let cover_for t a ~rc =
-  let key = KCover (graph_id t (Structure.gaifman a), rc) in
-  match Budget_cache.find t.cache key with
-  | Some (VCover c) ->
-      Counter.inc t.cover_hits;
-      c
-  | _ ->
-      Counter.inc t.cover_misses;
-      let c =
-        Foc_obs.Scope.cue Foc_obs.Scope.Artifact (fun () ->
-            Engine.make_cover t.eng a ~rc)
-      in
-      Budget_cache.insert t.cache key (VCover c);
-      c
-
-let ctx_for t a ~r =
-  let key = KCtx (struct_id t a, r) in
-  match Budget_cache.find t.cache key with
-  | Some (VCtx ctx) ->
-      Counter.inc t.ctx_hits;
-      ctx
-  | _ ->
-      Counter.inc t.ctx_misses;
-      let ctx =
-        Foc_obs.Scope.cue Foc_obs.Scope.Artifact (fun () ->
-            Engine.make_pattern_ctx t.eng a ~r)
-      in
-      Budget_cache.insert t.cache key (VCtx ctx);
-      ctx
-
-let hanf_for t a ~tr =
-  let key = KHanf (struct_id t a, tr) in
-  match Budget_cache.find t.cache key with
-  | Some (VHanf cls) ->
-      Counter.inc t.hanf_hits;
-      cls
-  | _ ->
-      Counter.inc t.hanf_misses;
-      let cls =
-        Foc_obs.Scope.cue Foc_obs.Scope.Artifact (fun () ->
-            Engine.make_hanf_classes t.eng a ~tr)
-      in
-      Budget_cache.insert t.cache key (VHanf cls);
-      cls
-
-let stats_for t a =
-  let key = KStats (struct_id t a) in
-  match Budget_cache.find t.cache key with
-  | Some (VStats s) ->
-      Counter.inc t.stats_hits;
-      s
-  | _ ->
-      Counter.inc t.stats_misses;
-      let s =
-        Foc_obs.Scope.cue Foc_obs.Scope.Artifact (fun () ->
-            Foc_stats.Stats.collect a)
-      in
-      Budget_cache.insert t.cache key (VStats s);
-      s
-
-let install_hooks t =
-  Engine.set_artifacts t.eng
-    (Some
-       {
-         Engine.art_cover = (fun a ~rc -> cover_for t a ~rc);
-         art_ctx = (fun a ~r -> ctx_for t a ~r);
-         art_hanf = (fun a ~tr -> hanf_for t a ~tr);
-         art_stats = Some (fun a -> stats_for t a);
-       })
+let cached_artifacts t = Artifacts.length t.store
+let cache_bytes t = Artifacts.bytes t.store
 
 let create ?(budget_mb = 256) ?config a =
-  let eng = Engine.create ?config () in
-  let m = Engine.metrics eng in
-  let counter name = Metrics.counter m name in
-  let evictions = counter "session.evictions" in
-  let cache =
-    Budget_cache.create
-      ~on_evict:(fun _ _ -> Counter.inc evictions)
-      ~capacity:(budget_mb * 1024 * 1024)
-      ~size:aval_bytes ()
-  in
-  let t =
-    {
-      eng;
-      structure = a;
-      version = 0;
-      cache;
-      keys = Ast.Key.create_table ();
-      struct_ids = [];
-      graph_ids = [];
-      next_id = 0;
-      compiled_hits = counter "session.compiled_hits";
-      compiled_misses = counter "session.compiled_misses";
-      cover_hits = counter "session.cover_hits";
-      cover_misses = counter "session.cover_misses";
-      ctx_hits = counter "session.ctx_hits";
-      ctx_misses = counter "session.ctx_misses";
-      hanf_hits = counter "session.hanf_hits";
-      hanf_misses = counter "session.hanf_misses";
-      stats_hits = counter "session.stats_hits";
-      stats_misses = counter "session.stats_misses";
-      invalidated = counter "session.invalidated";
-      balls_dropped = counter "session.balls_dropped";
-    }
-  in
-  install_hooks t;
-  t
+  let eng = Engine.create ?config ~budget_mb () in
+  let counter = Metrics.counter (Engine.metrics eng) in
+  {
+    eng;
+    store = Option.get (Engine.store eng);
+    structure = a;
+    version = 0;
+    invalidated = counter "session.invalidated";
+    balls_dropped = counter "session.balls_dropped";
+  }
 
 (* ------------------------------------------------------------------ *)
 (* compiled sentences *)
 
+(* a miss compiles the canonical representative: which α-variant arrived
+   first then never matters *)
 let compiled_for t phi =
-  let k = Ast.Key.intern t.keys phi in
-  let key = KCompiled (Ast.Key.id k) in
-  match Budget_cache.find t.cache key with
-  | Some (VCompiled e) ->
-      Counter.inc t.compiled_hits;
-      e
-  | _ ->
-      Counter.inc t.compiled_misses;
-      (* compile the canonical representative: which α-variant arrived
-         first then never matters *)
-      let comp =
-        Foc_obs.Scope.cue Foc_obs.Scope.Artifact (fun () ->
-            Engine.compile_sentence t.eng t.structure (Ast.Key.form k))
-      in
+  Artifacts.compiled t.store phi ~build:(fun canon ->
+      let comp = Engine.compile_sentence t.eng t.structure canon in
       let delta =
         Structure.size (Engine.compiled_structure comp)
         - Structure.size t.structure
       in
-      let e = { ckey = k; comp; cbytes = (max delta 0 * 4 * word) + 1024 } in
-      Budget_cache.insert t.cache key (VCompiled e);
-      e
+      (comp, (max delta 0 * 4 * word) + 1024))
 
-let check t phi = Engine.run_sentence t.eng (compiled_for t phi).comp
+let check t phi = Engine.run_sentence t.eng (compiled_for t phi)
 
 (* ------------------------------------------------------------------ *)
 (* answer enumeration *)
@@ -265,7 +65,7 @@ let check t phi = Engine.run_sentence t.eng (compiled_for t phi).comp
 exception Expired
 
 (* A cursor is pinned to the structure version it was opened on: all
-   preprocessing runs at open (through the session's artifact hooks), and
+   preprocessing runs at open (through the session store), and
    [next] first checks that no update has been applied since — a bumped
    version raises [Expired] rather than silently mixing snapshots. The
    old structure snapshot itself stays readable (structures are
@@ -284,73 +84,6 @@ let enumerate t ?limit ?after q =
 (* ------------------------------------------------------------------ *)
 (* batched evaluation *)
 
-type worker = {
-  weng : Engine.t;
-  mutable w_ctxs : (Structure.t * (int, Pattern_count.ctx) Hashtbl.t) list;
-}
-
-(* Frozen read-only views for worker domains: covers and Hanf partitions
-   are immutable once built, so workers share them directly; ball
-   contexts are mutable (cache table, BFS scratch) and stay per-worker.
-   Workers never insert into the session cache. Their engines are forks
-   of the session engine, so they record into its registry, and they
-   count cache hits on the session's own counters; both shard per
-   domain, so nothing is merged after the join. *)
-let make_worker t gids sids covers hanfs () =
-  let weng = Engine.fork t.eng in
-  let w = { weng; w_ctxs = [] } in
-  Engine.set_artifacts weng
-    (Some
-       {
-         Engine.art_cover =
-           (fun a ~rc ->
-             let frozen =
-               match List.assq_opt (Structure.gaifman a) gids with
-               | Some g -> List.assoc_opt (g, rc) covers
-               | None -> None
-             in
-             match frozen with
-             | Some c ->
-                 Counter.inc t.cover_hits;
-                 c
-             | None -> Engine.make_cover weng a ~rc);
-         art_ctx =
-           (fun a ~r ->
-             let tbl =
-               match List.assq_opt a w.w_ctxs with
-               | Some tbl -> tbl
-               | None ->
-                   let tbl = Hashtbl.create 4 in
-                   w.w_ctxs <- (a, tbl) :: w.w_ctxs;
-                   tbl
-             in
-             match Hashtbl.find_opt tbl r with
-             | Some ctx ->
-                 Counter.inc t.ctx_hits;
-                 ctx
-             | None ->
-                 let ctx = Engine.make_pattern_ctx weng a ~r in
-                 Hashtbl.add tbl r ctx;
-                 ctx);
-         art_hanf =
-           (fun a ~tr ->
-             let frozen =
-               match List.assq_opt a sids with
-               | Some s -> List.assoc_opt (s, tr) hanfs
-               | None -> None
-             in
-             match frozen with
-             | Some cls ->
-                 Counter.inc t.hanf_hits;
-                 cls
-             | None -> Engine.make_hanf_classes weng a ~tr);
-         (* statistics are mutable (count tables, summaries rebuilt on
-            demand) — never shared across domains; each worker engine
-            collects its own through its per-engine memo *)
-         art_stats = None;
-       });
-  w
-
 let run_batch ?jobs t phis =
   Foc_obs.span ~name:"session.batch" (fun () ->
       let n_jobs =
@@ -360,32 +93,34 @@ let run_batch ?jobs t phis =
       in
       (* phase 1: sequential compilation — repeats and α-variants hit the
          compiled cache, and the inner stratification sweeps warm the
-         shared cover/context caches *)
-      let entries = List.map (fun phi -> compiled_for t phi) phis in
-      let arr = Array.of_list entries in
-      let n = Array.length arr in
+         session store *)
+      let comps = Array.of_list (List.map (compiled_for t) phis) in
+      let n = Array.length comps in
       if n_jobs <= 1 || n <= 1 then
-        List.map (fun e -> Engine.run_sentence t.eng e.comp) entries
+        Array.to_list (Array.map (Engine.run_sentence t.eng) comps)
       else begin
         (* phase 2: parallel across queries. Force every lazily-memoised
-           index sequentially first — workers then only read. *)
+           index sequentially first — workers then only read. Each worker
+           is a fork of the session engine: it records into the session's
+           registry and counters, reads the session's covers and Hanf
+           partitions through its seeded store and memoises its own
+           misses, which the session store adopts after the join. *)
         Structure.prepare t.structure;
         Array.iter
-          (fun e -> Structure.prepare (Engine.compiled_structure e.comp))
-          arr;
-        let covers, hanfs =
-          Budget_cache.fold t.cache ~init:([], []) ~f:(fun k v (cov, hf) ->
-              match (k, v) with
-              | KCover (g, rc), VCover c -> (((g, rc), c) :: cov, hf)
-              | KHanf (s, tr), VHanf cls -> (cov, ((s, tr), cls) :: hf)
-              | _ -> (cov, hf))
-        in
-        let gids = t.graph_ids and sids = t.struct_ids in
+          (fun c -> Structure.prepare (Engine.compiled_structure c))
+          comps;
+        let workers = Array.init n_jobs (fun _ -> Engine.fork t.eng) in
+        let next = Atomic.make 0 in
         let results =
           Foc_par.tabulate_ctx ~jobs:n_jobs ~label:"session.batch"
-            ~make_ctx:(make_worker t gids sids covers hanfs) n
-            (fun w i -> Engine.run_sentence w.weng arr.(i).comp)
+            ~make_ctx:(fun () -> workers.(Atomic.fetch_and_add next 1))
+            n
+            (fun w i -> Engine.run_sentence w comps.(i))
         in
+        Array.iter
+          (fun w ->
+            Option.iter (Artifacts.adopt ~into:t.store) (Engine.store w))
+          workers;
         Array.to_list results
       end)
 
@@ -423,98 +158,81 @@ let update t name tup ~insert:ins =
       in
       t.structure <- after;
       t.version <- t.version + 1;
-      let bid = struct_id t before in
-      let aid = struct_id t after in
+      let bid = Artifacts.structure_id t.store before in
+      let aid = Artifacts.structure_id t.store after in
       let graph_changed = arity >= 2 in
-      (* 1. compiled sentences: an edge update invalidates everything
-         (covers, distances and Hanf types all depend on the graph); a
-         unary update only invalidates sentences that mention the touched
-         relation — a survivor's expanded structure keeps a stale copy of
-         it, but the sentence never reads it, so its answers still agree
-         with the updated structure. *)
-      let dead_compiled, dead_structs =
-        Budget_cache.fold t.cache ~init:([], []) ~f:(fun k v acc ->
-            match (k, v) with
-            | KCompiled _, VCompiled e
-              when graph_changed || mentions (Ast.Key.form e.ckey) name ->
-                let dc, ds = acc in
-                let exp = Engine.compiled_structure e.comp in
-                (k :: dc, (if exp == before then ds else exp :: ds))
-            | _ -> acc)
-      in
-      let dead_sids =
-        List.filter_map (fun s -> List.assq_opt s t.struct_ids) dead_structs
-      in
-      let kill k =
-        Budget_cache.remove t.cache k;
-        Counter.inc t.invalidated
-      in
-      List.iter kill dead_compiled;
-      (* 2. affected-centre predicate for ball contexts: a cached ball is
-         a BFS sphere of radius 2r+1, so it changes exactly when a touched
-         element lies within 2r+1 of its centre in the old or new graph
-         (the invalidation ball of Incremental) *)
-      let affected =
-        if not graph_changed then fun ~r:_ _ -> false
-        else begin
-          let memo = Hashtbl.create 4 in
-          fun ~r v ->
-            let set =
-              match Hashtbl.find_opt memo r with
-              | Some s -> s
-              | None ->
-                  let s =
-                    Foc_nd.Incremental.touched ~before ~after tup
-                      ~radius:((2 * r) + 1)
-                  in
-                  Hashtbl.add memo r s;
-                  s
-            in
-            Hashtbl.mem set v
-        end
-      in
-      (* 3. sweep the remaining artifacts *)
-      let removals = ref [] and rebinds = ref [] and stats_rebind = ref None in
-      Budget_cache.fold t.cache ~init:() ~f:(fun k v () ->
+      (* One fold over the store's keys decides every entry:
+         - a compiled sentence dies on an edge update (covers, distances
+           and Hanf types all depend on the graph), and on a unary update
+           when it mentions the touched relation: a survivor's expanded
+           structure keeps a stale copy of it, but the sentence never
+           reads it, so its answers still agree with the updated
+           structure;
+         - covers die with the graph;
+         - the base's Hanf partitions die on every update (types read
+           relations); a stratum's partitions and contexts die with the
+           compiled sentence that expanded it, so they wait for the fold
+           to end;
+         - the base's contexts are rebound, its statistics maintained;
+           other statistics die (they may share the touched relation,
+           and recollecting them on the next fallback is cheap). *)
+      let dead = ref [] and strata = ref [] and dead_strata = ref [] in
+      let rebinds = ref [] and base_stats = ref None in
+      Artifacts.fold t.store ~init:() ~f:(fun k v () ->
           match (k, v) with
-          | KCover _, _ -> if graph_changed then removals := k :: !removals
-          | KHanf (sid, _), _ ->
-              (* Hanf types read relations, so the base partition dies on
-                 every update; partitions of surviving expanded structures
-                 stay consistent with their compiled sentences *)
-              if graph_changed || sid = bid || List.mem sid dead_sids then
-                removals := k :: !removals
-          | KCtx (sid, r), VCtx ctx ->
-              if sid = bid then rebinds := (k, r, ctx) :: !rebinds
-              else if List.mem sid dead_sids then removals := k :: !removals
-          | KStats sid, VStats s ->
-              (* the base structure's statistics follow the update
-                 incrementally; statistics of stratification-expanded
-                 structures are dropped — they may share the touched
-                 relation, and recollecting on next fallback is cheap *)
-              if sid = bid then stats_rebind := Some s
-              else removals := k :: !removals
+          | Artifacts.KCompiled _, Artifacts.VCompiled c ->
+              if graph_changed || mentions (Ast.Key.form c.key) name then begin
+                dead := k :: !dead;
+                let exp = Engine.compiled_structure c.comp in
+                if exp != before then dead_strata := exp :: !dead_strata
+              end
+          | KCover _, _ -> if graph_changed then dead := k :: !dead
+          | KHanf (sid, _), _ when graph_changed || sid = bid ->
+              dead := k :: !dead
+          | KCtx (sid, r), VCtx ctx when sid = bid ->
+              rebinds := (k, r, ctx) :: !rebinds
+          | (KHanf (sid, _) | KCtx (sid, _)), _ ->
+              strata := (sid, k) :: !strata
+          | KStats sid, VStats s when sid = bid -> base_stats := Some (k, s)
+          | KStats _, _ -> dead := k :: !dead
           | _ -> ());
-      (match !stats_rebind with
-      | Some s ->
-          Budget_cache.remove t.cache (KStats bid);
+      let dead_sids =
+        List.map (Artifacts.structure_id t.store) !dead_strata
+      in
+      List.iter
+        (fun (sid, k) -> if List.mem sid dead_sids then dead := k :: !dead)
+        !strata;
+      List.iter
+        (fun k ->
+          Artifacts.remove t.store k;
+          Counter.inc t.invalidated)
+        !dead;
+      (match !base_stats with
+      | Some (k, s) ->
+          Artifacts.remove t.store k;
           if membership_changed then
             if ins then Foc_stats.Stats.insert s name tup
             else Foc_stats.Stats.delete s name tup;
-          Budget_cache.insert t.cache (KStats aid) (VStats s)
+          Artifacts.insert t.store (KStats aid) (VStats s)
       | None -> ());
-      List.iter kill !removals;
+      (* A cached ball is a BFS sphere of radius 2r+1, so it changes
+         exactly when a touched element lies within 2r+1 of its centre in
+         the old or new graph (the invalidation ball of Incremental). The
+         base has one context per radius. *)
       List.iter
         (fun (k, r, ctx) ->
-          Budget_cache.remove t.cache k;
-          let ctx', dropped =
-            Pattern_count.rebind_ctx ctx after ~drop:(affected ~r)
+          let touched =
+            lazy
+              (Foc_nd.Incremental.touched ~before ~after tup
+                 ~radius:((2 * r) + 1))
           in
+          let drop v = graph_changed && Hashtbl.mem (Lazy.force touched) v in
+          Artifacts.remove t.store k;
+          let ctx', dropped = Pattern_count.rebind_ctx ctx after ~drop in
           Counter.add t.balls_dropped dropped;
-          Budget_cache.insert t.cache (KCtx (aid, r)) (VCtx ctx'))
+          Artifacts.insert t.store (KCtx (aid, r)) (VCtx ctx'))
         !rebinds;
-      prune_registries t;
-      Budget_cache.trim t.cache)
+      Artifacts.prune t.store)
 
 let insert t name tup = update t name tup ~insert:true
 let delete t name tup = update t name tup ~insert:false
@@ -533,27 +251,29 @@ module Wal = Foc_store.Wal
    server would otherwise pay lazily on the first queries, and what
    [save] then persists *)
 let prewarm ?(radii = [ 1 ]) t =
-  ignore (Structure.gaifman t.structure);
-  ignore (stats_for t t.structure);
+  let a = t.structure in
+  ignore (Structure.gaifman a);
+  ignore (Artifacts.stats t.store a);
   List.iter
     (fun r ->
       if r >= 0 then begin
-        ignore (cover_for t t.structure ~rc:r);
-        ignore (hanf_for t t.structure ~tr:r)
+        ignore (Artifacts.cover t.store a ~rc:r);
+        ignore (Artifacts.hanf t.store a ~r)
       end)
     radii
 
 let save t ~dir ~version =
   let a = t.structure in
   let g = Structure.gaifman a in
-  let gid = graph_id t g and sid = struct_id t a in
+  let gid = Artifacts.graph_id t.store g in
+  let sid = Artifacts.structure_id t.store a in
   let covers, hanfs, stats =
-    Budget_cache.fold t.cache ~init:([], [], None)
+    Artifacts.fold t.store ~init:([], [], None)
       ~f:(fun k v ((cov, hf, st) as acc) ->
         match (k, v) with
-        | KCover (gi, rc), VCover c when gi = gid -> ((rc, c) :: cov, hf, st)
-        | KHanf (si, tr), VHanf cls when si = sid ->
-            (cov, (tr, cls) :: hf, st)
+        | Artifacts.KCover (gi, rc), Artifacts.VCover c when gi = gid ->
+            ((rc, c) :: cov, hf, st)
+        | KHanf (si, tr), VHanf cls when si = sid -> (cov, (tr, cls) :: hf, st)
         | KStats si, VStats s when si = sid -> (cov, hf, Some s)
         | _ -> acc)
   in
@@ -579,26 +299,22 @@ let load ?budget_mb ?config ~dir () =
         | Some g -> Structure.set_gaifman snap.Store.structure g
         | None -> ());
         let t = create ?budget_mb ?config snap.Store.structure in
-        let gid = graph_id t (Structure.gaifman t.structure) in
+        let gid = Artifacts.graph_id t.store (Structure.gaifman t.structure) in
+        let sid = Artifacts.structure_id t.store t.structure in
+        let seed k v = Artifacts.insert t.store k v in
         List.iter
-          (fun (rc, c) ->
-            if rc >= 0 then
-              Budget_cache.insert t.cache (KCover (gid, rc)) (VCover c))
+          (fun (rc, c) -> if rc >= 0 then seed (KCover (gid, rc)) (VCover c))
           snap.Store.covers;
-        let sid = struct_id t t.structure in
         List.iter
-          (fun (tr, cls) ->
-            if tr >= 0 then
-              Budget_cache.insert t.cache (KHanf (sid, tr)) (VHanf cls))
+          (fun (tr, cls) -> if tr >= 0 then seed (KHanf (sid, tr)) (VHanf cls))
           snap.Store.hanfs;
         (match snap.Store.stats with
         (* a snapshot written under a different histogram resolution
            would poison the planner's summaries; drop it and recollect *)
         | Some s
           when Foc_stats.Stats.buckets s = Foc_stats.Stats.default_buckets ->
-            Budget_cache.insert t.cache (KStats sid) (VStats s)
+            seed (KStats sid) (VStats s)
         | _ -> ());
-        Budget_cache.trim t.cache;
         let records, torn =
           Wal.replay (Store.wal_path ~dir ~version:snap.Store.version)
         in

@@ -15,8 +15,9 @@
       straight to the cheap run of the compiled shell
       ({!Foc_nd.Engine.run_sentence}).
 
-    Everything lives behind {e one} bounded memory budget with the
-    second-chance eviction policy of the PR-2 ball cache. Caching is
+    Everything lives in the one store the session's engine keeps
+    ({!Foc_nd.Artifact_store}, session scope), behind {e one} bounded
+    memory budget with second-chance eviction. Caching is
     result-neutral by construction: [check s φ] always equals
     [Engine.check (engine s) (structure s) φ] on a fresh engine, for every
     budget, batch size and jobs setting.
@@ -31,7 +32,7 @@
 
     Sessions are single-domain objects: one domain drives the session;
     {!run_batch} parallelises {e across} queries internally with
-    per-worker engines and read-only frozen artifact views. *)
+    per-worker engines, each with its own worker store. *)
 
 type t
 
@@ -41,14 +42,13 @@ type result = bool
 val create :
   ?budget_mb:int -> ?config:Foc_nd.Engine.config -> Foc_data.Structure.t -> t
 (** [create ?budget_mb ?config a] — a session over [a]. [budget_mb]
-    (default 256) bounds the artifact cache; [<= 0] degenerates to a
-    one-entry cache. [config] is the engine configuration (default
+    (default 256) bounds the artifact store; [<= 0] degenerates to a
+    one-entry store. [config] is the engine configuration (default
     {!Foc_nd.Engine.default_config}). *)
 
 val engine : t -> Foc_nd.Engine.t
-(** The session's engine, with the session's artifact hooks installed.
-    Calling it directly is fine — its entry points share the session's
-    caches. *)
+(** The session's engine, which keeps the session's store. Calling it
+    directly is fine — its entry points share the session's artifacts. *)
 
 val structure : t -> Foc_data.Structure.t
 (** The current structure (reflects {!insert}/{!delete}). *)
@@ -66,14 +66,19 @@ val run_batch : ?jobs:int -> t -> Foc_logic.Ast.formula list -> result list
 (** Evaluate a batch of sentences, sharing one artifact build across all
     of them. Phase 1 compiles each sentence sequentially (cache hits for
     repeats); phase 2 runs the compiled shells — sequentially for
-    [jobs <= 1], else across [jobs] domains ({!Foc_par}) with per-worker
-    engines reading frozen snapshots of the session's covers and Hanf
-    partitions (ball contexts are per-worker; the session's mutable caches
-    are never shared across domains). [jobs] defaults to the engine
-    config's [jobs]. Results are bit-identical for every [jobs] and equal
-    to evaluating each sentence on a fresh engine. Worker engines are
-    {!Foc_nd.Engine.fork}s of the session engine, so their counters land
-    in {!metrics} directly. *)
+    [jobs <= 1], else across [jobs] domains ({!Foc_par}) on worker
+    engines, {!Foc_nd.Engine.fork}s of the session engine. A worker's
+    store is seeded with the session store's covers and Hanf partitions,
+    which are immutable and so shared; everything else it needs — ball
+    contexts, statistics, a cover or partition the session lacks — it
+    builds and memoises itself, and no mutable artifact is ever shared
+    across domains. After the join, the session store adopts the covers,
+    Hanf partitions and statistics the workers built, in worker order,
+    keeping its own entry where both have one: repeating a batch builds
+    no cover and no partition. [jobs] defaults to the
+    engine config's [jobs]. Results are bit-identical for every [jobs]
+    and equal to evaluating each sentence on a fresh engine. Worker
+    counters land in {!metrics} directly, their misses included. *)
 
 exception Expired
 (** Raised by an {!enumerate} cursor's [next] after a write bumped the
@@ -135,7 +140,7 @@ val load :
   (loaded, string) Stdlib.result
 (** Restore a session from the newest valid snapshot of [dir]: the
     persisted Gaifman graph is installed into the structure's memo, the
-    persisted artifacts are seeded into the cache under fresh identity
+    persisted artifacts are seeded into the store under fresh identity
     registrations, and the accompanying WAL's valid record prefix is
     replayed through {!insert}/{!delete} — i.e. through the same
     invalidation radii a live write takes, so every answer afterwards is
@@ -152,7 +157,8 @@ val metrics : t -> Foc_obs.Metrics.t
     [session.stats_hits]/[session.stats_misses] (per-structure statistics
     for baseline-fallback join planning, {!Foc_stats}; the base
     structure's statistics are maintained incrementally across
-    {!insert}/{!delete}), [session.evictions] (budget-pressure
+    {!insert}/{!delete}); the lookups of {!run_batch}'s workers count in
+    them too, hits and misses. [session.evictions] (budget-pressure
     evictions), [session.invalidated] (artifacts dropped by
     {!insert}/{!delete}), [session.balls_dropped] (cached balls
     invalidated inside rebound contexts). *)
@@ -165,5 +171,5 @@ val cached_artifacts : t -> int
 (** Number of artifacts currently resident (diagnostic). *)
 
 val cache_bytes : t -> int
-(** Approximate bytes resident in the artifact cache (diagnostic;
+(** Approximate bytes resident in the artifact store (diagnostic;
     recomputes dynamic entry sizes). *)

@@ -7,8 +7,9 @@
     ({!Protocol}) and submits it to a {e bounded} request queue. A single
     dispatcher thread owns the session: it groups runs of consecutive
     [check] requests and evaluates them as one {!Foc_serve.Session.run_batch}
-    — the frozen prepared-structure snapshot is shared read-only across
-    the {!Foc_par} worker pool with per-worker mutable ball contexts —
+    — the session's covers and Hanf partitions are shared read-only
+    across the {!Foc_par} worker pool, each worker building its own
+    mutable ball contexts —
     while writes ([insert]/[delete]) are natural barriers that serialise
     against readers through the session's §9.2 snapshot-swap invalidation.
     Because the dispatcher is the only thread that touches the session,

@@ -1,7 +1,7 @@
 (* Tests for the session layer (lib/serve): cross-query artifact caching,
    batched evaluation, budget eviction and update invalidation — plus the
    canonical-AST machinery (Ast.canonical / Ast.hash_formula / Ast.Key)
-   compiled sentences are keyed by, and the engine's per-call cover memo.
+   compiled sentences are keyed by, and the engine's call-scope store.
 
    The master property throughout: a session is a pure performance layer —
    every answer must be identical to a fresh engine evaluating the same
@@ -170,27 +170,40 @@ let arb_update_case =
       quad (int_range 8 20) (int_range 0 10000) body_gen
         (list_size (int_range 2 5) op))
 
+(* After every write, a check and a parallel batch must agree with a fresh
+   engine, under the default budget and under a budget of 0. The batch
+   runs on worker engines whose stores are seeded from the session store,
+   so it checks that a write leaves no stale artifact for a worker to
+   read. *)
 let prop_invalidation backend name =
   QCheck.Test.make ~name ~count:10 arb_update_case
     (fun (n, seed, body, ops) ->
       let a = structure n seed in
       let phi1 = parse (Printf.sprintf "exists x. #(y). %s >= 2" body) in
       let phi2 = parse (Printf.sprintf "exists x. prime(#(y). %s)" body) in
-      let s = Foc.Session.create ~config:(config backend 1) a in
-      (* warm every cache before the first update *)
-      ignore (Foc.Session.run_batch ~jobs:1 s [ phi1; phi2 ]);
       List.for_all
-        (fun (ins, unary, u, v) ->
-          let name = if unary then "R" else "E" in
-          let tup =
-            if unary then [| u mod n |] else [| u mod n; v mod n |]
+        (fun budget_mb ->
+          let s =
+            Foc.Session.create ~budget_mb ~config:(config backend 1) a
           in
-          if ins then Foc.Session.insert s name tup
-          else Foc.Session.delete s name tup;
-          let b = Foc.Session.structure s in
-          Foc.Session.check s phi1 = fresh_check backend b phi1
-          && Foc.Session.check s phi2 = fresh_check backend b phi2)
-        ops)
+          (* warm every cache before the first update *)
+          ignore (Foc.Session.run_batch ~jobs:1 s [ phi1; phi2 ]);
+          List.for_all
+            (fun (ins, unary, u, v) ->
+              let name = if unary then "R" else "E" in
+              let tup =
+                if unary then [| u mod n |] else [| u mod n; v mod n |]
+              in
+              if ins then Foc.Session.insert s name tup
+              else Foc.Session.delete s name tup;
+              let b = Foc.Session.structure s in
+              let want =
+                [ fresh_check backend b phi1; fresh_check backend b phi2 ]
+              in
+              [ Foc.Session.check s phi1; Foc.Session.check s phi2 ] = want
+              && Foc.Session.run_batch ~jobs:4 s [ phi1; phi2 ] = want)
+            ops)
+        [ 256; 0 ])
 
 (* ---------------- budget cache eviction policy ---------------- *)
 
@@ -277,13 +290,13 @@ let test_cache_reinsert_churn () =
     (Foc.Budget_cache.find c "C");
   Alcotest.(check (list string)) "A evicted exactly once" [ "A" ] !evicted
 
-(* ---------------- engine cover memo (satellite a) ---------------- *)
+(* ---------------- the call store ---------------- *)
 
 let test_cover_dedup () =
   let a = structure 40 3 in
   let eng = Foc.Engine.create ~config:(config Foc.Engine.Cover 1) () in
-  (* one evaluation, two same-radius counting terms: before the per-call
-     artifact memo the Cover back-end built the cover once per term *)
+  (* one evaluation, two same-radius counting terms: without a store the
+     Cover back-end built the cover once per term *)
   let t =
     Foc.parse_term "(#(x,y). (E(x,y) & B(y))) + (#(x,y). (E(x,y) & G(y)))"
   in
@@ -293,7 +306,7 @@ let test_cover_dedup () =
     st.Foc.Engine.covers_built
 
 (* One evaluation builds each Hanf partition once: the sweep term needs two
-   type radii, and before the per-call memo it built four partitions. A
+   type radii, and without a store it built four partitions. A
    warm session then answers the same question without building any. *)
 let test_hanf_partition_memo () =
   let a = structure 300 1 in
@@ -314,6 +327,67 @@ let test_hanf_partition_memo () =
   Alcotest.(check bool) "session answer, warm" true (Foc.Session.check s phi);
   Alcotest.(check int) "warm session: no new partitions" 2
     (built (Foc.Session.metrics s))
+
+(* A parallel batch's workers memoise their own misses and the session
+   store adopts them after the join: a cold jobs-2 batch of two sentences,
+   each with two same-radius kernels, builds no more covers or Hanf
+   partitions than two plain checks, and a second identical batch builds
+   none. *)
+let test_batch_adopts_worker_artifacts () =
+  let a =
+    Foc.Structure.of_graph
+      (Foc.Gen.random_tree (Random.State.make [| 7 |]) 2000)
+  in
+  let phis =
+    List.map parse
+      [
+        "(exists x. #(y). (E(x,y)) >= 3) & (exists x. #(y). (E(x,y)) >= 2)";
+        "(exists x. #(y). (E(x,y)) >= 50) | (exists x. #(y). (E(x,y)) >= 1)";
+      ]
+  in
+  List.iter
+    (fun (backend, name) ->
+      let built m =
+        Foc.Obs.Metrics.Counter.value (Foc.Obs.Metrics.counter m name)
+      in
+      let plain = Foc.Engine.create ~config:(config backend 1) () in
+      let expected = List.map (Foc.Engine.check plain a) phis in
+      let s = Foc.Session.create ~config:(config backend 1) a in
+      let cold = Foc.Session.run_batch ~jobs:2 s phis in
+      let after_cold = built (Foc.Session.metrics s) in
+      let warm = Foc.Session.run_batch ~jobs:2 s phis in
+      Alcotest.(check (list bool)) (name ^ ": cold answers") expected cold;
+      Alcotest.(check (list bool)) (name ^ ": warm answers") expected warm;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: cold batch %d <= plain checks %d" name
+           after_cold (built (Foc.Engine.metrics plain)))
+        true
+        (after_cold <= built (Foc.Engine.metrics plain));
+      Alcotest.(check int)
+        (name ^ ": a warm batch builds nothing")
+        after_cold
+        (built (Foc.Session.metrics s)))
+    [
+      (Foc.Engine.Cover, "engine.covers_built");
+      (Foc.Engine.Hanf, "engine.hanf_partitions_built");
+    ]
+
+(* A worker mints its own ids for structures its session store has not
+   seen; adoption re-keys them through the session's registry, so a
+   structure the session meets later never finds another's artifact. *)
+let test_adopt_rekeys () =
+  let store =
+    Foc.Artifact_store.create ~budget_mb:256
+      ~registry:(Foc.Obs.Metrics.create ()) ~preds:Foc.predicates ~jobs:1 ()
+  in
+  let a = structure 30 1 and b = structure 30 2 in
+  let worker = Foc.Artifact_store.fork store in
+  let ha = Foc.Artifact_store.hanf worker a ~r:1 in
+  Foc.Artifact_store.adopt ~into:store worker;
+  Alcotest.(check bool) "a new structure gets its own partition" true
+    (Foc.Artifact_store.hanf store b ~r:1 = Foc.Hanf.classes b ~r:1);
+  Alcotest.(check bool) "adopted partition found" true
+    (Foc.Artifact_store.hanf store a ~r:1 == ha)
 
 (* ---------------- worker spans reach the merged trace ------------- *)
 
@@ -482,6 +556,10 @@ let () =
           Alcotest.test_case "per-call cover memo" `Quick test_cover_dedup;
           Alcotest.test_case "per-call Hanf partition memo" `Quick
             test_hanf_partition_memo;
+          Alcotest.test_case "a batch adopts its workers' artifacts" `Quick
+            test_batch_adopts_worker_artifacts;
+          Alcotest.test_case "adoption re-keys worker ids" `Quick
+            test_adopt_rekeys;
         ] );
       ( "tracing",
         [
@@ -506,6 +584,10 @@ let () =
             (prop_invalidation Foc.Engine.Direct "direct: updates agree");
           QCheck_alcotest.to_alcotest
             (prop_invalidation Foc.Engine.Cover "cover: updates agree");
+          QCheck_alcotest.to_alcotest
+            (prop_invalidation
+               (Foc.Engine.Splitter { max_rounds = 4; small = 32 })
+               "splitter: updates agree");
           QCheck_alcotest.to_alcotest
             (prop_invalidation Foc.Engine.Hanf "hanf: updates agree");
         ] );
